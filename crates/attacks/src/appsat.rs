@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::oracle::Oracle;
 use crate::report::{Attack, AttackDetails, AttackOutcome, AttackReport};
-use crate::sat_attack::{SatAttack, SatAttackConfig, Step};
+use crate::sat_attack::{reproduces, SatAttack, SatAttackConfig, Step};
 use crate::Result;
 
 /// Configuration of an AppSAT run.
@@ -217,19 +217,13 @@ impl Attack for AppSatConfig {
     ) -> Result<AttackReport> {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
-        if resume && checkpoint.exists() {
-            let snapshot = crate::checkpoint::AttackCheckpoint::load(checkpoint)?;
-            engine.restore(&snapshot)?;
-        }
-        engine.set_checkpoint(checkpoint);
+        engine.attach_checkpoint(checkpoint, resume)?;
         envelope(&mut engine, locked, oracle, *self)
     }
 }
 
 /// Drives the AppSAT loop and folds its settlement data into the common
-/// envelope, capturing the fault-tolerance record and certifying the
-/// recovered (or settled approximate) key. A certification failure on
-/// any solve aborts with [`AttackError`](crate::AttackError).
+/// envelope through [`SatAttack::seal`].
 fn envelope(
     engine: &mut SatAttack<'_>,
     locked: &LockedCircuit,
@@ -237,9 +231,6 @@ fn envelope(
     config: AppSatConfig,
 ) -> Result<AttackReport> {
     let report = drive_appsat(engine, locked, oracle, config)?;
-    if let Some(failure) = engine.certify_failure() {
-        return Err(crate::AttackError::Certification(failure.clone()));
-    }
     let outcome = match (&report.key, report.exact, report.settled) {
         (Some(key), true, _) => AttackOutcome::KeyRecovered {
             key: key.clone(),
@@ -251,25 +242,7 @@ fn envelope(
         },
         _ => AttackOutcome::Timeout,
     };
-    let key_certificate = match &outcome {
-        AttackOutcome::KeyRecovered { key, .. } | AttackOutcome::ApproximateKey { key, .. } => {
-            Some(crate::certificate::certify_key(
-                locked, oracle, key, 64, 0xCE87,
-            ))
-        }
-        _ => None,
-    };
-    Ok(AttackReport {
-        attack: "appsat",
-        outcome,
-        iterations: report.iterations,
-        elapsed: report.elapsed,
-        oracle_queries: engine.oracle_queries(),
-        solver: report.solver,
-        resilience: engine.resilience(),
-        key_certificate,
-        details: AttackDetails::AppSat(report),
-    })
+    engine.seal(outcome, AttackDetails::AppSat(report))
 }
 
 /// Measures a key's error rate on random patterns; returns the rate and
@@ -289,21 +262,7 @@ fn probe_error(
     for _ in 0..samples {
         let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
         let want = oracle.query(&x);
-        let matches = if cyclic {
-            locked
-                .eval_cyclic(&x, key)
-                .map(|e| {
-                    e.all_outputs_known()
-                        && e.outputs
-                            .iter()
-                            .zip(&want)
-                            .all(|(t, w)| t.to_bool() == Some(*w))
-                })
-                .unwrap_or(false)
-        } else {
-            locked.eval(&x, key).map(|got| got == want).unwrap_or(false)
-        };
-        if !matches {
+        if !reproduces(locked, cyclic, &x, key, &want) {
             wrong += 1;
             if mismatches.len() < 8 {
                 mismatches.push((x, want));

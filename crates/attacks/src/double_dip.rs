@@ -20,28 +20,30 @@
 //! redundancy-rich schemes like RLL offer 2-DIPs in abundance. Against
 //! Full-Lock the attack buys nothing either way: iterations were never
 //! the bottleneck.
+//!
+//! The attack is a configuration of the [`SatAttack`] engine, as AppSAT
+//! is: the engine's 4-copy 2-DIP miter runs the 2-DIP phase and the
+//! clean-up phase, so Double-DIP shares its cone-reduced encoding,
+//! checkpoints, oracle resilience and UNSAT-core quarantine.
 
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
-use fulllock_locking::{Key, LockedCircuit};
-use fulllock_netlist::{topo, GateKind};
-use fulllock_sat::backend::SolveBackend;
-use fulllock_sat::cdcl::{SolveLimits, SolveResult, SolverStats};
-use fulllock_sat::tseytin::encode_gate;
-use fulllock_sat::{Cnf, Lit, Var};
+use fulllock_locking::LockedCircuit;
+use fulllock_sat::cdcl::SolverStats;
 
-use crate::checkpoint::{AttackCheckpoint, IoPair};
-use crate::encode::encode_locked;
-use crate::oracle::{Oracle, ResilientOracle};
-use crate::report::{Attack, AttackDetails, AttackOutcome, AttackReport, RunResilience};
-use crate::sat_attack::SatAttackConfig;
-use crate::{cycsat, AttackError, Result};
+use crate::oracle::Oracle;
+use crate::report::{Attack, AttackDetails, AttackOutcome, AttackReport};
+use crate::sat_attack::{KeyCheck, Miter, SatAttack, SatAttackConfig};
+use crate::Result;
 
-/// Double-DIP's phase tags in checkpoint files: 1 = 2-DIP search, 2 =
-/// plain-DIP clean-up.
-const PHASE_DOUBLE: u64 = 1;
-const PHASE_CLEANUP: u64 = 2;
+/// The check on the recovered key: one query on each of 32 patterns
+/// (two corners plus 30 random ones) when the key is right.
+const KEY_CHECK: KeyCheck = KeyCheck {
+    samples: 30,
+    seed: 0x2D12,
+    vote_every_pattern: false,
+};
 
 /// The Double-DIP attack as an [`Attack`] object: a thin wrapper over the
 /// base SAT-attack configuration (timeout, iteration cap, backend).
@@ -57,9 +59,7 @@ impl Attack for DoubleDip {
     }
 
     fn run(&self, locked: &LockedCircuit, oracle: &dyn Oracle) -> Result<AttackReport> {
-        let (report, resilience, queries) =
-            run_double_dip_checkpointed(locked, oracle, self.base, None, false)?;
-        Ok(envelope(locked, oracle, report, resilience, queries))
+        envelope(&mut engine(locked, oracle, self.base)?)
     }
 
     fn run_checkpointed(
@@ -69,36 +69,33 @@ impl Attack for DoubleDip {
         checkpoint: &Path,
         resume: bool,
     ) -> Result<AttackReport> {
-        let (report, resilience, queries) =
-            run_double_dip_checkpointed(locked, oracle, self.base, Some(checkpoint), resume)?;
-        Ok(envelope(locked, oracle, report, resilience, queries))
+        let mut engine = engine(locked, oracle, self.base)?;
+        engine.attach_checkpoint(checkpoint, resume)?;
+        envelope(&mut engine)
     }
 }
 
-fn envelope(
-    locked: &LockedCircuit,
-    oracle: &dyn Oracle,
-    report: DoubleDipReport,
-    resilience: RunResilience,
-    queries: u64,
-) -> AttackReport {
-    let key_certificate = match &report.outcome {
-        AttackOutcome::KeyRecovered { key, .. } => Some(crate::certificate::certify_key(
-            locked, oracle, key, 64, 0xCE87,
-        )),
-        _ => None,
-    };
-    AttackReport {
-        attack: "double-dip",
-        outcome: report.outcome.clone(),
-        iterations: report.iterations + report.cleanup_iterations,
-        elapsed: report.elapsed,
-        oracle_queries: queries,
-        solver: report.solver,
-        resilience,
-        key_certificate,
-        details: AttackDetails::DoubleDip(report),
-    }
+fn engine<'a>(
+    locked: &'a LockedCircuit,
+    oracle: &'a dyn Oracle,
+    config: SatAttackConfig,
+) -> Result<SatAttack<'a>> {
+    let mut engine = SatAttack::with_miter(locked, oracle, config, Miter::DoubleDip)?;
+    engine.set_checkpoint_label("double-dip");
+    Ok(engine)
+}
+
+fn envelope(engine: &mut SatAttack<'_>) -> Result<AttackReport> {
+    let outcome = engine.drive(KEY_CHECK)?;
+    let cleanup_iterations = engine.cleanup_iterations();
+    let details = AttackDetails::DoubleDip(DoubleDipReport {
+        outcome: outcome.clone(),
+        iterations: engine.iterations() - cleanup_iterations,
+        cleanup_iterations,
+        elapsed: engine.elapsed(),
+        solver: engine.solver_stats(),
+    });
+    engine.seal(outcome, details)
 }
 
 /// Result of a Double-DIP run.
@@ -124,459 +121,11 @@ fn run_double_dip(
     oracle: &dyn Oracle,
     config: SatAttackConfig,
 ) -> Result<DoubleDipReport> {
-    run_double_dip_checkpointed(locked, oracle, config, None, false).map(|(report, ..)| report)
-}
-
-/// The last model's value for `var`, or
-/// [`AttackError::IncompleteModel`] — fabricating a default bit would
-/// silently corrupt DIPs and keys.
-fn model_bit(solver: &dyn SolveBackend, var: Var) -> Result<bool> {
-    solver
-        .model_value(var)
-        .ok_or(AttackError::IncompleteModel { var: var.index() })
-}
-
-/// Checkpoint bookkeeping of one Double-DIP run: where snapshots go, what
-/// was restored, and the cumulative instrumentation carried across
-/// resumes.
-struct CkptCtl {
-    path: Option<PathBuf>,
-    written: u64,
-    failures: u64,
-    resumed_from: Option<u64>,
-    prior_elapsed: Duration,
-    prior_solver: SolverStats,
-    io_log: Vec<IoPair>,
-}
-
-impl CkptCtl {
-    fn new(path: Option<&Path>) -> CkptCtl {
-        CkptCtl {
-            path: path.map(Path::to_path_buf),
-            written: 0,
-            failures: 0,
-            resumed_from: None,
-            prior_elapsed: Duration::ZERO,
-            prior_solver: SolverStats::default(),
-            io_log: Vec::new(),
-        }
+    let report = DoubleDip { base: config }.run(locked, oracle)?;
+    match report.details {
+        AttackDetails::DoubleDip(details) => Ok(details),
+        other => unreachable!("Double-DIP reported {other:?}"),
     }
-
-    /// Best-effort atomic snapshot write (a failed write is counted, not
-    /// fatal).
-    #[allow(clippy::too_many_arguments)]
-    fn save(
-        &mut self,
-        locked: &LockedCircuit,
-        phase: u64,
-        iterations: u64,
-        cleanup_iterations: u64,
-        start: Instant,
-        oracle_queries: u64,
-        stats: SolverStats,
-    ) {
-        let Some(path) = self.path.clone() else {
-            return;
-        };
-        let mut cp = AttackCheckpoint::new(
-            "double-dip",
-            locked.data_inputs.len(),
-            locked.key_inputs.len(),
-        );
-        cp.phase = phase;
-        cp.iterations = iterations;
-        cp.cleanup_iterations = cleanup_iterations;
-        cp.elapsed = self.prior_elapsed + start.elapsed();
-        cp.oracle_queries = oracle_queries;
-        let mut merged = self.prior_solver;
-        merged.merge(&stats);
-        cp.solver = merged;
-        cp.io_pairs = self.io_log.clone();
-        match cp.save(&path) {
-            Ok(()) => self.written += 1,
-            Err(_) => self.failures += 1,
-        }
-    }
-}
-
-/// Assembles the report + resilience + cumulative-oracle-queries triple at
-/// any exit point.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    outcome: AttackOutcome,
-    iterations: u64,
-    cleanup_iterations: u64,
-    start: Instant,
-    oracle_queries: u64,
-    oracle_retries: u64,
-    solver: &dyn SolveBackend,
-    ctl: &CkptCtl,
-) -> (DoubleDipReport, RunResilience, u64) {
-    let mut stats = ctl.prior_solver;
-    stats.merge(&solver.stats());
-    let report = DoubleDipReport {
-        outcome,
-        iterations,
-        cleanup_iterations,
-        elapsed: ctl.prior_elapsed + start.elapsed(),
-        solver: stats,
-    };
-    let resilience = RunResilience {
-        worker_panics: stats.worker_panics,
-        worker_failures: solver.worker_failures(),
-        resumed_from: ctl.resumed_from,
-        checkpoints_written: ctl.written,
-        checkpoint_failures: ctl.failures,
-        oracle_retries,
-        oracle_requeries: 0,
-        quarantined_pairs: ctl.io_log.iter().filter(|p| p.quarantined).count() as u64,
-    };
-    (report, resilience, oracle_queries)
-}
-
-fn run_double_dip_checkpointed(
-    locked: &LockedCircuit,
-    oracle: &dyn Oracle,
-    config: SatAttackConfig,
-    checkpoint: Option<&Path>,
-    resume: bool,
-) -> Result<(DoubleDipReport, RunResilience, u64)> {
-    if oracle.num_inputs() != locked.data_inputs.len() {
-        return Err(AttackError::InterfaceMismatch {
-            locked_inputs: locked.data_inputs.len(),
-            oracle_inputs: oracle.num_inputs(),
-        });
-    }
-    // All DIP queries go through the resilient layer (retry / rate limit /
-    // majority vote); the raw oracle keeps counting real chip stimuli.
-    let resilient = ResilientOracle::new(oracle, config.resilience);
-    let start = Instant::now();
-    let deadline = config.timeout.map(|t| start + t);
-    let limits = {
-        let mut builder = SolveLimits::builder();
-        if let Some(d) = deadline {
-            builder = builder.deadline(d);
-        }
-        builder.build()
-    };
-
-    let mut cnf = Cnf::new();
-    let x_vars: Vec<Var> = locked.data_inputs.iter().map(|_| cnf.new_var()).collect();
-    let key_vars: Vec<Vec<Var>> = (0..4)
-        .map(|_| locked.key_inputs.iter().map(|_| cnf.new_var()).collect())
-        .collect();
-    let copies: Vec<_> = key_vars
-        .iter()
-        .map(|kv| encode_locked(locked, &mut cnf, &x_vars, kv))
-        .collect();
-
-    // within-pair agreement and cross-pair disagreement, gated by two
-    // activation literals so the clean-up phase can fall back to a plain
-    // miter (copies 0 and 2, act_single).
-    let outputs_equal = |cnf: &mut Cnf, a: usize, b: usize| -> Lit {
-        let mut same_lits = Vec::new();
-        for (&oa, &ob) in copies[a].output_vars.iter().zip(&copies[b].output_vars) {
-            let d = cnf.new_var();
-            encode_gate(cnf, GateKind::Xnor, d, &[oa, ob]);
-            same_lits.push(Lit::positive(d));
-        }
-        let all = cnf.new_var();
-        // all ↔ AND(same_lits)
-        let mut long: Vec<Lit> = same_lits.iter().map(|&l| !l).collect();
-        long.push(Lit::positive(all));
-        cnf.add_clause(long);
-        for &l in &same_lits {
-            cnf.add_clause([l, !Lit::positive(all)]);
-        }
-        Lit::positive(all)
-    };
-
-    let pair_a_same = outputs_equal(&mut cnf, 0, 1);
-    let pair_b_same = outputs_equal(&mut cnf, 2, 3);
-    let cross_same = outputs_equal(&mut cnf, 0, 2);
-    // Within-pair key disequality: without it a pair could be one key
-    // twice, and the "pair" elimination would only remove one key.
-    let keys_differ = |cnf: &mut Cnf, a: usize, b: usize| -> Vec<Lit> {
-        key_vars[a]
-            .iter()
-            .zip(&key_vars[b])
-            .map(|(&ka, &kb)| {
-                let d = cnf.new_var();
-                encode_gate(cnf, GateKind::Xor, d, &[ka, kb]);
-                Lit::positive(d)
-            })
-            .collect()
-    };
-    let act_double = Lit::positive(cnf.new_var());
-    let mut diff_a = keys_differ(&mut cnf, 0, 1);
-    diff_a.insert(0, !act_double);
-    cnf.add_clause(diff_a);
-    let mut diff_b = keys_differ(&mut cnf, 2, 3);
-    diff_b.insert(0, !act_double);
-    cnf.add_clause(diff_b);
-    cnf.add_clause([!act_double, pair_a_same]);
-    cnf.add_clause([!act_double, pair_b_same]);
-    cnf.add_clause([!act_double, !cross_same]);
-    let act_single = Lit::positive(cnf.new_var());
-    cnf.add_clause([!act_single, !cross_same]);
-
-    if config.force_cycsat || topo::is_cyclic(&locked.netlist) {
-        for kv in &key_vars {
-            cycsat::add_no_cycle_clauses(locked, &mut cnf, kv);
-        }
-    }
-
-    let mut solver = config.backend.create_certified(config.certify);
-    solver.ensure_vars(cnf.num_vars());
-    for clause in cnf.clauses() {
-        solver.add_clause(clause);
-    }
-    let assert_io = |solver: &mut Box<dyn SolveBackend>, cnf: &mut Cnf, x: &[bool], y: &[bool]| {
-        let before = cnf.num_clauses();
-        for kv in &key_vars {
-            let data_vars: Vec<Var> = x.iter().map(|_| cnf.new_var()).collect();
-            let enc = encode_locked(locked, cnf, &data_vars, kv);
-            for (slot, &v) in data_vars.iter().enumerate() {
-                cnf.add_clause([Lit::with_polarity(v, x[slot])]);
-            }
-            for (o, &v) in enc.output_vars.iter().enumerate() {
-                cnf.add_clause([Lit::with_polarity(v, y[o])]);
-            }
-        }
-        solver.ensure_vars(cnf.num_vars());
-        for clause in &cnf.clauses()[before..] {
-            solver.add_clause(clause);
-        }
-    };
-
-    let mut iterations = 0u64;
-    let mut cleanup_iterations = 0u64;
-    let mut ctl = CkptCtl::new(checkpoint);
-    let mut skip_double_phase = false;
-    let oracle_baseline = oracle.queries();
-    let mut prior_queries = 0u64;
-    if resume {
-        if let Some(path) = checkpoint.filter(|p| p.exists()) {
-            let cp = AttackCheckpoint::load(path)?;
-            cp.validate_for(
-                "double-dip",
-                locked.data_inputs.len(),
-                locked.key_inputs.len(),
-            )?;
-            // Replay the recorded I/O pairs — re-deriving every constraint
-            // without an oracle query — and adopt the snapshot's position
-            // in the two-phase loop. Quarantined pairs stay in the log as
-            // evidence but are never re-asserted.
-            for pair in &cp.io_pairs {
-                if pair.quarantined {
-                    continue;
-                }
-                assert_io(&mut solver, &mut cnf, &pair.inputs, &pair.outputs);
-            }
-            ctl.io_log = cp.io_pairs;
-            iterations = cp.iterations;
-            cleanup_iterations = cp.cleanup_iterations;
-            skip_double_phase = cp.phase >= PHASE_CLEANUP;
-            ctl.prior_elapsed = cp.elapsed;
-            ctl.prior_solver = cp.solver;
-            prior_queries = cp.oracle_queries;
-            ctl.resumed_from = Some(cp.iterations + cp.cleanup_iterations);
-        }
-    }
-    // Cumulative oracle queries across resumes: the restored count plus
-    // the delta this process has issued.
-    let total_queries = || prior_queries + (oracle.queries() - oracle_baseline);
-    let out_of_budget = |iterations: u64| {
-        deadline.is_some_and(|d| Instant::now() >= d)
-            || config.max_iterations.is_some_and(|m| iterations >= m)
-    };
-
-    // Phase 1: 2-DIPs while they exist (skipped when resuming a snapshot
-    // that had already entered the clean-up phase).
-    while !skip_double_phase {
-        if out_of_budget(iterations) {
-            return Ok(finish(
-                budget_outcome(&config, iterations),
-                iterations,
-                cleanup_iterations,
-                start,
-                total_queries(),
-                resilient.retries_absorbed(),
-                solver.as_ref(),
-                &ctl,
-            ));
-        }
-        match solver.solve_limited(&[act_double], limits.clone()) {
-            SolveResult::Unknown => {
-                if let Some(failure) = solver.certify_failure() {
-                    return Err(AttackError::Certification(failure));
-                }
-                return Ok(finish(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    cleanup_iterations,
-                    start,
-                    total_queries(),
-                    resilient.retries_absorbed(),
-                    solver.as_ref(),
-                    &ctl,
-                ));
-            }
-            // No 2-DIP left: advance into the clean-up phase.
-            SolveResult::Unsat => skip_double_phase = true,
-            SolveResult::Sat => {
-                let x: Vec<bool> = x_vars
-                    .iter()
-                    .map(|&v| model_bit(solver.as_ref(), v))
-                    .collect::<Result<_>>()?;
-                let (y, votes) = resilient.query_voted(&x).map_err(AttackError::Oracle)?;
-                assert_io(&mut solver, &mut cnf, &x, &y);
-                let mut pair = IoPair::new(x, y);
-                pair.votes = u64::from(votes);
-                ctl.io_log.push(pair);
-                iterations += 1;
-                ctl.save(
-                    locked,
-                    PHASE_DOUBLE,
-                    iterations,
-                    cleanup_iterations,
-                    start,
-                    total_queries(),
-                    solver.stats(),
-                );
-            }
-        }
-    }
-    // Phase 2: plain DIPs until convergence.
-    loop {
-        if out_of_budget(iterations + cleanup_iterations) {
-            return Ok(finish(
-                budget_outcome(&config, iterations + cleanup_iterations),
-                iterations,
-                cleanup_iterations,
-                start,
-                total_queries(),
-                resilient.retries_absorbed(),
-                solver.as_ref(),
-                &ctl,
-            ));
-        }
-        match solver.solve_limited(&[act_single], limits.clone()) {
-            SolveResult::Unknown => {
-                if let Some(failure) = solver.certify_failure() {
-                    return Err(AttackError::Certification(failure));
-                }
-                return Ok(finish(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    cleanup_iterations,
-                    start,
-                    total_queries(),
-                    resilient.retries_absorbed(),
-                    solver.as_ref(),
-                    &ctl,
-                ));
-            }
-            SolveResult::Unsat => break,
-            SolveResult::Sat => {
-                let x: Vec<bool> = x_vars
-                    .iter()
-                    .map(|&v| model_bit(solver.as_ref(), v))
-                    .collect::<Result<_>>()?;
-                let (y, votes) = resilient.query_voted(&x).map_err(AttackError::Oracle)?;
-                assert_io(&mut solver, &mut cnf, &x, &y);
-                let mut pair = IoPair::new(x, y);
-                pair.votes = u64::from(votes);
-                ctl.io_log.push(pair);
-                cleanup_iterations += 1;
-                ctl.save(
-                    locked,
-                    PHASE_CLEANUP,
-                    iterations,
-                    cleanup_iterations,
-                    start,
-                    total_queries(),
-                    solver.stats(),
-                );
-            }
-        }
-    }
-    // A snapshot at the phase boundary: a crash during a long clean-up
-    // phase must not fall back into the 2-DIP phase on resume.
-    ctl.save(
-        locked,
-        PHASE_CLEANUP,
-        iterations,
-        cleanup_iterations,
-        start,
-        total_queries(),
-        solver.stats(),
-    );
-    // Extraction: any key consistent with all constraints.
-    let outcome = match solver.solve_limited(&[!act_double, !act_single], limits.clone()) {
-        SolveResult::Sat => {
-            let key_bits = key_vars[0]
-                .iter()
-                .map(|&v| model_bit(solver.as_ref(), v))
-                .collect::<Result<Vec<bool>>>()?;
-            let key = Key::from_bits(key_bits);
-            let verified = verify(locked, oracle, &key);
-            AttackOutcome::KeyRecovered { key, verified }
-        }
-        SolveResult::Unknown => {
-            if let Some(failure) = solver.certify_failure() {
-                return Err(AttackError::Certification(failure));
-            }
-            AttackOutcome::Timeout
-        }
-        SolveResult::Unsat => AttackOutcome::Inconclusive,
-    };
-    Ok(finish(
-        outcome,
-        iterations,
-        cleanup_iterations,
-        start,
-        total_queries(),
-        resilient.retries_absorbed(),
-        solver.as_ref(),
-        &ctl,
-    ))
-}
-
-fn budget_outcome(config: &SatAttackConfig, iterations: u64) -> AttackOutcome {
-    if config.max_iterations.is_some_and(|m| iterations >= m) {
-        AttackOutcome::IterationLimit
-    } else {
-        AttackOutcome::Timeout
-    }
-}
-
-fn verify(locked: &LockedCircuit, oracle: &dyn Oracle, key: &Key) -> bool {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x2D12);
-    let width = locked.data_inputs.len();
-    for _ in 0..32 {
-        let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
-        let want = oracle.query(&x);
-        let ok = if topo::is_cyclic(&locked.netlist) {
-            locked
-                .eval_cyclic(&x, key)
-                .map(|e| {
-                    e.all_outputs_known()
-                        && e.outputs
-                            .iter()
-                            .zip(&want)
-                            .all(|(t, w)| t.to_bool() == Some(*w))
-                })
-                .unwrap_or(false)
-        } else {
-            locked.eval(&x, key).map(|got| got == want).unwrap_or(false)
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

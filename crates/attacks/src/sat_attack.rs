@@ -13,6 +13,14 @@
 //! The instrumentation mirrors what the paper reports: iteration counts
 //! (Tables 2 and 4), wall-clock time with a timeout, and the
 //! clause/variable ratio of the growing formula (Fig 7).
+//!
+//! The engine is not tied to two key copies. Its base formula holds N
+//! copies sharing `X`, and a miter relates them in one or more loop
+//! phases, each gated by its own activation literal: the plain DIP miter
+//! (two copies, one phase) drives the SAT attack and AppSAT, and the
+//! 2-DIP miter (four copies, two phases) drives
+//! [`DoubleDip`](crate::double_dip::DoubleDip). Every observation is
+//! asserted on every key copy; key extraction switches every phase off.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -21,6 +29,7 @@ use fulllock_locking::{Key, LockedCircuit};
 use fulllock_netlist::topo;
 use fulllock_sat::backend::{BackendSpec, SolveBackend};
 use fulllock_sat::cdcl::{SolveLimits, SolveResult, SolverStats};
+use fulllock_sat::tseytin::encode_xor2_lits;
 use fulllock_sat::{CertifyError, CertifyLevel, Cnf, Lit, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +127,89 @@ pub enum Step {
     Budget,
 }
 
+/// How the engine's key copies are related while it searches for
+/// discriminating inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Miter {
+    /// Two key copies whose outputs differ: the SAT attack's DIP, one
+    /// phase.
+    Dip,
+    /// Four key copies: phase 1 searches 2-DIPs (outputs agree within
+    /// the pairs {0, 1} and {2, 3}, differ across them, and each pair
+    /// holds two distinct keys); phase 2 cleans up with plain DIPs
+    /// between copies 0 and 2.
+    DoubleDip,
+}
+
+impl Miter {
+    fn key_copies(self) -> usize {
+        match self {
+            Miter::Dip => 2,
+            Miter::DoubleDip => 4,
+        }
+    }
+
+    /// Adds the miter over the copies' outputs `outs` and key variables
+    /// `keys`; returns one activation literal per loop phase, in order.
+    fn encode(self, cnf: &mut Cnf, outs: &[Vec<SigVal>], keys: &[Vec<Var>]) -> Vec<Lit> {
+        let gated = |cnf: &mut Cnf, act: Lit, lits: &[Lit]| {
+            cnf.add_clause(std::iter::once(!act).chain(lits.iter().copied()));
+        };
+        match self {
+            Miter::Dip => {
+                let diff = miter_diff_lits(cnf, &outs[0], &outs[1]);
+                let act = Lit::positive(cnf.new_var());
+                gated(cnf, act, &diff);
+                vec![act]
+            }
+            Miter::DoubleDip => {
+                let within = [
+                    miter_diff_lits(cnf, &outs[0], &outs[1]),
+                    miter_diff_lits(cnf, &outs[2], &outs[3]),
+                ];
+                let across = miter_diff_lits(cnf, &outs[0], &outs[2]);
+                let act_double = Lit::positive(cnf.new_var());
+                for &d in within.iter().flatten() {
+                    cnf.add_clause([!act_double, !d]);
+                }
+                gated(cnf, act_double, &across);
+                // Within-pair key disequality: without it a pair could be
+                // one key twice, and the pair's elimination would remove
+                // only one key.
+                for (a, b) in [(0, 1), (2, 3)] {
+                    let differ: Vec<Lit> = keys[a]
+                        .iter()
+                        .zip(&keys[b])
+                        .map(|(&ka, &kb)| {
+                            let d = Lit::positive(cnf.new_var());
+                            encode_xor2_lits(cnf, d, Lit::positive(ka), Lit::positive(kb));
+                            d
+                        })
+                        .collect();
+                    gated(cnf, act_double, &differ);
+                }
+                let act_single = Lit::positive(cnf.new_var());
+                gated(cnf, act_single, &across);
+                vec![act_double, act_single]
+            }
+        }
+    }
+}
+
+/// How [`SatAttack::drive`] checks a recovered key against the oracle:
+/// on the all-zeros and all-ones corners plus `samples` random patterns
+/// drawn from `seed`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyCheck {
+    pub(crate) samples: usize,
+    pub(crate) seed: u64,
+    /// Under guarding, take every answer by boosted majority vote.
+    /// Otherwise each pattern is asked once under the engine's policy
+    /// (one query at the default single vote), and under guarding a
+    /// mismatch is re-queried by vote before it can convict the key.
+    pub(crate) vote_every_pattern: bool,
+}
+
 /// The incremental SAT-attack engine. [`Attack::run`] on
 /// [`SatAttackConfig`] is the one-call version; instantiate this
 /// directly to drive the loop yourself (AppSAT does).
@@ -137,12 +229,19 @@ pub struct SatAttack<'a> {
     encoder: Option<CircuitEncoder<'a>>,
     transferred: usize,
     x_vars: Vec<Var>,
-    k1_vars: Vec<Var>,
-    k2_vars: Vec<Var>,
-    act: Lit,
+    /// One key variable vector per key copy of the miter.
+    key_vars: Vec<Vec<Var>>,
+    miter: Miter,
+    /// One activation literal per loop phase.
+    acts: Vec<Lit>,
+    /// The loop phase whose activation literal the DIP search assumes.
+    phase: usize,
     start: Instant,
     deadline: Option<Instant>,
+    /// DIPs found across all phases.
     iterations: u64,
+    /// DIPs found after the first phase (Double-DIP's clean-up DIPs).
+    cleanup_iterations: u64,
     ratio_sum: f64,
     ratio_samples: u64,
     /// Every asserted I/O pair, in order — the semantic state a checkpoint
@@ -164,8 +263,9 @@ pub struct SatAttack<'a> {
     /// Best candidate key known so far (set by AppSAT's probes; persisted
     /// in checkpoints).
     candidate_key: Option<Key>,
-    /// Attack name written into (and required of) checkpoints: `"sat"`
-    /// unless a wrapping attack (AppSAT) relabels the engine.
+    /// Attack name written into (and required of) checkpoints, and named
+    /// by the sealed report: `"sat"` unless a wrapping attack (AppSAT,
+    /// Double-DIP) relabels the engine.
     checkpoint_label: &'static str,
     /// Instrumentation restored from a checkpoint: the pre-crash run's
     /// elapsed time, oracle queries, and solver counters, folded into
@@ -198,82 +298,79 @@ impl std::fmt::Debug for SatAttack<'_> {
 
 /// The part of the engine state that [`SatAttack::rebuild_solver`]
 /// replaces wholesale: the base formula (miter + CycSAT constraints),
-/// the cone encoder, the interface variables, the activation literal,
+/// the cone encoder, the interface variables, the activation literals,
 /// and a fresh backend with the interface frozen.
 struct EngineBase<'a> {
     cnf: Cnf,
     encoder: Option<CircuitEncoder<'a>>,
     x_vars: Vec<Var>,
-    k1_vars: Vec<Var>,
-    k2_vars: Vec<Var>,
-    act: Lit,
+    key_vars: Vec<Vec<Var>>,
+    acts: Vec<Lit>,
     solver: Box<dyn SolveBackend>,
 }
 
 impl<'a> SatAttack<'a> {
-    /// Builds the base formula and solver shared by [`new`](Self::new)
-    /// and [`rebuild_solver`](Self::rebuild_solver): miter construction
-    /// plus (for cyclic locked netlists) CycSAT no-cycle constraints on
-    /// both key copies.
-    fn build_base(locked: &'a LockedCircuit, config: &SatAttackConfig) -> EngineBase<'a> {
+    /// Builds the base formula and solver shared by
+    /// [`with_miter`](Self::with_miter) and
+    /// [`rebuild_solver`](Self::rebuild_solver): one circuit copy per key
+    /// copy, all sharing the data inputs, related by the miter, plus (for
+    /// cyclic locked netlists) CycSAT no-cycle constraints on every key
+    /// copy.
+    fn build_base(
+        locked: &'a LockedCircuit,
+        config: &SatAttackConfig,
+        miter: Miter,
+    ) -> EngineBase<'a> {
         let mut cnf = Cnf::new();
         let x_vars: Vec<Var> = locked.data_inputs.iter().map(|_| cnf.new_var()).collect();
-        let k1_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
-        let k2_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
+        let key_vars: Vec<Vec<Var>> = (0..miter.key_copies())
+            .map(|_| locked.key_inputs.iter().map(|_| cnf.new_var()).collect())
+            .collect();
         let needs_cycsat = config.force_cycsat || topo::is_cyclic(&locked.netlist);
         let encoder = if needs_cycsat {
             None
         } else {
             CircuitEncoder::new(locked, config.encode_style)
         };
-
-        // Miter: OR over per-output XORs, gated by the activation literal
-        // so key extraction can switch the miter off with an assumption.
-        let diff_lits = if let Some(enc) = &encoder {
-            let out1 = enc.encode_copy(&mut cnf, &x_vars, &k1_vars);
-            let out2 = enc.encode_copy(&mut cnf, &x_vars, &k2_vars);
-            miter_diff_lits(&mut cnf, &out1, &out2)
-        } else {
-            let copy1 = encode_locked(locked, &mut cnf, &x_vars, &k1_vars);
-            let copy2 = encode_locked(locked, &mut cnf, &x_vars, &k2_vars);
-            let mut diff_lits = Vec::with_capacity(copy1.output_vars.len());
-            for (&a, &b) in copy1.output_vars.iter().zip(&copy2.output_vars) {
-                let d = cnf.new_var();
-                fulllock_sat::tseytin::encode_gate(
-                    &mut cnf,
-                    fulllock_netlist::GateKind::Xor,
-                    d,
-                    &[a, b],
-                );
-                diff_lits.push(Lit::positive(d));
-            }
-            diff_lits
+        // The miter's phases are gated by activation literals so each
+        // loop phase, and key extraction, picks its miter by assumption.
+        let acts = {
+            let outs: Vec<Vec<SigVal>> = key_vars
+                .iter()
+                .map(|kv| match &encoder {
+                    Some(enc) => enc.encode_copy(&mut cnf, &x_vars, kv),
+                    None => encode_locked(locked, &mut cnf, &x_vars, kv)
+                        .output_vars
+                        .iter()
+                        .map(|&v| SigVal::L(Lit::positive(v)))
+                        .collect(),
+                })
+                .collect();
+            miter.encode(&mut cnf, &outs, &key_vars)
         };
-        let act = Lit::positive(cnf.new_var());
-        let mut miter_clause = vec![!act];
-        miter_clause.extend(diff_lits);
-        cnf.add_clause(miter_clause);
 
         if needs_cycsat {
-            cycsat::add_no_cycle_clauses(locked, &mut cnf, &k1_vars);
-            cycsat::add_no_cycle_clauses(locked, &mut cnf, &k2_vars);
+            for kv in &key_vars {
+                cycsat::add_no_cycle_clauses(locked, &mut cnf, kv);
+            }
         }
 
         // The interface variables stay live across every incremental
         // solve: freeze them so inprocessing never eliminates them.
         let mut solver = config.backend.create_certified(config.certify);
-        for &v in x_vars.iter().chain(&k1_vars).chain(&k2_vars) {
+        for &v in x_vars.iter().chain(key_vars.iter().flatten()) {
             solver.freeze_var(v);
         }
-        solver.freeze_var(act.var());
+        for act in &acts {
+            solver.freeze_var(act.var());
+        }
 
         EngineBase {
             cnf,
             encoder,
             x_vars,
-            k1_vars,
-            k2_vars,
-            act,
+            key_vars,
+            acts,
             solver,
         }
     }
@@ -290,13 +387,23 @@ impl<'a> SatAttack<'a> {
         oracle: &'a dyn Oracle,
         config: SatAttackConfig,
     ) -> Result<SatAttack<'a>> {
+        Self::with_miter(locked, oracle, config, Miter::Dip)
+    }
+
+    /// [`new`](Self::new) with the given miter.
+    pub(crate) fn with_miter(
+        locked: &'a LockedCircuit,
+        oracle: &'a dyn Oracle,
+        config: SatAttackConfig,
+        miter: Miter,
+    ) -> Result<SatAttack<'a>> {
         if oracle.num_inputs() != locked.data_inputs.len() {
             return Err(AttackError::InterfaceMismatch {
                 locked_inputs: locked.data_inputs.len(),
                 oracle_inputs: oracle.num_inputs(),
             });
         }
-        let base = Self::build_base(locked, &config);
+        let base = Self::build_base(locked, &config, miter);
 
         let start = Instant::now();
         let mut attack = SatAttack {
@@ -309,12 +416,14 @@ impl<'a> SatAttack<'a> {
             encoder: base.encoder,
             transferred: 0,
             x_vars: base.x_vars,
-            k1_vars: base.k1_vars,
-            k2_vars: base.k2_vars,
-            act: base.act,
+            key_vars: base.key_vars,
+            miter,
+            acts: base.acts,
+            phase: 0,
             start,
             deadline: config.timeout.map(|t| start + t),
             iterations: 0,
+            cleanup_iterations: 0,
             ratio_sum: 0.0,
             ratio_samples: 0,
             io_log: Vec::new(),
@@ -337,35 +446,30 @@ impl<'a> SatAttack<'a> {
         Ok(attack)
     }
 
-    /// Builds the engine and restores a previously saved checkpoint: the
-    /// recorded I/O pairs are re-asserted (re-deriving the constraint
-    /// formula without a single oracle query) and the iteration counters
-    /// and cumulative instrumentation pick up where the snapshot left
-    /// off. The engine keeps checkpointing to the same path.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`new`](Self::new) returns, plus
-    /// [`AttackError::CheckpointIo`] / [`AttackError::CheckpointFormat`]
-    /// for an unreadable or incompatible checkpoint file.
-    pub fn resume(
-        locked: &'a LockedCircuit,
-        oracle: &'a dyn Oracle,
-        config: SatAttackConfig,
-        path: &Path,
-    ) -> Result<SatAttack<'a>> {
-        let snapshot = AttackCheckpoint::load(path)?;
-        let mut engine = SatAttack::new(locked, oracle, config)?;
-        engine.restore(&snapshot)?;
-        engine.set_checkpoint(path);
-        Ok(engine)
-    }
-
     /// Enables crash-safe checkpointing: after every completed DIP a
     /// snapshot is written atomically to `path` (best effort — a failed
     /// write is counted, not fatal).
     pub fn set_checkpoint(&mut self, path: impl Into<PathBuf>) {
         self.checkpoint_path = Some(path.into());
+    }
+
+    /// Checkpoints this (fresh) engine to `path`. With `resume`, first
+    /// restores the snapshot at `path` if there is one (a missing file
+    /// starts fresh): the recorded I/O pairs are re-asserted without a
+    /// single oracle query, and the counters and instrumentation pick up
+    /// where the snapshot left off. [`Attack::run_checkpointed`] of every
+    /// attack on this engine starts here.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::CheckpointIo`] / [`AttackError::CheckpointFormat`]
+    /// for an unreadable or incompatible checkpoint file.
+    pub(crate) fn attach_checkpoint(&mut self, path: &Path, resume: bool) -> Result<()> {
+        if resume && path.exists() {
+            self.restore(&AttackCheckpoint::load(path)?)?;
+        }
+        self.set_checkpoint(path);
+        Ok(())
     }
 
     /// Relabels the attack name written into (and required of)
@@ -379,7 +483,7 @@ impl<'a> SatAttack<'a> {
     /// Restores a loaded snapshot into this (fresh) engine. Validates the
     /// attack name and interface widths, replays the recorded I/O pairs
     /// through [`assert_io`](Self::assert_io) (no oracle queries), and
-    /// adopts the snapshot's counters.
+    /// adopts the snapshot's loop phase and counters.
     ///
     /// # Errors
     ///
@@ -394,14 +498,18 @@ impl<'a> SatAttack<'a> {
         for pair in &snapshot.io_pairs {
             self.assert_pair(pair.clone());
         }
-        self.iterations = snapshot.iterations;
+        self.iterations = snapshot.iterations + snapshot.cleanup_iterations;
+        self.cleanup_iterations = snapshot.cleanup_iterations;
+        self.phase = (snapshot.phase as usize)
+            .saturating_sub(1)
+            .min(self.acts.len() - 1);
         self.ratio_sum = snapshot.ratio_sum;
         self.ratio_samples = snapshot.ratio_samples;
         self.prior_elapsed = snapshot.elapsed;
         self.prior_oracle_queries = snapshot.oracle_queries;
         self.prior_solver = snapshot.solver;
         self.candidate_key = snapshot.candidate_key.clone();
-        self.resumed_from = Some(snapshot.iterations);
+        self.resumed_from = Some(self.iterations);
         Ok(())
     }
 
@@ -409,6 +517,12 @@ impl<'a> SatAttack<'a> {
     /// a checkpoint).
     pub fn iterations(&self) -> u64 {
         self.iterations
+    }
+
+    /// The part of [`iterations`](Self::iterations) found after the first
+    /// loop phase.
+    pub(crate) fn cleanup_iterations(&self) -> u64 {
+        self.cleanup_iterations
     }
 
     /// Elapsed wall-clock time, including time restored from a checkpoint.
@@ -447,7 +561,13 @@ impl<'a> SatAttack<'a> {
             self.locked.data_inputs.len(),
             self.locked.key_inputs.len(),
         );
-        cp.iterations = self.iterations;
+        // Phases are numbered from 1 in checkpoints; 0 marks a
+        // single-phase loop.
+        if self.acts.len() > 1 {
+            cp.phase = self.phase as u64 + 1;
+        }
+        cp.iterations = self.iterations - self.cleanup_iterations;
+        cp.cleanup_iterations = self.cleanup_iterations;
         cp.candidate_key = self.candidate_key.clone();
         cp.ratio_sum = self.ratio_sum;
         cp.ratio_samples = self.ratio_samples;
@@ -537,7 +657,9 @@ impl<'a> SatAttack<'a> {
 
     /// Runs one DIP iteration: search, oracle query, constraint assertion.
     /// The oracle query goes through the resilient layer (retry, rate
-    /// limit, majority vote per the configured policy).
+    /// limit, majority vote per the configured policy). When the current
+    /// loop phase has no DIP left, the search moves on to the next phase;
+    /// [`Step::NoMoreDips`] means the last phase has none.
     ///
     /// # Errors
     ///
@@ -545,45 +667,58 @@ impl<'a> SatAttack<'a> {
     /// with an incomplete model, and [`AttackError::Oracle`] if the
     /// oracle failed past the retry / deadline budget.
     pub fn step(&mut self) -> Result<Step> {
-        if self.out_of_budget() {
-            return Ok(Step::Budget);
-        }
-        match self.solver.solve_limited(&[self.act], self.limits()) {
-            SolveResult::Unknown => {
-                self.note_certify_failure();
-                Ok(Step::Budget)
+        loop {
+            if self.out_of_budget() {
+                return Ok(Step::Budget);
             }
-            SolveResult::Unsat => Ok(Step::NoMoreDips),
-            SolveResult::Sat => {
-                let dip: Vec<bool> = self
-                    .x_vars
-                    .iter()
-                    .map(|&v| self.model_bit(v))
-                    .collect::<Result<_>>()?;
-                let (response, votes) = self
-                    .resilient
-                    .query_voted(&dip)
-                    .map_err(AttackError::Oracle)?;
-                let mut pair = IoPair::new(dip.clone(), response);
-                pair.votes = u64::from(votes);
-                self.assert_pair(pair);
-                self.iterations += 1;
-                self.ratio_sum += self.cnf.clause_to_variable_ratio();
-                self.ratio_samples += 1;
-                self.checkpoint_now();
-                Ok(Step::Dip(dip))
+            match self
+                .solver
+                .solve_limited(&[self.acts[self.phase]], self.limits())
+            {
+                SolveResult::Unknown => {
+                    self.note_certify_failure();
+                    return Ok(Step::Budget);
+                }
+                SolveResult::Unsat if self.phase + 1 < self.acts.len() => {
+                    self.phase += 1;
+                    // A resume must never fall back into a finished phase.
+                    self.checkpoint_now();
+                }
+                SolveResult::Unsat => return Ok(Step::NoMoreDips),
+                SolveResult::Sat => {
+                    let dip: Vec<bool> = self
+                        .x_vars
+                        .iter()
+                        .map(|&v| self.model_bit(v))
+                        .collect::<Result<_>>()?;
+                    let (response, votes) = self
+                        .resilient
+                        .query_voted(&dip)
+                        .map_err(AttackError::Oracle)?;
+                    let mut pair = IoPair::new(dip.clone(), response);
+                    pair.votes = u64::from(votes);
+                    self.assert_pair(pair);
+                    self.iterations += 1;
+                    if self.phase > 0 {
+                        self.cleanup_iterations += 1;
+                    }
+                    self.ratio_sum += self.cnf.clause_to_variable_ratio();
+                    self.ratio_samples += 1;
+                    self.checkpoint_now();
+                    return Ok(Step::Dip(dip));
+                }
             }
         }
     }
 
-    /// Asserts an observed I/O pair for both key copies (also used by
+    /// Asserts an observed I/O pair for every key copy (also used by
     /// AppSAT for its random-query reinforcement). Every pair is recorded
     /// in the checkpoint I/O log.
     ///
     /// On acyclic netlists (with [`SatAttackConfig::cone_reduce`] on, the
     /// default) the known inputs are constant-propagated and only the
-    /// key-dependent fanin cone is encoded; otherwise two full circuit
-    /// copies are appended as in the original attack.
+    /// key-dependent fanin cone is encoded; otherwise a full circuit copy
+    /// per key copy is appended as in the original attack.
     pub fn assert_io(&mut self, inputs: &[bool], outputs: &[bool]) {
         self.assert_pair(IoPair::new(inputs.to_vec(), outputs.to_vec()));
     }
@@ -596,39 +731,10 @@ impl<'a> SatAttack<'a> {
     /// so guarding costs the DIP loop nothing); disabling a pair later
     /// is done by [`rebuild_solver`](Self::rebuild_solver).
     fn assert_pair(&mut self, pair: IoPair) {
-        if pair.quarantined {
-            self.io_log.push(pair);
-            return;
-        }
-        {
-            let SatAttack {
-                locked,
-                cnf,
-                encoder,
-                k1_vars,
-                k2_vars,
-                config,
-                ..
-            } = self;
-            let inputs = &pair.inputs;
-            let outputs = &pair.outputs;
-            let cone = config.cone_reduce && encoder.is_some();
-            if cone {
-                let enc = encoder.as_ref().expect("cone implies encoder");
-                for key_vars in [&*k1_vars, &*k2_vars] {
-                    enc.encode_observation(cnf, inputs, outputs, key_vars);
-                }
-            } else {
-                for key_vars in [&*k1_vars, &*k2_vars] {
-                    let data_vars: Vec<Var> = inputs.iter().map(|_| cnf.new_var()).collect();
-                    let enc = encode_locked(locked, cnf, &data_vars, key_vars);
-                    for (slot, &v) in data_vars.iter().enumerate() {
-                        cnf.add_clause([Lit::with_polarity(v, inputs[slot])]);
-                    }
-                    for (o, &v) in enc.output_vars.iter().enumerate() {
-                        cnf.add_clause([Lit::with_polarity(v, outputs[o])]);
-                    }
-                }
+        if !pair.quarantined {
+            let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
+            for key_vars in &self.key_vars {
+                encode_pair(self.locked, cone, &mut self.cnf, &pair, key_vars);
             }
         }
         self.io_log.push(pair);
@@ -651,13 +757,14 @@ impl<'a> SatAttack<'a> {
     /// the self-healing loop can tell a genuine UNSAT (inconsistent
     /// constraints — an oracle lied) from a budget-induced Unknown.
     fn solve_key(&mut self) -> Result<(SolveResult, Option<Key>)> {
-        let result = self.solver.solve_limited(&[!self.act], self.limits());
+        let miters_off: Vec<Lit> = self.acts.iter().map(|&act| !act).collect();
+        let result = self.solver.solve_limited(&miters_off, self.limits());
         match result {
             SolveResult::Sat => {
-                let mut bits = Vec::with_capacity(self.k1_vars.len());
-                for i in 0..self.k1_vars.len() {
-                    bits.push(self.model_bit(self.k1_vars[i])?);
-                }
+                let bits = self.key_vars[0]
+                    .iter()
+                    .map(|&v| self.model_bit(v))
+                    .collect::<Result<Vec<bool>>>()?;
                 Ok((result, Some(Key::from_bits(bits))))
             }
             _ => {
@@ -694,13 +801,12 @@ impl<'a> SatAttack<'a> {
         self.prior_solver.merge(&self.solver.stats());
         self.prior_worker_failures
             .extend(self.solver.worker_failures());
-        let base = Self::build_base(self.locked, &self.config);
+        let base = Self::build_base(self.locked, &self.config, self.miter);
         self.cnf = base.cnf;
         self.encoder = base.encoder;
         self.x_vars = base.x_vars;
-        self.k1_vars = base.k1_vars;
-        self.k2_vars = base.k2_vars;
-        self.act = base.act;
+        self.key_vars = base.key_vars;
+        self.acts = base.acts;
         self.solver = base.solver;
         self.transferred = 0;
         self.transfer_clauses();
@@ -734,7 +840,7 @@ impl<'a> SatAttack<'a> {
         if needs_cycsat {
             cycsat::add_no_cycle_clauses(self.locked, &mut cnf, &k_vars);
         }
-        let cone = self.config.cone_reduce && self.encoder.is_some();
+        let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
         let mut gated: Vec<(usize, Lit)> = Vec::new();
         for (i, pair) in self.io_log.iter().enumerate() {
             if pair.quarantined {
@@ -742,19 +848,7 @@ impl<'a> SatAttack<'a> {
             }
             let sel = Lit::positive(cnf.new_var());
             let start = cnf.num_clauses();
-            if cone {
-                let enc = self.encoder.as_ref().expect("cone implies encoder");
-                enc.encode_observation(&mut cnf, &pair.inputs, &pair.outputs, &k_vars);
-            } else {
-                let data_vars: Vec<Var> = pair.inputs.iter().map(|_| cnf.new_var()).collect();
-                let enc = encode_locked(self.locked, &mut cnf, &data_vars, &k_vars);
-                for (slot, &v) in data_vars.iter().enumerate() {
-                    cnf.add_clause([Lit::with_polarity(v, pair.inputs[slot])]);
-                }
-                for (o, &v) in enc.output_vars.iter().enumerate() {
-                    cnf.add_clause([Lit::with_polarity(v, pair.outputs[o])]);
-                }
-            }
+            encode_pair(self.locked, cone, &mut cnf, pair, &k_vars);
             cnf.gate_clauses_from(start, !sel);
             gated.push((i, sel));
         }
@@ -828,46 +922,37 @@ impl<'a> SatAttack<'a> {
     }
 
     /// Searches for a verification counterexample: a pattern where the
-    /// locked circuit under `key` disagrees with the oracle. With
-    /// guarding on, the oracle answers are taken under a boosted majority
-    /// vote so a transient flip cannot fake (or mask) a mismatch; the
+    /// locked circuit under `key` disagrees with the oracle. Every query
+    /// goes through the resilient layer (retry, rate limit). With
+    /// guarding on, only an answer taken under a boosted majority vote can
+    /// convict the key, so a transient flip cannot fake a mismatch; the
     /// returned response is therefore trusted enough to re-assert.
     fn find_mismatch(
         &mut self,
         key: &Key,
-        samples: usize,
-        seed: u64,
+        check: KeyCheck,
     ) -> Result<Option<(Vec<bool>, Vec<bool>)>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = self.locked.data_inputs.len();
+        let guard = self.config.resilience.guard;
+        let vote_first = guard && check.vote_every_pattern;
         let cyclic = topo::is_cyclic(&self.locked.netlist);
-        let mut patterns: Vec<Vec<bool>> = vec![vec![false; width], vec![true; width]];
-        patterns.extend((0..samples).map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect()));
-        for x in patterns {
-            let want = if self.config.resilience.guard {
+        for x in check_patterns(self.locked.data_inputs.len(), check.samples, check.seed) {
+            let want = if vote_first {
                 self.requery(&x)?.0
             } else {
-                self.oracle.query(&x)
+                self.resilient
+                    .query_voted(&x)
+                    .map_err(AttackError::Oracle)?
+                    .0
             };
-            let ok = if cyclic {
-                match self.locked.eval_cyclic(&x, key) {
-                    Ok(eval) => {
-                        eval.all_outputs_known()
-                            && eval
-                                .outputs
-                                .iter()
-                                .zip(&want)
-                                .all(|(t, w)| t.to_bool() == Some(*w))
-                    }
-                    Err(_) => false,
-                }
+            if reproduces(self.locked, cyclic, &x, key, &want) {
+                continue;
+            }
+            let want = if guard && !vote_first {
+                self.requery(&x)?.0
             } else {
-                self.locked
-                    .eval(&x, key)
-                    .map(|got| got == want)
-                    .unwrap_or(false)
+                want
             };
-            if !ok {
+            if !reproduces(self.locked, cyclic, &x, key, &want) {
                 return Ok(Some((x, want)));
             }
         }
@@ -892,36 +977,9 @@ impl<'a> SatAttack<'a> {
     /// (plus the all-zeros / all-ones corners). For cyclic locked netlists
     /// the outputs must settle *and* match.
     pub fn verify_key(&self, key: &Key, samples: usize, seed: u64) -> bool {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = self.locked.data_inputs.len();
         let cyclic = topo::is_cyclic(&self.locked.netlist);
-        let mut patterns: Vec<Vec<bool>> = vec![vec![false; width], vec![true; width]];
-        patterns.extend((0..samples).map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect()));
-        for x in patterns {
-            let want = self.oracle.query(&x);
-            let ok = if cyclic {
-                match self.locked.eval_cyclic(&x, key) {
-                    Ok(eval) => {
-                        eval.all_outputs_known()
-                            && eval
-                                .outputs
-                                .iter()
-                                .zip(&want)
-                                .all(|(t, w)| t.to_bool() == Some(*w))
-                    }
-                    Err(_) => false,
-                }
-            } else {
-                self.locked
-                    .eval(&x, key)
-                    .map(|got| got == want)
-                    .unwrap_or(false)
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
+        check_patterns(self.locked.data_inputs.len(), samples, seed)
+            .all(|x| reproduces(self.locked, cyclic, &x, key, &self.oracle.query(&x)))
     }
 
     /// Lifetime SAT-solver counters (merged across portfolio workers when
@@ -939,7 +997,7 @@ impl<'a> SatAttack<'a> {
     /// of trusting a poisoned ledger: a recovered key that fails
     /// verification triggers a trusted re-query reinforcement, and an
     /// UNSAT key space triggers assumption-core suspect extraction and
-    /// quarantine ([`heal_unsat`](Self::heal_unsat)) — the run continues
+    /// quarantine — the run continues
     /// on the surviving constraints rather than silently reporting a
     /// wrong key or a spurious [`AttackOutcome::Inconclusive`].
     ///
@@ -949,18 +1007,30 @@ impl<'a> SatAttack<'a> {
     /// SAT with an incomplete model, and [`AttackError::Oracle`] if the
     /// oracle failed past its retry / deadline budget.
     pub fn run(&mut self) -> Result<SatAttackReport> {
+        let outcome = self.drive(KeyCheck {
+            samples: 32,
+            seed: 0xF17,
+            vote_every_pattern: true,
+        })?;
+        Ok(self.report(outcome))
+    }
+
+    /// The loop behind [`run`](Self::run), self-healing as described
+    /// there: DIP steps until none remains, key extraction, and `check`
+    /// on the extracted key.
+    pub(crate) fn drive(&mut self, check: KeyCheck) -> Result<AttackOutcome> {
         /// Upper bound on healing attempts: each UNSAT heal quarantines
         /// at least one pair (else the loop breaks), so this only guards
         /// against an oracle whose answers never stabilize.
         const MAX_HEALING_ROUNDS: u32 = 32;
         let mut healing_rounds = 0u32;
-        let outcome = loop {
+        Ok(loop {
             match self.step()? {
                 Step::Dip(_) => continue,
                 Step::NoMoreDips => {
                     let (result, key) = self.solve_key()?;
                     match key {
-                        Some(key) => match self.find_mismatch(&key, 32, 0xF17)? {
+                        Some(key) => match self.find_mismatch(&key, check)? {
                             None => {
                                 break AttackOutcome::KeyRecovered {
                                     key,
@@ -1019,8 +1089,48 @@ impl<'a> SatAttack<'a> {
                     break AttackOutcome::Timeout;
                 }
             }
+        })
+    }
+
+    /// Folds a finished run into the common envelope under the attack
+    /// name the checkpoints carry, capturing the fault-tolerance record
+    /// and certifying any recovered (or approximate) key with independent
+    /// simulation + formal equivalence.
+    ///
+    /// A certification failure on any solve aborts with
+    /// [`AttackError::Certification`] — an uncertified answer never
+    /// becomes a report.
+    pub(crate) fn seal(
+        &self,
+        outcome: AttackOutcome,
+        details: AttackDetails,
+    ) -> Result<AttackReport> {
+        if let Some(failure) = &self.certify_failure {
+            return Err(AttackError::Certification(failure.clone()));
+        }
+        let mut report = AttackReport {
+            attack: self.checkpoint_label,
+            outcome,
+            iterations: self.iterations,
+            elapsed: self.elapsed(),
+            oracle_queries: self.oracle_queries(),
+            solver: self.solver_stats(),
+            resilience: self.resilience(),
+            key_certificate: None,
+            details,
         };
-        Ok(self.report(outcome))
+        if let AttackOutcome::KeyRecovered { key, .. } | AttackOutcome::ApproximateKey { key, .. } =
+            &report.outcome
+        {
+            report.key_certificate = Some(crate::certificate::certify_key(
+                self.locked,
+                self.oracle,
+                key,
+                64,
+                0xCE87,
+            ));
+        }
+        Ok(report)
     }
 
     /// Builds a report for the given outcome using current instrumentation.
@@ -1058,50 +1168,74 @@ impl Attack for SatAttackConfig {
         checkpoint: &Path,
         resume: bool,
     ) -> Result<AttackReport> {
-        let mut engine = if resume && checkpoint.exists() {
-            SatAttack::resume(locked, oracle, *self, checkpoint)?
-        } else {
-            let mut engine = SatAttack::new(locked, oracle, *self)?;
-            engine.set_checkpoint(checkpoint);
-            engine
-        };
+        let mut engine = SatAttack::new(locked, oracle, *self)?;
+        engine.attach_checkpoint(checkpoint, resume)?;
         envelope(&mut engine)
     }
 }
 
 /// Runs the engine's DIP loop and folds the result into the common
-/// envelope, capturing the fault-tolerance record and certifying any
-/// recovered key with independent simulation + formal equivalence.
-///
-/// A certification failure on any solve aborts with
-/// [`AttackError::Certification`] — an uncertified answer never becomes
-/// a report.
+/// envelope.
 fn envelope(engine: &mut SatAttack<'_>) -> Result<AttackReport> {
     let report = engine.run()?;
-    if let Some(failure) = engine.certify_failure() {
-        return Err(AttackError::Certification(failure.clone()));
+    engine.seal(report.outcome.clone(), AttackDetails::Sat(report))
+}
+
+/// Asserts that the locked circuit maps `pair`'s inputs to its outputs
+/// under the key variables `key_vars`: only the key-dependent cone when a
+/// `cone` encoder is given, else a full circuit copy whose inputs and
+/// outputs are fixed by unit clauses.
+fn encode_pair(
+    locked: &LockedCircuit,
+    cone: Option<&CircuitEncoder<'_>>,
+    cnf: &mut Cnf,
+    pair: &IoPair,
+    key_vars: &[Var],
+) {
+    if let Some(enc) = cone {
+        enc.encode_observation(cnf, &pair.inputs, &pair.outputs, key_vars);
+        return;
     }
-    let key_certificate = match &report.outcome {
-        AttackOutcome::KeyRecovered { key, .. } => Some(crate::certificate::certify_key(
-            engine.locked,
-            engine.oracle,
-            key,
-            64,
-            0xCE87,
-        )),
-        _ => None,
-    };
-    Ok(AttackReport {
-        attack: "sat",
-        outcome: report.outcome.clone(),
-        iterations: report.iterations,
-        elapsed: report.elapsed,
-        oracle_queries: report.oracle_queries,
-        solver: report.solver,
-        resilience: engine.resilience(),
-        key_certificate,
-        details: AttackDetails::Sat(report),
-    })
+    let data_vars: Vec<Var> = pair.inputs.iter().map(|_| cnf.new_var()).collect();
+    let enc = encode_locked(locked, cnf, &data_vars, key_vars);
+    for (&v, &bit) in data_vars.iter().zip(&pair.inputs) {
+        cnf.add_clause([Lit::with_polarity(v, bit)]);
+    }
+    for (&v, &bit) in enc.output_vars.iter().zip(&pair.outputs) {
+        cnf.add_clause([Lit::with_polarity(v, bit)]);
+    }
+}
+
+/// The patterns a key check queries: the all-zeros and all-ones corners,
+/// then `samples` random patterns drawn from `seed`.
+fn check_patterns(width: usize, samples: usize, seed: u64) -> impl Iterator<Item = Vec<bool>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    [vec![false; width], vec![true; width]]
+        .into_iter()
+        .chain((0..samples).map(move |_| (0..width).map(|_| rng.gen_bool(0.5)).collect()))
+}
+
+/// Whether the locked circuit under `key` answers `want` on `x`; on a
+/// `cyclic` netlist every output must also settle.
+pub(crate) fn reproduces(
+    locked: &LockedCircuit,
+    cyclic: bool,
+    x: &[bool],
+    key: &Key,
+    want: &[bool],
+) -> bool {
+    if cyclic {
+        locked.eval_cyclic(x, key).is_ok_and(|eval| {
+            eval.all_outputs_known()
+                && eval
+                    .outputs
+                    .iter()
+                    .zip(want)
+                    .all(|(t, w)| t.to_bool() == Some(*w))
+        })
+    } else {
+        locked.eval(x, key).is_ok_and(|got| got == want)
+    }
 }
 
 /// Builds the miter difference literals from two output encodings

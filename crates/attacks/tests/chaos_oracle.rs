@@ -22,7 +22,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fulllock_attacks::{
-    Attack, AttackCheckpoint, AttackOutcome, Oracle, SatAttackConfig, SimOracle,
+    Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, SarLock, WireSelection,
@@ -163,13 +163,26 @@ fn flipped_responses_are_quarantined_and_the_exact_key_recovered() {
 /// snapshot — which must NOT resurrect the quarantined pair.
 #[test]
 fn resume_does_not_resurrect_quarantined_pairs() {
+    assert_quarantine_survives_resume(|base| Box::new(base), "sat");
+}
+
+/// The same kill-mid-quarantine guard for Double-DIP, which runs on the
+/// same engine and so inherits its quarantine.
+#[test]
+fn double_dip_resume_does_not_resurrect_quarantined_pairs() {
+    assert_quarantine_survives_resume(|base| Box::new(DoubleDip { base }), "ddip");
+}
+
+/// The scenario behind the two tests above, for the attack `attack`
+/// builds around a base configuration.
+fn assert_quarantine_survives_resume(attack: fn(SatAttackConfig) -> Box<dyn Attack>, tag: &str) {
     let _guard = chaos_lock();
     let original = host(7);
     // SARLock over 5 bits forces ~31 DIPs, so a small iteration cap
     // reliably "kills" the run long before convergence.
     let locked = SarLock::new(5, 2).lock(&original).expect("lock");
     let path = std::env::temp_dir().join(format!(
-        "fulllock-{}-oracle-quarantine.ckpt",
+        "fulllock-{}-oracle-quarantine-{tag}.ckpt",
         std::process::id()
     ));
     let previous = path.with_extension("ckpt.1");
@@ -187,10 +200,10 @@ fn resume_does_not_resurrect_quarantined_pairs() {
         FaultAction::Flip,
     )));
     let capped_oracle = SimOracle::new(&original).expect("oracle");
-    let capped = SatAttackConfig {
+    let capped = attack(SatAttackConfig {
         max_iterations: Some(3),
         ..Default::default()
-    }
+    })
     .run_checkpointed(&locked, &capped_oracle, &path, false)
     .expect("capped run");
     faults::clear();
@@ -214,7 +227,7 @@ fn resume_does_not_resurrect_quarantined_pairs() {
     // must be diagnosed (UNSAT core -> re-query -> quarantine) and the
     // exact key still recovered.
     let resume_oracle = SimOracle::new(&original).expect("oracle");
-    let resumed = SatAttackConfig::default()
+    let resumed = attack(SatAttackConfig::default())
         .resume(&locked, &resume_oracle, &path)
         .expect("resumed run");
     assert_eq!(resumed.resilience.resumed_from, Some(3));
@@ -237,7 +250,7 @@ fn resume_does_not_resurrect_quarantined_pairs() {
         "the post-heal checkpoint must persist the quarantine verdict"
     );
     let final_oracle = SimOracle::new(&original).expect("oracle");
-    let replayed = SatAttackConfig::default()
+    let replayed = attack(SatAttackConfig::default())
         .resume(&locked, &final_oracle, &path)
         .expect("replayed run");
     let AttackOutcome::KeyRecovered { key, verified } = &replayed.outcome else {
@@ -261,30 +274,53 @@ fn resume_does_not_resurrect_quarantined_pairs() {
 
 /// Dropped responses (a flaky harness link) are absorbed by the retry
 /// loop without any quarantine — the attack result is byte-identical to
-/// a clean run's key.
+/// a clean run's key. For the SAT attack the drop hits a DIP query; for
+/// Double-DIP it lands in the single-vote key check after the DIP loop.
 #[test]
 fn dropped_responses_are_retried_transparently() {
     let _guard = chaos_lock();
     let original = host(11);
     let locked = cln_locked(&original);
+    // The 4th query drops once; the immediate retry succeeds.
+    assert_drop_is_retried(&original, &locked, &SatAttackConfig::default(), 3);
+
+    faults::install(FaultPlan::new());
+    let clean_oracle = SimOracle::new(&original).expect("oracle");
+    let clean = DoubleDip::default()
+        .run(&locked, &clean_oracle)
+        .expect("clean attack");
+    // One query per DIP, then one per check pattern (2 corners + 30).
+    assert_eq!(clean.oracle_queries, clean.iterations + 32);
+    assert_drop_is_retried(
+        &original,
+        &locked,
+        &DoubleDip::default(),
+        clean.iterations + 5,
+    );
+}
+
+/// Runs `attack` with one dropped response, on oracle query `after + 1`.
+fn assert_drop_is_retried(
+    original: &Netlist,
+    locked: &LockedCircuit,
+    attack: &dyn Attack,
+    after: u64,
+) {
     faults::install(
         FaultPlan::new().with(
-            // The 4th query drops once; the immediate retry succeeds.
             Failpoint::new(site::ORACLE_QUERY, None, FaultAction::Drop)
-                .after(3)
+                .after(after)
                 .times(1),
         ),
     );
-    let oracle = SimOracle::new(&original).expect("oracle");
-    let report = SatAttackConfig::default()
-        .run(&locked, &oracle)
-        .expect("attack");
+    let oracle = SimOracle::new(original).expect("oracle");
+    let report = attack.run(locked, &oracle).expect("attack");
     faults::clear();
     let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
         panic!("drops must be absorbed, got {:?}", report.outcome);
     };
     assert!(verified);
-    assert_key_correct(&original, &locked, key);
+    assert_key_correct(original, locked, key);
     assert!(
         report.resilience.oracle_retries > 0,
         "the absorbed drop must be on record: {:?}",

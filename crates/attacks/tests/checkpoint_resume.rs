@@ -4,8 +4,8 @@
 use std::path::PathBuf;
 
 use fulllock_attacks::{
-    AppSatConfig, Attack, AttackCheckpoint, AttackError, AttackOutcome, DoubleDip, IoPair, Oracle,
-    SatAttackConfig, SimOracle,
+    AppSatConfig, Attack, AttackCheckpoint, AttackDetails, AttackError, AttackOutcome, DoubleDip,
+    IoPair, Oracle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{Key, LockingScheme, Rll, SarLock};
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
@@ -148,6 +148,48 @@ fn double_dip_resumes_in_the_recorded_phase() {
         .expect("resumed run");
     recovered_key(&resumed.outcome);
     assert_eq!(resumed.resilience.resumed_from, Some(5));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The other half of the phase record: a run capped while 2-DIPs remain
+/// leaves a phase-1 snapshot, and resuming it finishes both phases.
+#[test]
+fn double_dip_resumes_inside_the_2dip_phase() {
+    let original = host(2);
+    // RLL aliases many keys to one function, so 2-DIPs are plentiful.
+    let locked = Rll::new(10, 3).lock(&original).expect("lock");
+    let path = scratch("ddip-phase1");
+    let _ = std::fs::remove_file(&path);
+
+    let capped_oracle = SimOracle::new(&original).expect("oracle");
+    let capped = DoubleDip {
+        base: SatAttackConfig {
+            max_iterations: Some(2),
+            ..Default::default()
+        },
+    }
+    .run_checkpointed(&locked, &capped_oracle, &path, false)
+    .expect("capped run");
+    assert_eq!(capped.outcome, AttackOutcome::IterationLimit);
+
+    let snapshot = AttackCheckpoint::load(&path).expect("snapshot");
+    assert_eq!(snapshot.attack, "double-dip");
+    assert_eq!(snapshot.phase, 1, "the cap lands among the 2-DIPs");
+    assert_eq!((snapshot.iterations, snapshot.cleanup_iterations), (2, 0));
+
+    let resume_oracle = SimOracle::new(&original).expect("oracle");
+    let resumed = DoubleDip::default()
+        .resume(&locked, &resume_oracle, &path)
+        .expect("resumed run");
+    recovered_key(&resumed.outcome);
+    assert_eq!(resumed.resilience.resumed_from, Some(2));
+    let AttackDetails::DoubleDip(details) = &resumed.details else {
+        panic!("expected Double-DIP details, got {:?}", resumed.details);
+    };
+    assert!(
+        details.iterations > 2,
+        "the resumed run must keep searching 2-DIPs: {details:?}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
