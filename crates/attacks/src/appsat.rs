@@ -103,7 +103,7 @@ fn drive_appsat(
         if engine.iterations().is_multiple_of(config.probe_interval) {
             if let Some(key) = engine.extract_key()? {
                 let (error, mismatches) =
-                    probe_error(locked, oracle, &key, config.probe_samples, &mut rng);
+                    probe_error(locked, oracle, &key, config.probe_samples, &mut rng)?;
                 // AppSAT reinforcement: failed probes become constraints.
                 let reinforced = !mismatches.is_empty();
                 for (x, y) in mismatches {
@@ -136,7 +136,7 @@ fn drive_appsat(
             Step::NoMoreDips => {
                 let key = engine.extract_key()?;
                 let (error, _) = match &key {
-                    Some(k) => probe_error(locked, oracle, k, config.probe_samples, &mut rng),
+                    Some(k) => probe_error(locked, oracle, k, config.probe_samples, &mut rng)?,
                     None => (1.0, Vec::new()),
                 };
                 return Ok(AppSatReport {
@@ -247,6 +247,10 @@ fn envelope(
 
 /// Measures a key's error rate on random patterns; returns the rate and
 /// the mismatching (input, oracle-output) pairs for reinforcement.
+///
+/// # Errors
+///
+/// [`AttackError::Oracle`](crate::AttackError::Oracle) when a query fails.
 #[allow(clippy::type_complexity)]
 fn probe_error(
     locked: &LockedCircuit,
@@ -254,14 +258,14 @@ fn probe_error(
     key: &Key,
     samples: usize,
     rng: &mut StdRng,
-) -> (f64, Vec<(Vec<bool>, Vec<bool>)>) {
+) -> Result<(f64, Vec<(Vec<bool>, Vec<bool>)>)> {
     let width = locked.data_inputs.len();
     let cyclic = topo::is_cyclic(&locked.netlist);
     let mut wrong = 0usize;
     let mut mismatches = Vec::new();
     for _ in 0..samples {
         let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
-        let want = oracle.query(&x);
+        let want = oracle.try_query(&x)?;
         if !reproduces(locked, cyclic, &x, key, &want) {
             wrong += 1;
             if mismatches.len() < 8 {
@@ -269,7 +273,7 @@ fn probe_error(
             }
         }
     }
-    (wrong as f64 / samples.max(1) as f64, mismatches)
+    Ok((wrong as f64 / samples.max(1) as f64, mismatches))
 }
 
 #[cfg(test)]

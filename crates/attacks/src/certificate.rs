@@ -9,16 +9,30 @@
 //! 1. **Simulation**: the locked netlist is unlocked with the candidate
 //!    key and simulated 64 patterns at a time
 //!    ([`Simulator::run_u64`]) against fresh oracle queries — the
-//!    attack's constraint encoding is never consulted;
+//!    attack's constraint encoding is never consulted. Attacks certify
+//!    through their [`ResilientOracle`](crate::ResilientOracle), which
+//!    retries a lost answer; a query that still fails counts as a
+//!    mismatch, so the certificate is not clean, and nothing panics;
 //! 2. **Formal**: when the oracle exposes its reference netlist
-//!    ([`Oracle::netlist`]), a SAT miter proves (or refutes) equivalence
-//!    under the key via [`LockedCircuit::prove_key`] — exhaustive over
-//!    the whole input space, not a sample.
+//!    ([`Oracle::netlist`]), [`LockedCircuit::prove_key`] proves (or
+//!    refutes) equivalence under the key — exhaustive over the whole input
+//!    space, not a sample. The proof folds and hashes first
+//!    ([`fulllock_sat::equiv`]): the key is tied to constants in one
+//!    netlist holding both circuits, [`opt::optimize`] closes every output
+//!    pair that lands on one signal, and only the fanin cone of the pairs
+//!    still open reaches the SAT solver. An `Equivalent` verdict therefore
+//!    trusts `opt::optimize`'s rewrite rules as well as the solver. They
+//!    are judged by simulation, never by this proof:
+//!    `prove_key_agrees_with_brute_force`,
+//!    `optimizer_is_equivalence_preserving` and
+//!    `cec_counterexamples_are_genuine` (see [`fulllock_sat::equiv`]).
 //!
 //! The result is a [`KeyCertificate`] attached to the
 //! [`AttackReport`](crate::AttackReport) envelope, so a paper table can
 //! state not just "key recovered" but "key recovered *and independently
 //! certified*".
+//!
+//! [`opt::optimize`]: fulllock_netlist::opt::optimize
 
 use fulllock_locking::{Key, LockedCircuit};
 use fulllock_netlist::Simulator;
@@ -64,7 +78,8 @@ pub fn certify_key(
 /// disagreeing patterns. Acyclic netlists run 64 patterns per
 /// [`Simulator::run_u64`] sweep; cyclic ones fall back to per-pattern
 /// ternary fixed-point evaluation (an unsettled output counts as a
-/// mismatch).
+/// mismatch). A query that fails ([`Oracle::try_query`]) counts as a
+/// mismatch too: no answer is no evidence for the key.
 fn simulate(
     locked: &LockedCircuit,
     oracle: &dyn Oracle,
@@ -87,7 +102,9 @@ fn simulate(
         let mismatches = patterns
             .iter()
             .filter(|x| {
-                let want = oracle.query(x);
+                let Ok(want) = oracle.try_query(x) else {
+                    return true;
+                };
                 match locked.eval_cyclic(x, key) {
                     Ok(eval) => {
                         !eval.all_outputs_known()
@@ -135,11 +152,11 @@ fn simulate(
             .run_u64(&words)
             .expect("input vector sized off the netlist");
         for (lane, x) in block.iter().enumerate() {
-            let want = oracle.query(x);
-            let agrees = got
-                .iter()
-                .zip(&want)
-                .all(|(&word, &w)| (word >> lane & 1 == 1) == w);
+            let agrees = oracle.try_query(x).is_ok_and(|want| {
+                got.iter()
+                    .zip(&want)
+                    .all(|(&word, &w)| (word >> lane & 1 == 1) == w)
+            });
             if !agrees {
                 mismatches += 1;
             }
@@ -151,7 +168,7 @@ fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimOracle;
+    use crate::{OracleError, SimOracle};
     use fulllock_locking::{LockingScheme, Rll};
     use fulllock_netlist::benchmarks;
 
@@ -183,31 +200,60 @@ mod tests {
         assert!(!cert.is_clean());
     }
 
+    /// A real chip: no reference netlist. A `dead` one loses every
+    /// response.
+    struct Chip<'a> {
+        inner: SimOracle<'a>,
+        dead: bool,
+    }
+
+    impl Oracle for Chip<'_> {
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+        fn query(&self, _: &[bool]) -> Vec<bool> {
+            unreachable!("certification queries through try_query")
+        }
+        fn try_query(&self, inputs: &[bool]) -> Result<Vec<bool>, OracleError> {
+            if self.dead {
+                return Err(OracleError::Transient("lost response".into()));
+            }
+            self.inner.try_query(inputs)
+        }
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+        // netlist() keeps the default None.
+    }
+
     #[test]
     fn oracle_without_netlist_degrades_to_sampled_evidence() {
-        struct Opaque<'a>(SimOracle<'a>);
-        impl Oracle for Opaque<'_> {
-            fn num_inputs(&self) -> usize {
-                self.0.num_inputs()
-            }
-            fn num_outputs(&self) -> usize {
-                self.0.num_outputs()
-            }
-            fn query(&self, inputs: &[bool]) -> Vec<bool> {
-                self.0.query(inputs)
-            }
-            fn queries(&self) -> u64 {
-                self.0.queries()
-            }
-            // netlist() keeps the default None: a real chip.
-        }
         let original = benchmarks::load("c17").unwrap();
         let locked = Rll::new(4, 0).lock(&original).unwrap();
-        let oracle = Opaque(SimOracle::new(&original).unwrap());
+        let oracle = Chip {
+            inner: SimOracle::new(&original).unwrap(),
+            dead: false,
+        };
         let cert = certify_key(&locked, &oracle, &locked.correct_key.clone(), 16, 3);
         assert_eq!(cert.mismatches, 0);
         assert!(matches!(cert.formal, FormalVerdict::Unavailable(_)));
         assert!(cert.is_clean() && !cert.is_proven());
+    }
+
+    #[test]
+    fn failed_queries_count_as_mismatches() {
+        let original = benchmarks::load("c17").unwrap();
+        let locked = Rll::new(4, 0).lock(&original).unwrap();
+        let oracle = Chip {
+            inner: SimOracle::new(&original).unwrap(),
+            dead: true,
+        };
+        let cert = certify_key(&locked, &oracle, &locked.correct_key.clone(), 16, 3);
+        assert_eq!(cert.mismatches, cert.samples);
+        assert!(!cert.is_clean());
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub fn study_with_oracle(
         for (slot, &pos) in data_positions.iter().enumerate() {
             full[pos] = x[slot];
         }
-        if sim.run(&full)? != oracle.query(&x) {
+        if sim.run(&full)? != oracle.try_query(&x)? {
             wrong += 1;
         }
     }

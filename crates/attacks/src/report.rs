@@ -111,7 +111,8 @@ pub enum AttackDetails {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormalVerdict {
     /// The locked circuit under the key is provably equivalent to the
-    /// reference netlist (miter UNSAT).
+    /// reference netlist: folding and hashing merged every output pair,
+    /// or the SAT miter over the pairs left open is UNSAT.
     Equivalent,
     /// A counterexample input exists: the key is wrong.
     NotEquivalent,
@@ -128,9 +129,8 @@ pub enum FormalVerdict {
 ///
 /// Two complementary checks: bit-parallel random simulation against the
 /// oracle (cheap, catches gross mistakes across many patterns) and a
-/// formal miter-UNSAT equivalence proof against the oracle's reference
-/// netlist when one is available (exhaustive, but may be unavailable or
-/// time out).
+/// formal equivalence proof against the oracle's reference netlist when
+/// one is available (exhaustive, but may be unavailable or time out).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyCertificate {
     /// Input patterns simulated (requested samples plus the all-zeros and

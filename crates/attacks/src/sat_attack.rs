@@ -975,11 +975,15 @@ impl<'a> SatAttack<'a> {
 
     /// Verifies a candidate key against the oracle on random patterns
     /// (plus the all-zeros / all-ones corners). For cyclic locked netlists
-    /// the outputs must settle *and* match.
+    /// the outputs must settle *and* match. Queries go through the
+    /// resilient layer; one that still fails fails the check.
     pub fn verify_key(&self, key: &Key, samples: usize, seed: u64) -> bool {
         let cyclic = topo::is_cyclic(&self.locked.netlist);
-        check_patterns(self.locked.data_inputs.len(), samples, seed)
-            .all(|x| reproduces(self.locked, cyclic, &x, key, &self.oracle.query(&x)))
+        check_patterns(self.locked.data_inputs.len(), samples, seed).all(|x| {
+            self.resilient
+                .try_query(&x)
+                .is_ok_and(|want| reproduces(self.locked, cyclic, &x, key, &want))
+        })
     }
 
     /// Lifetime SAT-solver counters (merged across portfolio workers when
@@ -1095,7 +1099,8 @@ impl<'a> SatAttack<'a> {
     /// Folds a finished run into the common envelope under the attack
     /// name the checkpoints carry, capturing the fault-tolerance record
     /// and certifying any recovered (or approximate) key with independent
-    /// simulation + formal equivalence.
+    /// simulation + formal equivalence. The certificate queries through
+    /// the resilient layer, so a dropped answer is retried.
     ///
     /// A certification failure on any solve aborts with
     /// [`AttackError::Certification`] — an uncertified answer never
@@ -1124,7 +1129,7 @@ impl<'a> SatAttack<'a> {
         {
             report.key_certificate = Some(crate::certificate::certify_key(
                 self.locked,
-                self.oracle,
+                &self.resilient,
                 key,
                 64,
                 0xCE87,

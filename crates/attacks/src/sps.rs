@@ -154,7 +154,7 @@ pub fn scan_with_oracle(
         for (slot, &pos) in key_positions.iter().enumerate() {
             full[pos] = key_guess[slot];
         }
-        if sim.run(&full)? != oracle.query(&x) {
+        if sim.run(&full)? != oracle.try_query(&x)? {
             wrong += 1;
         }
     }

@@ -207,9 +207,21 @@ impl LockedCircuit {
         Ok(sim.run(&inputs)?)
     }
 
-    /// Formally proves (by SAT-based equivalence checking) that this
-    /// circuit under `key` computes exactly `original` — the exhaustive
-    /// counterpart of sampled verification.
+    /// Formally proves that this circuit under `key` computes exactly
+    /// `original` — the exhaustive counterpart of sampled verification.
+    ///
+    /// The proof folds and hashes before it calls SAT
+    /// ([`fulllock_sat::equiv::check_under_constants`]): the key inputs
+    /// become constants in one netlist that holds both circuits over shared
+    /// data inputs, [`fulllock_netlist::opt::optimize`] folds the key logic
+    /// and merges the gates the two copies share, every output pair that
+    /// lands on one signal counts as proven, and only the fanin cone of the
+    /// pairs still open goes to the SAT solver. `Equivalent` therefore
+    /// trusts `optimize`'s rewrite rules as well as the solver. Tests
+    /// judge those rules by simulation, never by this proof:
+    /// `prove_key_agrees_with_brute_force` (exhaustive, in this crate's
+    /// `tests/proptest_locking.rs`) and the optimizer tests named in
+    /// [`fulllock_sat::equiv`].
     ///
     /// # Errors
     ///

@@ -4,11 +4,12 @@
 //! realization.
 
 use fulllock_locking::{
-    AntiSat, ClnStructure, ClnTopology, CrossLock, FullLock, FullLockConfig, LockingScheme,
-    LutLock, PlrSpec, Rll, SarLock, WireSelection,
+    AntiSat, ClnStructure, ClnTopology, CrossLock, FullLock, FullLockConfig, Key, LockedCircuit,
+    LockingScheme, LutLock, PlrSpec, Rll, SarLock, WireSelection,
 };
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
 use fulllock_netlist::{Netlist, Simulator};
+use fulllock_sat::equiv::EquivResult;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +45,46 @@ fn check_roundtrip(
         );
     }
     Ok(())
+}
+
+/// Every input pattern of an `inputs`-wide netlist, 64 per word: lane
+/// `l` of word `w` is pattern `64·w + l`, and input `i` carries bit `i` of
+/// the pattern.
+fn exhaustive_words(inputs: usize) -> impl Iterator<Item = Vec<u64>> {
+    (0..(1usize << inputs).div_ceil(64)).map(move |w| {
+        (0..inputs)
+            .map(|i| {
+                (0..64)
+                    .filter(|l| (64 * w + l) >> i & 1 == 1)
+                    .fold(0, |acc, l| acc | 1u64 << l)
+            })
+            .collect()
+    })
+}
+
+/// Whether `locked` under `key` differs from `original` on some data
+/// pattern, by exhaustive bit-parallel simulation.
+fn differs_somewhere(locked: &LockedCircuit, key: &Key, original: &Netlist) -> bool {
+    let sim_locked = Simulator::new(&locked.netlist).expect("acyclic lock");
+    let sim_original = Simulator::new(original).expect("acyclic host");
+    let position_of = |sig| {
+        locked
+            .netlist
+            .inputs()
+            .iter()
+            .position(|&i| i == sig)
+            .expect("primary input")
+    };
+    exhaustive_words(locked.data_inputs.len()).any(|data| {
+        let mut words = vec![0u64; locked.netlist.inputs().len()];
+        for (&sig, &word) in locked.data_inputs.iter().zip(&data) {
+            words[position_of(sig)] = word;
+        }
+        for (&sig, &bit) in locked.key_inputs.iter().zip(key.bits()) {
+            words[position_of(sig)] = if bit { u64::MAX } else { 0 };
+        }
+        sim_locked.run_u64(&words).expect("sized") != sim_original.run_u64(&data).expect("sized")
+    })
 }
 
 proptest! {
@@ -173,6 +214,75 @@ proptest! {
                 locked.netlist.signal_name(d),
                 original.signal_name(original.inputs()[slot])
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `prove_key` says `Equivalent` exactly when exhaustive simulation
+    /// finds no differing pattern, and each counterexample it returns
+    /// really differs. Tried on the correct key, random keys and one-bit
+    /// flips of the correct key, for RLL, SARLock, a Full-Lock PLR and a
+    /// CLN-only PLR on hosts of at most 12 data inputs.
+    #[test]
+    fn prove_key_agrees_with_brute_force(
+        host_seed in any::<u64>(),
+        lock_seed in any::<u64>(),
+        inputs in 6usize..=12,
+        scheme_pick in 0usize..4,
+    ) {
+        let original = generate(RandomCircuitConfig {
+            inputs,
+            outputs: 4,
+            gates: 80,
+            max_fanin: 3,
+            seed: host_seed,
+        })
+        .expect("valid config");
+        let plr = |spec| FullLockConfig {
+            plrs: vec![spec],
+            selection: WireSelection::Acyclic,
+            twist_probability: 0.5,
+            seed: lock_seed,
+        };
+        let scheme: Box<dyn LockingScheme> = match scheme_pick {
+            0 => Box::new(Rll::new(8, lock_seed)),
+            1 => Box::new(SarLock::new(inputs.min(8), lock_seed)),
+            2 => Box::new(FullLock::new(plr(PlrSpec::new(4)))),
+            _ => Box::new(FullLock::new(plr(PlrSpec { with_luts: false, ..PlrSpec::new(4) }))),
+        };
+        let Ok(locked) = scheme.lock(&original) else {
+            return Ok(()); // host too small for this configuration
+        };
+        let correct = locked.correct_key.bits().to_vec();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(lock_seed);
+        let mut keys = vec![correct.clone()];
+        for _ in 0..3 {
+            keys.push((0..correct.len()).map(|_| rng.gen_bool(0.5)).collect());
+        }
+        for _ in 0..6 {
+            let mut flipped = correct.clone();
+            let bit = rng.gen_range(0..flipped.len());
+            flipped[bit] = !flipped[bit];
+            keys.push(flipped);
+        }
+        let sim = Simulator::new(&original).expect("acyclic host");
+        for bits in keys {
+            let key = Key::from_bits(bits);
+            let differs = differs_somewhere(&locked, &key, &original);
+            match locked.prove_key(&key, &original).expect("acyclic, ordered lock") {
+                EquivResult::Equivalent => prop_assert!(!differs, "proved a wrong key {:?}", key),
+                EquivResult::Counterexample(x) => {
+                    prop_assert!(differs);
+                    prop_assert_ne!(
+                        locked.eval(&x, &key).expect("interface"),
+                        sim.run(&x).expect("sized")
+                    );
+                }
+                EquivResult::Unknown => prop_assert!(false, "no limits were set"),
+            }
         }
     }
 }

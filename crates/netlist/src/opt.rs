@@ -6,8 +6,13 @@
 //! constant-looking keys, twisted gates feeding inverter chains — and real
 //! flows resynthesize after insertion. This pass is a light-weight,
 //! semantics-preserving resynthesis: the output netlist computes the same
-//! function (verifiable with [`fulllock-sat`'s CEC]) with at most as many
-//! gates.
+//! function with at most as many gates.
+//!
+//! [`fulllock-sat`'s CEC] runs this pass on its miter before any SAT call,
+//! so every rewrite rule here is part of what an equivalence proof (and a
+//! key certificate) trusts. A rule must therefore never be judged by that
+//! CEC: the property tests in `crates/sat/tests/proptest_sat.rs` and the
+//! unit tests below check it by simulation.
 //!
 //! The pass requires an acyclic netlist (rules are applied in topological
 //! order); cyclic netlists are rejected.

@@ -1,19 +1,42 @@
-//! SAT-based combinational equivalence checking (CEC).
+//! SAT-based combinational equivalence checking (CEC), folding and
+//! hashing before any SAT call.
 //!
-//! Builds a miter over two netlists with shared primary inputs and asks
-//! the CDCL solver whether any input makes their outputs differ. This is
-//! the *formal* counterpart of the sampled functional checks used
-//! elsewhere: [`check`] proves equivalence outright or returns a concrete
-//! counterexample pattern.
+//! [`check`] and [`check_under_constants`] share one path:
 //!
-//! The reproduction uses it to verify that locking with the correct key is
-//! *exactly* functionality-preserving (not just on sampled patterns), and
-//! that keys recovered by attacks are exact.
+//! 1. **One netlist.** Both netlists are copied into a single netlist
+//!    whose primary inputs are the shared (free) inputs. Inputs of `a`
+//!    tied to a constant (the key, when a locked circuit is checked under
+//!    it) become `Const0` / `Const1` cells.
+//! 2. **Fold and hash.** [`opt::optimize`] runs on that netlist. Constant
+//!    folding pushes the constants through the key logic, and structural
+//!    hashing merges every gate of one copy with its gate-for-gate twin in
+//!    the other. An output pair that lands on one signal is proven equal.
+//! 3. **SAT on the rest.** Only the fanin cone of the output pairs still
+//!    open is Tseytin-encoded, under a miter over those pairs. When no
+//!    pair is open, the solver is never called.
+//!
+//! Outside its key logic, a locked circuit is a copy of the original, so
+//! under a fixed key most output pairs close in step 2 and the solver sees
+//! a small residue instead of two full circuit copies.
+//!
+//! **What a verdict trusts.** An `Equivalent` verdict rests on
+//! [`opt::optimize`]'s rewrite rules as well as on the solver: a rule that
+//! changed a function could merge two signals that differ. The rules are
+//! guarded against brute force, never against this module:
+//! `optimizer_is_equivalence_preserving` and `cec_counterexamples_are_genuine`
+//! (`crates/sat/tests/proptest_sat.rs`) judge by exhaustive simulation, the
+//! unit tests of `opt` by random simulation, and
+//! `prove_key_agrees_with_brute_force` (`crates/core/tests/proptest_locking.rs`)
+//! compares whole key proofs with exhaustive simulation.
+//!
+//! The reproduction uses CEC to prove that locking with the correct key
+//! is *exactly* functionality-preserving (not just on sampled patterns),
+//! and that keys recovered by attacks are exact.
 
-use fulllock_netlist::Netlist;
+use fulllock_netlist::{opt, topo, GateKind, Netlist, SignalId};
 
 use crate::cdcl::{SolveLimits, SolveResult, Solver};
-use crate::tseytin::{encode_gate, encode_into};
+use crate::tseytin::encode_gate;
 use crate::{Cnf, Lit, SatError, Var};
 
 /// Verdict of an equivalence check.
@@ -35,12 +58,12 @@ impl EquivResult {
 }
 
 /// Checks whether two acyclic netlists with identical interfaces compute
-/// the same function.
+/// the same function. See the [module docs](self) for how.
 ///
 /// # Errors
 ///
-/// Returns [`SatError::BadConfig`] if the input/output counts differ and
-/// propagates encoding errors for cyclic netlists.
+/// Returns [`SatError::BadConfig`] if the input/output counts differ or
+/// either netlist is cyclic.
 ///
 /// # Example
 ///
@@ -73,76 +96,40 @@ pub fn check(
     b: &Netlist,
     limits: Option<SolveLimits>,
 ) -> Result<EquivResult, SatError> {
-    if a.inputs().len() != b.inputs().len() {
-        return Err(SatError::BadConfig(format!(
-            "input counts differ: {} vs {}",
-            a.inputs().len(),
-            b.inputs().len()
-        )));
-    }
-    if a.outputs().len() != b.outputs().len() {
-        return Err(SatError::BadConfig(format!(
-            "output counts differ: {} vs {}",
-            a.outputs().len(),
-            b.outputs().len()
-        )));
-    }
-    if fulllock_netlist::topo::is_cyclic(a) || fulllock_netlist::topo::is_cyclic(b) {
-        return Err(SatError::BadConfig(
-            "equivalence checking requires acyclic netlists".into(),
-        ));
-    }
-
-    let mut cnf = Cnf::new();
-    let inputs: Vec<Var> = a.inputs().iter().map(|_| cnf.new_var()).collect();
-    let vars_a = encode_into(a, &mut cnf, &inputs);
-    let vars_b = encode_into(b, &mut cnf, &inputs);
-
-    let mut diffs: Vec<Lit> = Vec::with_capacity(a.outputs().len());
-    for (&oa, &ob) in a.outputs().iter().zip(b.outputs()) {
-        let d = cnf.new_var();
-        encode_gate(
-            &mut cnf,
-            fulllock_netlist::GateKind::Xor,
-            d,
-            &[vars_a[oa.index()], vars_b[ob.index()]],
-        );
-        diffs.push(Lit::positive(d));
-    }
-    cnf.add_clause(diffs);
-
-    let mut solver = Solver::from_cnf(&cnf);
-    match solver.solve_limited(&[], limits.unwrap_or_default()) {
-        SolveResult::Unsat => Ok(EquivResult::Equivalent),
-        SolveResult::Unknown => Ok(EquivResult::Unknown),
-        SolveResult::Sat => Ok(EquivResult::Counterexample(
-            inputs
-                .iter()
-                .map(|&v| solver.model_value(v).unwrap_or(false))
-                .collect(),
-        )),
-    }
+    check_under_constants(a, &[], b, limits)
 }
 
-/// Checks a netlist against itself with some inputs tied to constants —
+/// Checks `a`, with some of its inputs tied to constants, against `b` —
 /// the building block for checking a locked circuit under a fixed key:
-/// `check_under_constants(locked, &[(key_sig_positions, bits)], original)`.
+/// `check_under_constants(locked, &[(key_input_position, bit), …], original)`.
 ///
 /// `a_constants` lists (input position in `a`, forced value); the
-/// remaining inputs of `a` are matched positionally with `b`'s inputs.
+/// remaining inputs of `a` are matched positionally with `b`'s inputs, and
+/// a counterexample gives one value per input of `b`.
 ///
 /// # Errors
 ///
-/// Returns [`SatError::BadConfig`] if the free-input or output counts
-/// differ, or if either netlist is cyclic.
+/// Returns [`SatError::BadConfig`] if a constant position is out of range
+/// or repeated, if the free-input or output counts differ, or if either
+/// netlist is cyclic.
 pub fn check_under_constants(
     a: &Netlist,
     a_constants: &[(usize, bool)],
     b: &Netlist,
     limits: Option<SolveLimits>,
 ) -> Result<EquivResult, SatError> {
-    let constant_positions: Vec<usize> = a_constants.iter().map(|&(p, _)| p).collect();
-    let free_count = a.inputs().len() - a_constants.len();
+    let mut tied: Vec<Option<bool>> = vec![None; a.inputs().len()];
+    for &(position, value) in a_constants {
+        match tied.get_mut(position) {
+            Some(slot @ None) => *slot = Some(value),
+            _ => {
+                return Err(SatError::BadConfig(format!(
+                    "constant input position {position} is out of range or repeated"
+                )))
+            }
+        }
+    }
+    let free_count = tied.iter().filter(|t| t.is_none()).count();
     if free_count != b.inputs().len() {
         return Err(SatError::BadConfig(format!(
             "free input counts differ: {} vs {}",
@@ -157,56 +144,134 @@ pub fn check_under_constants(
             b.outputs().len()
         )));
     }
-    if fulllock_netlist::topo::is_cyclic(a) || fulllock_netlist::topo::is_cyclic(b) {
-        return Err(SatError::BadConfig(
-            "equivalence checking requires acyclic netlists".into(),
-        ));
+
+    // 1. One netlist: shared inputs, `a`'s constants as tie cells.
+    let mut miter = Netlist::new("miter");
+    let shared: Vec<SignalId> = b
+        .inputs()
+        .iter()
+        .map(|_| miter.add_anonymous_input())
+        .collect();
+    let mut next_shared = shared.iter();
+    let a_inputs = tied
+        .iter()
+        .map(|t| match t {
+            Some(true) => miter.add_gate(GateKind::Const1, &[]),
+            Some(false) => miter.add_gate(GateKind::Const0, &[]),
+            None => Ok(*next_shared.next().expect("free inputs counted above")),
+        })
+        .collect::<Result<Vec<SignalId>, _>>()?;
+    let outs_a = copy_into(&mut miter, a, &a_inputs)?;
+    let outs_b = copy_into(&mut miter, b, &shared)?;
+
+    // 2. Fold and hash; a pair on one signal is proven.
+    let folded = opt::optimize(&miter)?;
+    let folded_sig = |s: SignalId| folded.remap[s.index()].expect("outputs survive optimization");
+    let open: Vec<(SignalId, SignalId)> = outs_a
+        .iter()
+        .zip(&outs_b)
+        .map(|(&x, &y)| (folded_sig(x), folded_sig(y)))
+        .filter(|(x, y)| x != y)
+        .collect();
+    if open.is_empty() {
+        return Ok(EquivResult::Equivalent);
     }
 
-    let mut cnf = Cnf::new();
-    // Shared variables for b's inputs; fresh (later unit-forced) variables
-    // for a's constant inputs.
-    let shared: Vec<Var> = b.inputs().iter().map(|_| cnf.new_var()).collect();
-    let mut a_inputs: Vec<Var> = Vec::with_capacity(a.inputs().len());
-    let mut next_shared = 0usize;
-    for position in 0..a.inputs().len() {
-        if constant_positions.contains(&position) {
-            a_inputs.push(cnf.new_var());
-        } else {
-            a_inputs.push(shared[next_shared]);
-            next_shared += 1;
+    // 3. SAT on the fanin cone of the open pairs. `optimize` appends every
+    //    gate after its fan-ins, so index order is a topological order.
+    let nl = &folded.netlist;
+    let mut in_cone = vec![false; nl.len()];
+    let mut stack: Vec<SignalId> = open.iter().flat_map(|&(x, y)| [x, y]).collect();
+    while let Some(s) = stack.pop() {
+        if !std::mem::replace(&mut in_cone[s.index()], true) {
+            stack.extend_from_slice(nl.node(s).fanins());
         }
     }
-    let vars_a = encode_into(a, &mut cnf, &a_inputs);
-    let vars_b = encode_into(b, &mut cnf, &shared);
-    for &(position, value) in a_constants {
-        cnf.add_clause([Lit::with_polarity(a_inputs[position], value)]);
+    let mut cnf = Cnf::new();
+    let mut vars: Vec<Option<Var>> = vec![None; nl.len()];
+    for s in nl.signals().filter(|s| in_cone[s.index()]) {
+        let v = cnf.new_var();
+        let node = nl.node(s);
+        if let Some(kind) = node.gate_kind() {
+            let ins: Vec<Var> = node
+                .fanins()
+                .iter()
+                .map(|f| vars[f.index()].expect("fan-ins precede their gate"))
+                .collect();
+            encode_gate(&mut cnf, kind, v, &ins);
+        }
+        vars[s.index()] = Some(v);
     }
-
-    let mut diffs: Vec<Lit> = Vec::with_capacity(a.outputs().len());
-    for (&oa, &ob) in a.outputs().iter().zip(b.outputs()) {
-        let d = cnf.new_var();
-        encode_gate(
-            &mut cnf,
-            fulllock_netlist::GateKind::Xor,
-            d,
-            &[vars_a[oa.index()], vars_b[ob.index()]],
-        );
-        diffs.push(Lit::positive(d));
-    }
+    let var = |s: SignalId| vars[s.index()].expect("open outputs are in the cone");
+    let diffs: Vec<Lit> = open
+        .iter()
+        .map(|&(x, y)| {
+            let d = cnf.new_var();
+            encode_gate(&mut cnf, GateKind::Xor, d, &[var(x), var(y)]);
+            Lit::positive(d)
+        })
+        .collect();
     cnf.add_clause(diffs);
 
     let mut solver = Solver::from_cnf(&cnf);
     match solver.solve_limited(&[], limits.unwrap_or_default()) {
         SolveResult::Unsat => Ok(EquivResult::Equivalent),
         SolveResult::Unknown => Ok(EquivResult::Unknown),
+        // Inputs outside the cone cannot reach an open pair: any value
+        // keeps the counterexample genuine.
         SolveResult::Sat => Ok(EquivResult::Counterexample(
-            shared
+            nl.inputs()
                 .iter()
-                .map(|&v| solver.model_value(v).unwrap_or(false))
+                .map(|s| {
+                    vars[s.index()]
+                        .and_then(|v| solver.model_value(v))
+                        .unwrap_or(false)
+                })
                 .collect(),
         )),
     }
+}
+
+/// Copies `src` into `dst` with its inputs driven by `inputs` (one per
+/// primary input of `src`), marks its outputs as outputs of `dst`, and
+/// returns their signals.
+///
+/// # Errors
+///
+/// [`SatError::BadConfig`] when `src` is cyclic.
+fn copy_into(
+    dst: &mut Netlist,
+    src: &Netlist,
+    inputs: &[SignalId],
+) -> Result<Vec<SignalId>, SatError> {
+    let order = topo::topo_order(src).map_err(|_| {
+        SatError::BadConfig("equivalence checking requires acyclic netlists".into())
+    })?;
+    let mut map: Vec<Option<SignalId>> = vec![None; src.len()];
+    for (&sig, &to) in src.inputs().iter().zip(inputs) {
+        map[sig.index()] = Some(to);
+    }
+    for s in order {
+        let node = src.node(s);
+        let Some(kind) = node.gate_kind() else {
+            continue;
+        };
+        let fanins: Vec<SignalId> = node
+            .fanins()
+            .iter()
+            .map(|f| map[f.index()].expect("topological order resolves fan-ins"))
+            .collect();
+        map[s.index()] = Some(dst.add_gate(kind, &fanins)?);
+    }
+    let outputs: Vec<SignalId> = src
+        .outputs()
+        .iter()
+        .map(|o| map[o.index()].expect("outputs are inputs or gates"))
+        .collect();
+    for &o in &outputs {
+        dst.mark_output(o);
+    }
+    Ok(outputs)
 }
 
 #[cfg(test)]
@@ -302,6 +367,58 @@ mod tests {
         assert!(matches!(
             check_under_constants(&mux, &[(0, true)], &pass, None).unwrap(),
             EquivResult::Counterexample(_)
+        ));
+        // A constant position must name one input, once.
+        assert!(check_under_constants(&mux, &[(3, false), (0, true)], &pass, None).is_err());
+        assert!(check_under_constants(&mux, &[(0, false), (0, false)], &pass, None).is_err());
+    }
+
+    #[test]
+    fn folded_pairs_need_no_solver() {
+        // An expired deadline makes any solver call answer Unknown, so a
+        // proof under it came from folding and hashing alone.
+        let expired = || {
+            Some(
+                SolveLimits::builder()
+                    .deadline(std::time::Instant::now())
+                    .build(),
+            )
+        };
+        let nl = benchmarks::load("c432").unwrap();
+        assert!(check(&nl, &nl, expired()).unwrap().is_equivalent());
+        // De Morgan is beyond the rewrite rules: the pair stays open.
+        let mut nand = Netlist::new("nand");
+        let (a, b) = (nand.add_input("a"), nand.add_input("b"));
+        let y = nand.add_gate(GateKind::Nand, &[a, b]).unwrap();
+        nand.mark_output(y);
+        let mut or_of_nots = Netlist::new("or_of_nots");
+        let (a, b) = (or_of_nots.add_input("a"), or_of_nots.add_input("b"));
+        let na = or_of_nots.add_gate(GateKind::Not, &[a]).unwrap();
+        let nb = or_of_nots.add_gate(GateKind::Not, &[b]).unwrap();
+        let y = or_of_nots.add_gate(GateKind::Or, &[na, nb]).unwrap();
+        or_of_nots.mark_output(y);
+        assert_eq!(
+            check(&nand, &or_of_nots, expired()).unwrap(),
+            EquivResult::Unknown
+        );
+        assert!(check(&nand, &or_of_nots, None).unwrap().is_equivalent());
+    }
+
+    #[test]
+    fn cyclic_netlists_are_rejected() {
+        let mut cyclic = Netlist::new("c");
+        let a = cyclic.add_input("a");
+        let g = cyclic.add_deferred_gate(GateKind::And, 2).unwrap();
+        cyclic.set_fanin(g, 0, a).unwrap();
+        cyclic.mark_output(g);
+        let buf = not_not(2);
+        assert!(matches!(
+            check(&cyclic, &buf, None),
+            Err(SatError::BadConfig(_))
+        ));
+        assert!(matches!(
+            check(&buf, &cyclic, None),
+            Err(SatError::BadConfig(_))
         ));
     }
 }

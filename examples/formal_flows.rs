@@ -16,7 +16,10 @@ use full_lock::sat::equiv::{self, EquivResult};
 fn main() -> Result<(), Box<dyn Error>> {
     let original = benchmarks::load("c880")?;
 
-    // 1. Resynthesis must be provably safe: optimize and check, don't hope.
+    // 1. Optimize and check. The CEC folds and hashes its miter with this
+    //    same optimizer before it calls SAT, so this step cannot catch a
+    //    wrong rewrite rule; the simulation property tests in
+    //    crates/sat/tests/proptest_sat.rs are what guard the rules.
     let optimized = opt::optimize(&original)?;
     println!(
         "optimizer: {} -> {} gates ({} subexpressions shared)",
