@@ -82,7 +82,7 @@ fn run_appsat(
 ) -> Result<AppSatReport> {
     let mut engine = SatAttack::new(locked, oracle, config.base)?;
     engine.set_checkpoint_label("appsat");
-    drive_appsat(&mut engine, locked, oracle, config)
+    drive_appsat(&mut engine, locked, config)
 }
 
 /// The AppSAT loop over a pre-built engine (fresh or resumed from a
@@ -91,7 +91,6 @@ fn run_appsat(
 fn drive_appsat(
     engine: &mut SatAttack<'_>,
     locked: &LockedCircuit,
-    oracle: &dyn Oracle,
     config: AppSatConfig,
 ) -> Result<AppSatReport> {
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -103,7 +102,7 @@ fn drive_appsat(
         if engine.iterations().is_multiple_of(config.probe_interval) {
             if let Some(key) = engine.extract_key()? {
                 let (error, mismatches) =
-                    probe_error(locked, oracle, &key, config.probe_samples, &mut rng)?;
+                    probe_error(engine, locked, &key, config.probe_samples, &mut rng)?;
                 // AppSAT reinforcement: failed probes become constraints.
                 let reinforced = !mismatches.is_empty();
                 for (x, y) in mismatches {
@@ -136,7 +135,7 @@ fn drive_appsat(
             Step::NoMoreDips => {
                 let key = engine.extract_key()?;
                 let (error, _) = match &key {
-                    Some(k) => probe_error(locked, oracle, k, config.probe_samples, &mut rng)?,
+                    Some(k) => probe_error(engine, locked, k, config.probe_samples, &mut rng)?,
                     None => (1.0, Vec::new()),
                 };
                 return Ok(AppSatReport {
@@ -205,7 +204,7 @@ impl Attack for AppSatConfig {
     fn run(&self, locked: &LockedCircuit, oracle: &dyn Oracle) -> Result<AttackReport> {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
-        envelope(&mut engine, locked, oracle, *self)
+        envelope(&mut engine, locked, *self)
     }
 
     fn run_checkpointed(
@@ -218,7 +217,7 @@ impl Attack for AppSatConfig {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
         engine.attach_checkpoint(checkpoint, resume)?;
-        envelope(&mut engine, locked, oracle, *self)
+        envelope(&mut engine, locked, *self)
     }
 }
 
@@ -227,10 +226,9 @@ impl Attack for AppSatConfig {
 fn envelope(
     engine: &mut SatAttack<'_>,
     locked: &LockedCircuit,
-    oracle: &dyn Oracle,
     config: AppSatConfig,
 ) -> Result<AttackReport> {
-    let report = drive_appsat(engine, locked, oracle, config)?;
+    let report = drive_appsat(engine, locked, config)?;
     let outcome = match (&report.key, report.exact, report.settled) {
         (Some(key), true, _) => AttackOutcome::KeyRecovered {
             key: key.clone(),
@@ -246,15 +244,18 @@ fn envelope(
 }
 
 /// Measures a key's error rate on random patterns; returns the rate and
-/// the mismatching (input, oracle-output) pairs for reinforcement.
+/// the mismatching (input, oracle-output) pairs for reinforcement. The
+/// queries go through the engine's resilient layer, so a dropped answer
+/// is retried.
 ///
 /// # Errors
 ///
-/// [`AttackError::Oracle`](crate::AttackError::Oracle) when a query fails.
+/// [`AttackError::Oracle`](crate::AttackError::Oracle) when a query still
+/// fails after its retries.
 #[allow(clippy::type_complexity)]
 fn probe_error(
+    engine: &SatAttack<'_>,
     locked: &LockedCircuit,
-    oracle: &dyn Oracle,
     key: &Key,
     samples: usize,
     rng: &mut StdRng,
@@ -265,7 +266,7 @@ fn probe_error(
     let mut mismatches = Vec::new();
     for _ in 0..samples {
         let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
-        let want = oracle.try_query(&x)?;
+        let want = engine.query(&x)?;
         if !reproduces(locked, cyclic, &x, key, &want) {
             wrong += 1;
             if mismatches.len() < 8 {

@@ -36,7 +36,6 @@ use std::time::Duration;
 use fulllock_harness::persist;
 use fulllock_locking::Key;
 use fulllock_sat::cdcl::SolverStats;
-use fulllock_sat::faults::{self, FaultAction};
 
 use crate::json::Json;
 use crate::{AttackError, Result};
@@ -239,11 +238,9 @@ impl AttackCheckpoint {
     /// keeping the previous generation as `<path>.1`. A crash at any
     /// point leaves either the old complete checkpoint or the new one;
     /// a torn write is caught by the checksum on [`load`](Self::load),
-    /// which then falls back to `<path>.1`.
-    ///
-    /// The [`faults::site::CHECKPOINT_SAVE`] failpoint hooks this path:
-    /// `corrupt` simulates a torn-but-reported-successful write (rotate,
-    /// then leave a half-written envelope), `delay:<ms>` slows the save.
+    /// which then falls back to `<path>.1`. Disk faults are injected one
+    /// layer down, at the `persist.write` and `persist.sync` sites of
+    /// [`persist::save_sealed`].
     ///
     /// # Errors
     ///
@@ -254,25 +251,6 @@ impl AttackCheckpoint {
             message,
         };
         let text = self.to_json();
-        match faults::evaluate(faults::site::CHECKPOINT_SAVE, 0) {
-            Some(FaultAction::Corrupt) => {
-                // A torn write the filesystem reported as successful:
-                // rotate like a real save, then truncate the sealed
-                // envelope mid-payload. The checksum cannot verify, so
-                // load() must fall back to the rotated `<path>.1`.
-                let sealed = fulllock_harness::json::seal(&text);
-                let torn = &sealed[..sealed.len() / 2];
-                if path.exists() {
-                    let mut previous = path.as_os_str().to_os_string();
-                    previous.push(".1");
-                    std::fs::rename(path, PathBuf::from(previous))
-                        .map_err(|e| io_err(format!("rotate previous: {e}")))?;
-                }
-                return std::fs::write(path, torn).map_err(|e| io_err(format!("torn write: {e}")));
-            }
-            Some(delay @ FaultAction::DelayMs(_)) => faults::apply_delay(delay),
-            _ => {}
-        }
         persist::save_sealed(path, &text).map_err(|e| io_err(format!("save: {e}")))
     }
 

@@ -973,6 +973,17 @@ impl<'a> SatAttack<'a> {
         self.certify_failure.as_ref()
     }
 
+    /// One oracle query through the resilient layer (retry, rate limit),
+    /// for attacks that probe the oracle outside the DIP loop (AppSAT's
+    /// settlement probes).
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::Oracle`] when the query fails past its retries.
+    pub(crate) fn query(&self, x: &[bool]) -> Result<Vec<bool>> {
+        self.resilient.try_query(x).map_err(AttackError::Oracle)
+    }
+
     /// Verifies a candidate key against the oracle on random patterns
     /// (plus the all-zeros / all-ones corners). For cyclic locked netlists
     /// the outputs must settle *and* match. Queries go through the

@@ -161,7 +161,7 @@ fn torn_checkpoint_save_resumes_from_the_previous_generation() {
     // rotated previous generation keeps iteration 9 intact.
     faults::install(
         FaultPlan::new().with(
-            Failpoint::new(site::CHECKPOINT_SAVE, None, FaultAction::Corrupt)
+            Failpoint::new(site::PERSIST_WRITE, None, FaultAction::Torn)
                 .after(9)
                 .times(1),
         ),

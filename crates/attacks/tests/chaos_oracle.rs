@@ -22,7 +22,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fulllock_attacks::{
-    Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, SatAttackConfig, SimOracle,
+    AppSatConfig, Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, SatAttackConfig,
+    SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, SarLock, WireSelection,
@@ -275,7 +276,8 @@ fn assert_quarantine_survives_resume(attack: fn(SatAttackConfig) -> Box<dyn Atta
 /// Dropped responses (a flaky harness link) are absorbed by the retry
 /// loop without any quarantine — the attack result is byte-identical to
 /// a clean run's key. For the SAT attack the drop hits a DIP query; for
-/// Double-DIP it lands in the single-vote key check after the DIP loop.
+/// Double-DIP it lands in the single-vote key check after the DIP loop;
+/// for AppSAT it lands in the settlement probe before the first DIP.
 #[test]
 fn dropped_responses_are_retried_transparently() {
     let _guard = chaos_lock();
@@ -297,6 +299,7 @@ fn dropped_responses_are_retried_transparently() {
         &DoubleDip::default(),
         clean.iterations + 5,
     );
+    assert_drop_is_retried(&original, &locked, &AppSatConfig::default(), 5);
 }
 
 /// Runs `attack` with one dropped response, on oracle query `after + 1`.

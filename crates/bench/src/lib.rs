@@ -26,7 +26,7 @@ use fulllock_locking::{
     ClnTopology, FullLock, FullLockConfig, LockedCircuit, LockingScheme, PlrSpec, WireSelection,
 };
 use fulllock_netlist::{GateKind, Netlist};
-use fulllock_sat::{AmbientConfig, Cnf, Lit, Var};
+use fulllock_sat::{AmbientConfig, AmbientError, Cnf, Lit, Var};
 
 /// Experiment scaling knobs, read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -40,20 +40,26 @@ pub struct Scale {
     pub threads: usize,
 }
 
+/// Every `FULLLOCK_*` variable with a meaning somewhere in the
+/// workspace — re-exported from the ambient-configuration layer in
+/// `fulllock-sat`, which owns the canonical list (and the typo
+/// spell-check built on it).
+pub use fulllock_sat::ambient::KNOWN_FULLLOCK_VARS;
+
 impl Scale {
     /// Reads the `FULLLOCK_*` scale knobs from the environment via
-    /// [`ScaleConfig`]. Malformed values are a hard error (printed to
+    /// [`Scale::parse`]. Malformed values are a hard error (printed to
     /// stderr, exit 2) rather than a silent fall-back to defaults, and
     /// unknown `FULLLOCK_*` variables produce a warning — so a typo like
     /// `FULLLOCK_TIMEOUT_SEC=3600` can no longer quietly run a sweep
     /// with the 10-second default.
     pub fn from_env() -> Scale {
-        match ScaleConfig::from_env() {
-            Ok((config, warnings)) => {
+        match Scale::parse(std::env::vars()) {
+            Ok((scale, warnings)) => {
                 for warning in warnings {
                     eprintln!("warning: {warning}");
                 }
-                config.into_scale()
+                scale
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -62,65 +68,16 @@ impl Scale {
         }
     }
 
-    /// The solving backend the thread knob selects: the sequential solver
-    /// for 1 thread, a racing portfolio otherwise.
-    pub fn backend(&self) -> fulllock_sat::BackendSpec {
-        if self.threads <= 1 {
-            fulllock_sat::BackendSpec::Single
-        } else {
-            fulllock_sat::BackendSpec::portfolio(self.threads)
-        }
-    }
-}
-
-/// A malformed `FULLLOCK_*` environment variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleError {
-    /// The offending variable name.
-    pub var: String,
-    /// Its raw value.
-    pub value: String,
-    /// Why it was rejected.
-    pub reason: String,
-}
-
-impl std::fmt::Display for ScaleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?}: {}", self.var, self.value, self.reason)
-    }
-}
-
-impl std::error::Error for ScaleError {}
-
-/// Typed, validated view of the `FULLLOCK_*` scale knobs.
-///
-/// Unlike the old ad-hoc parsing, garbage is rejected with a clear
-/// error instead of silently falling back to a default, and variables
-/// that look like typos of a known knob (`FULLLOCK_TIMEOUT_SEC`,
-/// `FULLLOCK_THREAD`, …) are flagged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleConfig {
-    /// `FULLLOCK_TIMEOUT_SECS`: per-attack budget in seconds (default
-    /// 10; must be a positive finite number, clamped to ≥ 0.1).
-    pub timeout_secs: f64,
-    /// `FULLLOCK_FULL`: extended sweeps (default off; accepts
-    /// `1`/`true`/`yes` and `0`/`false`/`no`/empty).
-    pub full: bool,
-    /// `FULLLOCK_THREADS`: SAT worker threads per attack (default 1;
-    /// must be ≥ 1).
-    pub threads: usize,
-}
-
-/// Every `FULLLOCK_*` variable with a meaning somewhere in the
-/// workspace — re-exported from the ambient-configuration layer in
-/// `fulllock-sat`, which owns the canonical list (and the typo
-/// spell-check built on it).
-pub use fulllock_sat::ambient::KNOWN_FULLLOCK_VARS;
-
-impl ScaleConfig {
     /// Parses the knobs from an explicit variable set (pure — the unit
-    /// tests feed synthetic environments). Returns the config plus
+    /// tests feed synthetic environments). Returns the scale plus
     /// warnings for unknown `FULLLOCK_*` variables.
+    ///
+    /// * `FULLLOCK_TIMEOUT_SECS`: per-attack budget in seconds (default
+    ///   10; must be a positive finite number, clamped to ≥ 0.1).
+    /// * `FULLLOCK_FULL`: extended sweeps (default off; accepts
+    ///   `1`/`true`/`yes` and `0`/`false`/`no`/empty).
+    /// * `FULLLOCK_THREADS`: SAT worker threads per attack (default 1;
+    ///   must be ≥ 1).
     ///
     /// Everything except `FULLLOCK_FULL` (the one bench-only knob)
     /// delegates to [`AmbientConfig::parse`], so the experiment binaries
@@ -129,8 +86,8 @@ impl ScaleConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ScaleError`] describing the first malformed value.
-    pub fn parse<I>(vars: I) -> Result<(ScaleConfig, Vec<String>), ScaleError>
+    /// Returns an [`AmbientError`] describing the first malformed value.
+    pub fn parse<I>(vars: I) -> Result<(Scale, Vec<String>), AmbientError>
     where
         I: IntoIterator<Item = (String, String)>,
     {
@@ -142,7 +99,7 @@ impl ScaleConfig {
                     "" | "0" | "false" | "no" => false,
                     "1" | "true" | "yes" => true,
                     other => {
-                        return Err(ScaleError {
+                        return Err(AmbientError {
                             var: name.clone(),
                             value: value.clone(),
                             reason: format!("expected 0/1/true/false/yes/no, got {other:?}"),
@@ -151,34 +108,25 @@ impl ScaleConfig {
                 };
             }
         }
-        let (ambient, warnings) = AmbientConfig::parse(vars).map_err(|e| ScaleError {
-            var: e.var,
-            value: e.value,
-            reason: e.reason,
-        })?;
-        let config = ScaleConfig {
-            timeout_secs: ambient.timeout.map(|t| t.as_secs_f64()).unwrap_or(10.0),
+        let (ambient, warnings) = AmbientConfig::parse(vars)?;
+        let scale = Scale {
+            timeout: ambient
+                .timeout
+                .unwrap_or(Duration::from_secs(10))
+                .max(Duration::from_millis(100)),
             full,
             threads: ambient.threads,
         };
-        Ok((config, warnings))
+        Ok((scale, warnings))
     }
 
-    /// [`parse`](Self::parse) over the process environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScaleError`] describing the first malformed value.
-    pub fn from_env() -> Result<(ScaleConfig, Vec<String>), ScaleError> {
-        ScaleConfig::parse(std::env::vars())
-    }
-
-    /// Converts into the [`Scale`] the experiment binaries consume.
-    pub fn into_scale(self) -> Scale {
-        Scale {
-            timeout: Duration::from_secs_f64(self.timeout_secs.max(0.1)),
-            full: self.full,
-            threads: self.threads,
+    /// The solving backend the thread knob selects: the sequential solver
+    /// for 1 thread, a racing portfolio otherwise.
+    pub fn backend(&self) -> fulllock_sat::BackendSpec {
+        if self.threads <= 1 {
+            fulllock_sat::BackendSpec::Single
+        } else {
+            fulllock_sat::BackendSpec::portfolio(self.threads)
         }
     }
 }
@@ -480,19 +428,17 @@ mod tests {
 
     #[test]
     fn scale_config_parses_valid_knobs() {
-        let (config, warnings) = ScaleConfig::parse(env(&[
+        let (scale, warnings) = Scale::parse(env(&[
             ("FULLLOCK_TIMEOUT_SECS", "2.5"),
             ("FULLLOCK_FULL", "1"),
             ("FULLLOCK_THREADS", "4"),
             ("PATH", "/usr/bin"),
         ]))
         .expect("valid knobs parse");
-        assert_eq!(config.timeout_secs, 2.5);
-        assert!(config.full);
-        assert_eq!(config.threads, 4);
-        assert!(warnings.is_empty(), "{warnings:?}");
-        let scale = config.into_scale();
         assert_eq!(scale.timeout, Duration::from_secs_f64(2.5));
+        assert!(scale.full);
+        assert_eq!(scale.threads, 4);
+        assert!(warnings.is_empty(), "{warnings:?}");
     }
 
     #[test]
@@ -505,7 +451,7 @@ mod tests {
             ("FULLLOCK_THREADS", "0"),
             ("FULLLOCK_FULL", "maybe"),
         ] {
-            let err = ScaleConfig::parse(env(&[(var, value)]))
+            let err = Scale::parse(env(&[(var, value)]))
                 .expect_err(&format!("{var}={value} must be rejected"));
             assert_eq!(err.var, var);
             assert_eq!(err.value, value);
@@ -514,13 +460,13 @@ mod tests {
 
     #[test]
     fn scale_config_warns_on_unknown_vars_with_typo_hint() {
-        let (config, warnings) = ScaleConfig::parse(env(&[
+        let (scale, warnings) = Scale::parse(env(&[
             ("FULLLOCK_TIMEOUT_SEC", "3600"),
             ("FULLLOCK_TIMEOUT_SECS", "5"),
         ]))
         .expect("the well-formed knob still parses");
         // The typo did NOT silently set the timeout...
-        assert_eq!(config.timeout_secs, 5.0);
+        assert_eq!(scale.timeout, Duration::from_secs(5));
         // ...and was called out with a suggestion.
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("FULLLOCK_TIMEOUT_SEC"), "{warnings:?}");
@@ -533,7 +479,7 @@ mod tests {
     #[test]
     fn known_fulllock_vars_do_not_warn() {
         let (_, warnings) =
-            ScaleConfig::parse(env(&[("FULLLOCK_FAILPOINTS", "x=panic")])).expect("parses");
+            Scale::parse(env(&[("FULLLOCK_FAILPOINTS", "x=panic")])).expect("parses");
         assert!(warnings.is_empty(), "{warnings:?}");
     }
 

@@ -26,7 +26,9 @@
 //! The [`service`] module lifts the same machinery into a long-running
 //! daemon (`fulllock serve`): jobs arrive over a socket instead of a
 //! plan file, land in a crash-safe sharded queue, and are billed to
-//! per-tenant quotas.
+//! per-tenant quotas. Campaign slots and serve workers supervise their
+//! children through one runner (spawn, peak-RSS sampling, deadline →
+//! SIGTERM → grace → SIGKILL) and one [`retry::RetryPolicy`].
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod child;
 pub mod error;
 pub mod json;
 pub mod manifest;
@@ -64,7 +67,7 @@ pub use plan::{
     ambient_fingerprint, current_ambient_fingerprint, CampaignPlan, JobSpec, PAPER_BINS,
     PLAN_VERSION,
 };
-pub use retry::{Clock, RetryPolicy, SystemClock};
+pub use retry::RetryPolicy;
 pub use supervisor::{run_campaign, CampaignOutcome, SupervisorConfig};
 pub use sweep::{run_sweep, SweepConfig, SweepGrid, SweepOutcome, SweepPlan};
 

@@ -1,49 +1,9 @@
-//! Retry policy (bounded attempts, exponential backoff) and the clock
-//! abstraction that makes the schedule unit-testable.
+//! Retry policy: bounded attempts with exponential backoff, shared by
+//! the campaign supervisor and the `fulllock serve` workers.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A monotonic clock the supervisor schedules against.
-///
-/// Production uses [`SystemClock`]; tests substitute a mock that advances
-/// manually, so backoff schedules are asserted without sleeping.
-pub trait Clock {
-    /// Monotonic time elapsed since the clock's origin.
-    fn now(&self) -> Duration;
-    /// Blocks the caller for (up to) `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// Wall-clock [`Clock`] anchored at construction time.
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl SystemClock {
-    /// A clock whose origin is now.
-    pub fn new() -> SystemClock {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> SystemClock {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Duration {
-        self.origin.elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
+use crate::plan::JobSpec;
 
 /// Bounded retries with exponential backoff.
 ///
@@ -96,41 +56,19 @@ impl RetryPolicy {
         let delay = self.base_delay.as_secs_f64() * factor;
         Some(self.max_delay.min(Duration::from_secs_f64(delay)))
     }
-}
 
-#[cfg(test)]
-pub(crate) mod mock {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Deterministic [`Clock`] for schedule tests: `sleep` advances the
-    /// clock instead of blocking.
-    #[derive(Debug, Default)]
-    pub struct MockClock {
-        now_micros: AtomicU64,
-    }
-
-    impl MockClock {
-        pub fn advance(&self, d: Duration) {
-            self.now_micros
-                .fetch_add(d.as_micros() as u64, Ordering::SeqCst);
-        }
-    }
-
-    impl Clock for MockClock {
-        fn now(&self) -> Duration {
-            Duration::from_micros(self.now_micros.load(Ordering::SeqCst))
-        }
-
-        fn sleep(&self, d: Duration) {
-            self.advance(d);
+    /// This policy under `job`'s
+    /// [`max_attempts`](JobSpec::max_attempts) override, if it has one.
+    pub fn for_job(&self, job: &JobSpec) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: job.max_attempts.unwrap_or(self.max_attempts),
+            ..*self
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::mock::MockClock;
     use super::*;
 
     #[test]
@@ -149,6 +87,18 @@ mod tests {
         // Budget exhausted.
         assert_eq!(policy.delay_after(5), None);
         assert_eq!(policy.delay_after(99), None);
+
+        // Growth follows the multiplier: 1 s, then 3 s, then the budget
+        // of three attempts is spent.
+        let tripling = RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::from_secs(1),
+            multiplier: 3.0,
+            max_delay: Duration::from_secs(60),
+        };
+        assert_eq!(tripling.delay_after(1), Some(Duration::from_secs(1)));
+        assert_eq!(tripling.delay_after(2), Some(Duration::from_secs(3)));
+        assert_eq!(tripling.delay_after(3), None);
     }
 
     #[test]
@@ -160,31 +110,5 @@ mod tests {
     #[test]
     fn zero_failures_is_not_a_retry() {
         assert_eq!(RetryPolicy::default().delay_after(0), None);
-    }
-
-    /// Drive a retry schedule against a mocked clock, the way the
-    /// supervisor does: a failed attempt at time `t` makes the job
-    /// eligible again at `t + delay_after(n)`.
-    #[test]
-    fn schedule_against_mock_clock() {
-        let clock = MockClock::default();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_secs(1),
-            multiplier: 3.0,
-            max_delay: Duration::from_secs(60),
-        };
-        // First failure at t=10s -> eligible at 11s.
-        clock.advance(Duration::from_secs(10));
-        let eligible1 = clock.now() + policy.delay_after(1).expect("one retry left");
-        assert_eq!(eligible1, Duration::from_secs(11));
-        assert!(clock.now() < eligible1, "not yet eligible");
-        clock.sleep(eligible1 - clock.now());
-        assert!(clock.now() >= eligible1, "sleep reaches eligibility");
-        // Second failure immediately -> eligible 3s later.
-        let eligible2 = clock.now() + policy.delay_after(2).expect("second retry");
-        assert_eq!(eligible2, Duration::from_secs(14));
-        // Third failure exhausts the budget.
-        assert_eq!(policy.delay_after(3), None);
     }
 }

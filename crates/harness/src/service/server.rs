@@ -5,9 +5,9 @@
 //! JSON — see [`super::protocol`]) and hands each to a short-lived
 //! handler thread; a bounded pool of worker threads pulls pending jobs
 //! off the [`super::queue::ShardedQueue`] in FIFO order and runs each as
-//! a supervised child process, mirroring the campaign supervisor's
-//! machinery: per-job deadline, SIGTERM → grace → SIGKILL escalation,
-//! retry with backoff.
+//! a supervised child process through the runner the campaign
+//! supervisor uses too: per-job deadline, SIGTERM → grace → SIGKILL
+//! escalation, and the same retry policy with backoff.
 //!
 //! ## Tenancy
 //!
@@ -84,6 +84,7 @@ use std::time::{Duration, Instant};
 use fulllock_sat::faults::{self, FaultAction};
 use fulllock_sat::{QuotaSpec, TenantQuota};
 
+use crate::child::{self, Stop};
 use crate::retry::RetryPolicy;
 use crate::service::protocol::{self, parse_request, ProtocolError, Request, PROTOCOL_VERSION};
 use crate::service::queue::{JobState, ServiceJob, ShardedQueue};
@@ -1234,74 +1235,42 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
             command.stdout(Stdio::null()).stderr(Stdio::null());
         }
     }
-    let mut child = match command.spawn() {
-        Ok(c) => c,
-        Err(e) => return AttemptEnd::Failure(format!("spawn {:?}: {e}", spec.program)),
-    };
-
-    let started = Instant::now();
     let timeout = spec
         .timeout_secs
         .map(Duration::from_secs_f64)
         .unwrap_or(shared.config.default_timeout);
-    let deadline = started + timeout;
-    let mut term_sent: Option<Instant> = None;
-    let mut end_after_kill: Option<AttemptEnd> = None;
-
-    loop {
-        // Supervising a long child is not "stuck": keep the heartbeat
-        // fresh so the watchdog only recycles workers wedged *outside*
-        // this loop (e.g. a blocking fault injection or harness bug).
-        shared.beat(index);
-        match child.try_wait() {
-            Ok(Some(status)) => {
-                if let Some(end) = end_after_kill {
-                    return end;
-                }
-                if status.success() {
-                    return AttemptEnd::Success;
-                }
-                let detail = match crate::supervisor::exit_signal(Some(status)) {
-                    Some(sig) => format!("killed by signal {sig}"),
-                    None => format!("exit status {}", status.code().unwrap_or(-1)),
-                };
-                return AttemptEnd::Failure(detail);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return AttemptEnd::Failure(format!("wait: {e}"));
-            }
-        }
-
-        let canceled = lock(&shared.cancels).contains(id);
-        let draining = shared.draining.load(Ordering::SeqCst);
-        let now = Instant::now();
-        let over_deadline = now >= deadline;
-
-        if (canceled || draining || over_deadline) && end_after_kill.is_none() {
-            end_after_kill = Some(if canceled {
-                AttemptEnd::Canceled
-            } else if draining {
-                AttemptEnd::Interrupted
+    let supervised = child::supervise(
+        &mut command,
+        timeout,
+        shared.config.grace,
+        shared.config.poll_interval,
+        || {
+            // Supervising a long child is not "stuck": keep the heartbeat
+            // fresh so the watchdog only recycles workers wedged *outside*
+            // the runner (e.g. a blocking fault injection or harness bug).
+            shared.beat(index);
+            if lock(&shared.cancels).contains(id) {
+                Some(AttemptEnd::Canceled)
+            } else if shared.draining.load(Ordering::SeqCst) {
+                Some(AttemptEnd::Interrupted)
             } else {
-                AttemptEnd::Timeout(timeout.as_secs_f64())
-            });
-        }
-        if end_after_kill.is_some() {
-            match term_sent {
-                None => {
-                    crate::supervisor::send_sigterm(&mut child);
-                    term_sent = Some(now);
-                }
-                Some(at) if now.duration_since(at) >= shared.config.grace => {
-                    let _ = child.kill();
-                }
-                Some(_) => {}
+                None
             }
-        }
-        std::thread::sleep(shared.config.poll_interval);
+        },
+    );
+    let supervised = match supervised {
+        Ok(supervised) => supervised,
+        Err(e) => return AttemptEnd::Failure(format!("spawn {:?}: {e}", spec.program)),
+    };
+    match (supervised.stop, supervised.status) {
+        (Some(Stop::Asked(end)), _) => end,
+        (Some(Stop::Deadline), _) => AttemptEnd::Timeout(timeout.as_secs_f64()),
+        (None, Ok(status)) if status.success() => AttemptEnd::Success,
+        (None, Ok(status)) => AttemptEnd::Failure(match child::exit_signal(status) {
+            Some(sig) => format!("killed by signal {sig}"),
+            None => format!("exit status {}", status.code().unwrap_or(-1)),
+        }),
+        (None, Err(e)) => AttemptEnd::Failure(format!("wait: {e}")),
     }
 }
 
@@ -1349,11 +1318,12 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: AttemptEnd, elap
                 _ => unreachable!("outer match covers only these two"),
             };
             job.last_error = Some(detail);
-            let mut policy = shared.config.retry;
-            if let Some(n) = job.spec.max_attempts {
-                policy.max_attempts = n;
-            }
-            match policy.delay_after(job.attempts) {
+            match shared
+                .config
+                .retry
+                .for_job(&job.spec)
+                .delay_after(job.attempts)
+            {
                 Some(delay) => {
                     job.state = JobState::Pending;
                     lock(&shared.backoff).insert(id.to_string(), Instant::now() + delay);

@@ -10,22 +10,26 @@
 //! its budget is recorded as `failed`/`timed_out` and the campaign moves
 //! on; one bad experiment no longer aborts a multi-hour sweep.
 //!
-//! All scheduling reads a [`Clock`], so retry/backoff logic is testable
-//! against a mocked clock; production uses [`SystemClock`]. Child
-//! stdout/stderr go to per-attempt files under `<out_dir>/logs/`, and
-//! every state transition atomically rewrites
+//! `--jobs N` slot threads (the calling thread is one of them) share one
+//! schedule: the manifest and a queue of runs, each eligible once its
+//! backoff has passed. A slot claims the oldest eligible run and
+//! supervises its child through the same runner `fulllock serve` uses
+//! for its workers. Child stdout/stderr go to per-attempt files under
+//! `<out_dir>/logs/`, and every state transition atomically rewrites
 //! `<out_dir>/campaign.json` (see [`crate::manifest`]) so a killed
 //! supervisor can `--resume`.
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
+use crate::child::{self, Stop};
 use crate::manifest::{CampaignManifest, JobRecord, JobStatus};
 use crate::plan::CampaignPlan;
-use crate::retry::{Clock, RetryPolicy, SystemClock};
+use crate::retry::RetryPolicy;
 use crate::{HarnessError, Result};
 
 /// Supervisor knobs. The defaults suit the paper sweep on a laptop.
@@ -116,19 +120,25 @@ impl CampaignOutcome {
 struct QueuedRun {
     idx: usize,
     attempt: u32,
-    eligible_at: Duration,
+    eligible_at: Instant,
 }
 
-/// A live child process under supervision.
-struct RunningJob {
-    idx: usize,
-    attempt: u32,
-    child: Child,
-    started: Duration,
-    deadline: Duration,
-    term_sent: Option<Duration>,
-    timed_out: bool,
-    peak_rss_kb: Option<u64>,
+/// The campaign state the slot threads share.
+struct Schedule {
+    manifest: CampaignManifest,
+    queue: VecDeque<QueuedRun>,
+    /// Runs claimed by a slot and not yet settled.
+    in_flight: usize,
+    /// The first supervisor-level error; once set, no slot claims work.
+    error: Option<HarnessError>,
+}
+
+const UPSERTED: &str = "every plan job was upserted before the slots start";
+
+fn lock(schedule: &Mutex<Schedule>) -> MutexGuard<'_, Schedule> {
+    schedule
+        .lock()
+        .expect("a campaign slot panicked while holding the schedule")
 }
 
 /// Runs the whole plan under the wall clock. See the module docs for
@@ -141,15 +151,6 @@ struct RunningJob {
 /// are recorded in the manifest and reflected in the
 /// [`CampaignOutcome`], not raised.
 pub fn run_campaign(plan: &CampaignPlan, config: &SupervisorConfig) -> Result<CampaignOutcome> {
-    run_campaign_with_clock(plan, config, &SystemClock::new())
-}
-
-/// [`run_campaign`] against an explicit [`Clock`] (tests inject a mock).
-pub fn run_campaign_with_clock(
-    plan: &CampaignPlan,
-    config: &SupervisorConfig,
-    clock: &dyn Clock,
-) -> Result<CampaignOutcome> {
     plan.validate()?;
     let logs_dir = config.out_dir.join("logs");
     std::fs::create_dir_all(&logs_dir).map_err(|e| HarnessError::Io {
@@ -167,6 +168,7 @@ pub fn run_campaign_with_clock(
     let ambient = config
         .ambient_hash
         .unwrap_or_else(crate::plan::current_ambient_fingerprint);
+    let now = Instant::now();
     let mut queue: VecDeque<QueuedRun> = VecDeque::new();
     for (idx, job) in plan.jobs.iter().enumerate() {
         let hash = job.config_hash_with(ambient);
@@ -191,117 +193,36 @@ pub fn run_campaign_with_clock(
             queue.push_back(QueuedRun {
                 idx,
                 attempt: 1,
-                eligible_at: Duration::ZERO,
+                eligible_at: now,
             });
         }
     }
     manifest.save(&manifest_path)?;
 
-    let parallelism = config.parallelism.max(1);
-    let mut running: Vec<RunningJob> = Vec::new();
-    while !queue.is_empty() || !running.is_empty() {
-        let now = clock.now();
-
-        // Reap finished children, sample RSS, enforce deadlines. RSS is
-        // sampled *before* `try_wait`: reaping collects the zombie and
-        // tears down `/proc/<pid>`, so a sample after a successful wait
-        // always misses. Together with the spawn-time sample in
-        // `start_attempt`, this keeps short-lived jobs from racing the
-        // poll and recording no peak at all.
-        let mut i = 0;
-        while i < running.len() {
-            if let Some(rss) = sample_rss_kb(running[i].child.id()) {
-                let slot = &mut running[i];
-                slot.peak_rss_kb = Some(slot.peak_rss_kb.unwrap_or(0).max(rss));
-            }
-            match running[i].child.try_wait() {
-                Ok(Some(status)) => {
-                    let slot = running.swap_remove(i);
-                    finish_attempt(
-                        plan,
-                        config,
-                        clock,
-                        &mut manifest,
-                        &manifest_path,
-                        &mut queue,
-                        slot,
-                        Some(status),
-                        None,
-                    )?;
-                }
-                Ok(None) => {
-                    let slot = &mut running[i];
-                    if now >= slot.deadline {
-                        slot.timed_out = true;
-                        match slot.term_sent {
-                            None => {
-                                send_sigterm(&mut slot.child);
-                                slot.term_sent = Some(now);
-                            }
-                            Some(at) if now >= at + config.grace => {
-                                // The child ignored SIGTERM: escalate.
-                                let _ = slot.child.kill();
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                    i += 1;
-                }
-                Err(e) => {
-                    let mut slot = running.swap_remove(i);
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                    let reason = format!("wait failed: {e}");
-                    finish_attempt(
-                        plan,
-                        config,
-                        clock,
-                        &mut manifest,
-                        &manifest_path,
-                        &mut queue,
-                        slot,
-                        None,
-                        Some(reason),
-                    )?;
-                }
-            }
+    // A job has at most one run queued or in flight, so slots beyond the
+    // queue's length would never claim anything.
+    let slots = config.parallelism.max(1).min(queue.len());
+    let schedule = Mutex::new(Schedule {
+        manifest,
+        queue,
+        in_flight: 0,
+        error: None,
+    });
+    std::thread::scope(|scope| {
+        for _ in 1..slots {
+            scope.spawn(|| run_slot(plan, config, &manifest_path, &schedule));
         }
-
-        // Fill free slots with eligible queued runs.
-        while running.len() < parallelism {
-            let Some(pos) = queue.iter().position(|q| q.eligible_at <= now) else {
-                break;
-            };
-            let queued = queue.remove(pos).expect("position comes from the queue");
-            start_attempt(
-                plan,
-                config,
-                clock,
-                &mut manifest,
-                &manifest_path,
-                &mut running,
-                queued,
-            )?;
-        }
-
-        if queue.is_empty() && running.is_empty() {
-            break;
-        }
-        let sleep = if running.is_empty() {
-            // Everything left is backing off: sleep straight to the
-            // earliest eligibility.
-            queue
-                .iter()
-                .map(|q| q.eligible_at.saturating_sub(now))
-                .min()
-                .unwrap_or(config.poll_interval)
-                .max(Duration::from_millis(1))
-        } else {
-            config.poll_interval
-        };
-        clock.sleep(sleep);
+        // The calling thread is a slot too.
+        run_slot(plan, config, &manifest_path, &schedule);
+    });
+    let Schedule {
+        manifest, error, ..
+    } = schedule
+        .into_inner()
+        .expect("a slot panic propagates out of the scope");
+    if let Some(e) = error {
+        return Err(e);
     }
-
     manifest.save(&manifest_path)?;
     Ok(CampaignOutcome {
         total: plan.jobs.len(),
@@ -313,21 +234,63 @@ pub fn run_campaign_with_clock(
     })
 }
 
-/// Spawns one attempt of a queued job, or records a permanent failure if
-/// the program cannot be spawned at all (bad config — never retried).
-#[allow(clippy::too_many_arguments)]
-fn start_attempt(
+/// One slot: runs claimed attempts until the campaign is over, and hands
+/// a supervisor-level error to the whole schedule.
+fn run_slot(
     plan: &CampaignPlan,
     config: &SupervisorConfig,
-    clock: &dyn Clock,
-    manifest: &mut CampaignManifest,
-    manifest_path: &std::path::Path,
-    running: &mut Vec<RunningJob>,
-    queued: QueuedRun,
+    manifest_path: &Path,
+    schedule: &Mutex<Schedule>,
+) {
+    while let Some(run) = claim(schedule, config.poll_interval) {
+        if let Err(e) = run_attempt(plan, config, manifest_path, schedule, run) {
+            lock(schedule).error.get_or_insert(e);
+            return;
+        }
+    }
+}
+
+/// Claims the oldest eligible run, waiting while everything left backs
+/// off or runs on other slots; `None` once nothing is left (or a slot
+/// failed).
+fn claim(schedule: &Mutex<Schedule>, poll: Duration) -> Option<QueuedRun> {
+    loop {
+        let wait = {
+            let mut schedule = lock(schedule);
+            if schedule.error.is_some() || (schedule.queue.is_empty() && schedule.in_flight == 0) {
+                return None;
+            }
+            let now = Instant::now();
+            if let Some(pos) = schedule.queue.iter().position(|q| q.eligible_at <= now) {
+                schedule.in_flight += 1;
+                return schedule.queue.remove(pos);
+            }
+            // A retry starts when its backoff ends; a run another slot
+            // settles is seen within a poll interval.
+            schedule
+                .queue
+                .iter()
+                .map(|q| q.eligible_at.saturating_duration_since(now))
+                .min()
+                .map_or(poll, |backoff| backoff.min(poll))
+        };
+        std::thread::sleep(wait);
+    }
+}
+
+/// Runs one claimed attempt and records it: success, retry with backoff,
+/// or final failure/timeout. A program that cannot be spawned at all is
+/// a permanent failure (bad config — never retried).
+fn run_attempt(
+    plan: &CampaignPlan,
+    config: &SupervisorConfig,
+    manifest_path: &Path,
+    schedule: &Mutex<Schedule>,
+    run: QueuedRun,
 ) -> Result<()> {
-    let job = &plan.jobs[queued.idx];
-    let stdout_rel = format!("logs/{}.attempt{}.stdout.log", job.id, queued.attempt);
-    let stderr_rel = format!("logs/{}.attempt{}.stderr.log", job.id, queued.attempt);
+    let job = &plan.jobs[run.idx];
+    let stdout_rel = format!("logs/{}.attempt{}.stdout.log", job.id, run.attempt);
+    let stderr_rel = format!("logs/{}.attempt{}.stderr.log", job.id, run.attempt);
     let open = |rel: &str| {
         let path = config.out_dir.join(rel);
         File::create(&path).map_err(|e| HarnessError::Io {
@@ -347,84 +310,83 @@ fn start_attempt(
         cmd.env(k, v);
     }
 
-    let rec = manifest
-        .job_mut(&job.id)
-        .expect("every plan job was upserted before the loop");
-    rec.attempts = queued.attempt;
-    rec.stdout_log = Some(stdout_rel);
-    rec.stderr_log = Some(stderr_rel);
-    match cmd.spawn() {
-        Ok(child) => {
-            rec.status = JobStatus::Running;
-            manifest.push_event(&job.id, queued.attempt, JobStatus::Running.as_str());
-            let now = clock.now();
-            let timeout = job
-                .timeout_secs
-                .map(Duration::from_secs_f64)
-                .unwrap_or(config.default_timeout);
-            // First RSS sample right at spawn: a job that exits within
-            // one poll interval becomes an unreadable zombie before the
-            // reap loop ever sees it alive, and would otherwise record
-            // no peak at all.
-            let peak_rss_kb = sample_rss_kb(child.id());
-            running.push(RunningJob {
-                idx: queued.idx,
-                attempt: queued.attempt,
-                child,
-                started: now,
-                deadline: now + timeout,
-                term_sent: None,
-                timed_out: false,
-                peak_rss_kb,
-            });
-        }
+    // Records the attempt as started in `status`, writing to these logs.
+    let begin = |schedule: &mut Schedule, status: JobStatus| {
+        let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
+        rec.attempts = run.attempt;
+        rec.stdout_log = Some(stdout_rel.clone());
+        rec.stderr_log = Some(stderr_rel.clone());
+        rec.status = status;
+        schedule
+            .manifest
+            .push_event(&job.id, run.attempt, status.as_str());
+    };
+    let timeout = job
+        .timeout_secs
+        .map(Duration::from_secs_f64)
+        .unwrap_or(config.default_timeout);
+    // The schedule stays locked from the spawn until the attempt is
+    // recorded, so no other slot's manifest fsync runs while the child
+    // starts: one can hold `spawn()` past a short job's exit, and its
+    // spawn-time VmHWM sample is then lost.
+    let mut starting = Some(lock(schedule));
+    let supervised = child::supervise(
+        &mut cmd,
+        timeout,
+        config.grace,
+        config.poll_interval,
+        || {
+            // The first tick comes right after the spawn: only now is the
+            // job running. A manifest that cannot record it stops the child
+            // and fails the campaign.
+            let mut schedule = starting.take()?;
+            begin(&mut schedule, JobStatus::Running);
+            schedule.manifest.save(manifest_path).err()
+        },
+    );
+    let supervised = match supervised {
+        Ok(supervised) => supervised,
         Err(e) => {
-            rec.status = JobStatus::Failed;
+            let mut schedule = starting.take().expect("no tick runs without a child");
+            begin(&mut schedule, JobStatus::Failed);
+            schedule.in_flight -= 1;
+            let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
             rec.last_error = Some(format!("spawn failed: {e} (permanent, not retried)"));
-            manifest.push_event(&job.id, queued.attempt, JobStatus::Failed.as_str());
+            return schedule.manifest.save(manifest_path);
         }
-    }
-    manifest.save(manifest_path)
-}
+    };
+    let timed_out = match supervised.stop {
+        Some(Stop::Asked(e)) => return Err(e),
+        Some(Stop::Deadline) => true,
+        None => false,
+    };
 
-/// Records a finished attempt: success, retry with backoff, or final
-/// failure/timeout.
-#[allow(clippy::too_many_arguments)]
-fn finish_attempt(
-    plan: &CampaignPlan,
-    config: &SupervisorConfig,
-    clock: &dyn Clock,
-    manifest: &mut CampaignManifest,
-    manifest_path: &std::path::Path,
-    queue: &mut VecDeque<QueuedRun>,
-    slot: RunningJob,
-    status: Option<ExitStatus>,
-    wait_error: Option<String>,
-) -> Result<()> {
-    let job = &plan.jobs[slot.idx];
-    let now = clock.now();
-    let rec = manifest
-        .job_mut(&job.id)
-        .expect("every plan job was upserted before the loop");
-    rec.duration_secs += now.saturating_sub(slot.started).as_secs_f64();
-    if let Some(rss) = slot.peak_rss_kb {
+    let mut guard = lock(schedule);
+    let schedule = &mut *guard;
+    schedule.in_flight -= 1;
+    let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
+    rec.duration_secs += supervised.elapsed.as_secs_f64();
+    if let Some(rss) = supervised.peak_rss_kb {
         rec.peak_rss_kb = Some(rec.peak_rss_kb.unwrap_or(0).max(rss));
     }
+    let status = supervised.status.as_ref().ok().copied();
     rec.exit_code = status.and_then(|s| s.code()).map(i64::from);
-    rec.signal = exit_signal(status);
+    rec.signal = status.and_then(child::exit_signal);
 
-    let succeeded = !slot.timed_out && status.is_some_and(|s| s.success());
+    let succeeded = !timed_out && status.is_some_and(|s| s.success());
     if succeeded {
         rec.status = JobStatus::Succeeded;
         rec.last_error = None;
-        manifest.push_event(&job.id, slot.attempt, JobStatus::Succeeded.as_str());
-        return manifest.save(manifest_path);
+        schedule
+            .manifest
+            .push_event(&job.id, run.attempt, JobStatus::Succeeded.as_str());
+        return schedule.manifest.save(manifest_path);
     }
 
-    let reason = if slot.timed_out {
+    let reason = if timed_out {
         "wall-clock budget exceeded".to_string()
-    } else if let Some(message) = wait_error {
-        message
+    } else if let Err(e) = &supervised.status {
+        format!("wait failed: {e}")
     } else {
         match (rec.exit_code, rec.signal) {
             (Some(code), _) => format!("exited with status {code}"),
@@ -436,77 +398,26 @@ fn finish_attempt(
 
     // Transient failure (non-zero exit, signal kill, timeout): retry
     // with exponential backoff while the attempt budget lasts.
-    let mut policy = config.retry;
-    if let Some(n) = job.max_attempts {
-        policy.max_attempts = n;
-    }
-    if let Some(delay) = policy.delay_after(slot.attempt) {
+    if let Some(delay) = config.retry.for_job(job).delay_after(run.attempt) {
         rec.status = JobStatus::Pending;
-        manifest.push_event(&job.id, slot.attempt, "retrying");
-        queue.push_back(QueuedRun {
-            idx: slot.idx,
-            attempt: slot.attempt + 1,
-            eligible_at: now + delay,
+        schedule
+            .manifest
+            .push_event(&job.id, run.attempt, "retrying");
+        schedule.queue.push_back(QueuedRun {
+            idx: run.idx,
+            attempt: run.attempt + 1,
+            eligible_at: Instant::now() + delay,
         });
     } else {
-        let terminal = if slot.timed_out {
+        let terminal = if timed_out {
             JobStatus::TimedOut
         } else {
             JobStatus::Failed
         };
         rec.status = terminal;
-        manifest.push_event(&job.id, slot.attempt, terminal.as_str());
+        schedule
+            .manifest
+            .push_event(&job.id, run.attempt, terminal.as_str());
     }
-    manifest.save(manifest_path)
-}
-
-/// Signal number that terminated the child, if any (Unix only).
-#[cfg(unix)]
-pub(crate) fn exit_signal(status: Option<ExitStatus>) -> Option<i64> {
-    use std::os::unix::process::ExitStatusExt as _;
-    status.and_then(|s| s.signal()).map(i64::from)
-}
-
-#[cfg(not(unix))]
-pub(crate) fn exit_signal(_status: Option<ExitStatus>) -> Option<i64> {
-    None
-}
-
-/// Asks the child to terminate gracefully. On Unix this delivers
-/// SIGTERM via the `kill` utility (std exposes only SIGKILL); elsewhere
-/// it goes straight to [`Child::kill`].
-#[cfg(unix)]
-pub(crate) fn send_sigterm(child: &mut Child) {
-    let delivered = Command::new("kill")
-        .arg("-TERM")
-        .arg(child.id().to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !delivered {
-        // No `kill` utility (or it failed): fall back to a hard kill so
-        // the deadline still holds.
-        let _ = child.kill();
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) fn send_sigterm(child: &mut Child) {
-    let _ = child.kill();
-}
-
-/// Peak resident set size of a live process in kB (Linux `VmHWM`).
-#[cfg(target_os = "linux")]
-fn sample_rss_kb(pid: u32) -> Option<u64> {
-    let text = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    let line = text.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().trim_end_matches("kB").trim().parse().ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn sample_rss_kb(_pid: u32) -> Option<u64> {
-    None
+    schedule.manifest.save(manifest_path)
 }

@@ -662,27 +662,46 @@ fn drain_requeues_in_flight_jobs_without_consuming_attempts() {
     client
         .submit("t", sh_job("interrupted", "sleep 30"))
         .expect("submit");
+    // Exits 0 on SIGTERM: the drain, not the clean exit, decides. It
+    // reports once its trap is armed, so the drain cannot beat the trap.
+    client
+        .submit(
+            "t",
+            sh_job(
+                "graceful",
+                "trap 'exit 0' TERM; echo armed; while :; do sleep 0.1; done",
+            ),
+        )
+        .expect("submit");
+    let state_dir = server.dir.join("state");
+    let armed = state_dir.join("jobs/graceful/attempt1.stdout.log");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let state = client.status("interrupted").expect("status").job_state();
-        if state.map(|s| s.as_str()) == Some("running") {
+        let trapped = std::fs::read_to_string(&armed).is_ok_and(|log| log.contains("armed"));
+        if state.map(|s| s.as_str()) == Some("running") && trapped {
             break;
         }
         assert!(std::time::Instant::now() < deadline, "never started");
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let state_dir = server.dir.join("state");
     let summary = server.stop();
-    assert_eq!(summary.drained, 1);
+    assert_eq!(summary.drained, 2);
 
-    // The persisted queue re-queues it with the attempt given back —
+    // The persisted queue re-queues both with the attempt given back —
     // visible to the next server that opens the same state directory.
     let queue =
         fulllock_harness::service::ShardedQueue::open(&state_dir.join("queue"), 4).expect("open");
-    let job = queue.job("interrupted").expect("persisted");
-    assert_eq!(job.state, fulllock_harness::service::JobState::Pending);
-    assert!(job.interrupted);
-    assert_eq!(job.attempts, 0);
-    assert_eq!(job.completions, 0);
+    for id in ["interrupted", "graceful"] {
+        let job = queue.job(id).expect("persisted");
+        assert_eq!(
+            job.state,
+            fulllock_harness::service::JobState::Pending,
+            "{id}"
+        );
+        assert!(job.interrupted, "{id}");
+        assert_eq!(job.attempts, 0, "{id}");
+        assert_eq!(job.completions, 0, "{id}");
+    }
 }

@@ -134,8 +134,17 @@ fn flaky_job_succeeds_on_second_attempt() {
 #[test]
 fn hanging_job_is_timed_out_via_sigterm() {
     let dir = scratch("hang");
-    let plan =
-        CampaignPlan::new("p").job(sh("hangy", "sleep 30").timeout_secs(0.3).max_attempts(1));
+    let plan = CampaignPlan::new("p")
+        .job(sh("hangy", "sleep 30").timeout_secs(0.3).max_attempts(1))
+        // Exits 0 on SIGTERM: the deadline, not the clean exit, decides.
+        .job(
+            sh(
+                "graceful",
+                "trap 'exit 0' TERM; while :; do sleep 0.1; done",
+            )
+            .timeout_secs(0.3)
+            .max_attempts(1),
+        );
     let start = Instant::now();
     let outcome = run_campaign(&plan, &config(&dir)).expect("campaign runs");
     assert!(
@@ -143,11 +152,19 @@ fn hanging_job_is_timed_out_via_sigterm() {
         "timeout must not wait for the sleep: {:?}",
         start.elapsed()
     );
-    assert_eq!(outcome.timed_out, 1);
+    assert_eq!(outcome.timed_out, 2);
     assert_eq!(outcome.status_word(), "failed");
-    let rec = manifest(&dir).job("hangy").cloned().expect("record");
+    let m = manifest(&dir);
+    let rec = m.job("hangy").expect("record");
     assert_eq!(rec.status, JobStatus::TimedOut);
     assert_eq!(rec.signal, Some(15), "plain sleep dies to SIGTERM");
+    let graceful = m.job("graceful").expect("record");
+    assert_eq!(
+        graceful.status,
+        JobStatus::TimedOut,
+        "a clean exit after SIGTERM still missed the deadline"
+    );
+    assert_eq!(graceful.exit_code, Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
 

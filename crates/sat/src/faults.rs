@@ -95,10 +95,6 @@ pub mod site {
     /// (duplicated literals + a tautological pair) so only this reader
     /// sees garbage — import validation must reject it.
     pub const EXCHANGE_IMPORT: &str = "portfolio.exchange.import";
-    /// Evaluated inside `AttackCheckpoint::save` with index 0. `corrupt`
-    /// truncates the serialized text mid-write (a torn write that the
-    /// checksum must catch at load), `delay:<ms>` slows the save down.
-    pub const CHECKPOINT_SAVE: &str = "checkpoint.save";
     /// Evaluated inside the shared budget's exhaustion check (context
     /// index 0). `trigger` reports the budget spuriously exhausted, so the
     /// whole race degrades to `Unknown` with partial stats.
