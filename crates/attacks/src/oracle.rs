@@ -32,7 +32,10 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use fulllock_netlist::{Netlist, Result, Simulator};
-use fulllock_sat::ambient::{ORACLE_QPS_ENV, ORACLE_RETRIES_ENV, ORACLE_VOTES_ENV};
+use fulllock_sat::ambient::{
+    env_value, parse_oracle_qps, parse_oracle_retries, parse_oracle_votes, ORACLE_QPS_ENV,
+    ORACLE_RETRIES_ENV, ORACLE_VOTES_ENV,
+};
 use fulllock_sat::faults::{self, site, FaultAction};
 
 /// A typed oracle failure: why a query produced no usable answer.
@@ -299,21 +302,13 @@ impl OracleResilience {
     /// must never crash a campaign job; `AmbientConfig` is where strict
     /// validation lives).
     pub fn from_env() -> OracleResilience {
-        let mut policy = OracleResilience::default();
-        if let Some(votes) = env_parse::<u32>(ORACLE_VOTES_ENV) {
-            if votes >= 1 && votes % 2 == 1 {
-                policy.votes = votes;
-            }
+        let default = OracleResilience::default();
+        OracleResilience {
+            votes: env_value(ORACLE_VOTES_ENV, parse_oracle_votes).unwrap_or(default.votes),
+            retries: env_value(ORACLE_RETRIES_ENV, parse_oracle_retries).unwrap_or(default.retries),
+            qps: env_value(ORACLE_QPS_ENV, parse_oracle_qps).or(default.qps),
+            ..default
         }
-        if let Some(retries) = env_parse::<u32>(ORACLE_RETRIES_ENV) {
-            policy.retries = retries;
-        }
-        if let Some(qps) = env_parse::<f64>(ORACLE_QPS_ENV) {
-            if qps.is_finite() && qps > 0.0 {
-                policy.qps = Some(qps);
-            }
-        }
-        policy
     }
 
     /// The trust-everything policy: no guarding, no voting, no retries —
@@ -327,10 +322,6 @@ impl OracleResilience {
             deadline: None,
         }
     }
-}
-
-fn env_parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok()?.trim().parse().ok()
 }
 
 /// A token bucket: `qps` tokens per second refill, bursts up to

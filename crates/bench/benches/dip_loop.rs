@@ -16,17 +16,17 @@
 //! testbed isolates the routing network, not the encoding.)
 //!
 //! Besides the criterion timing, the bench writes `BENCH_dip_loop.json`
-//! at the repository root with both absolute numbers so future PRs can
-//! detect attack-loop regressions.
+//! at the repository root with both absolute numbers, and fails below
+//! a 2x per-iteration speedup over the legacy pipeline.
 //!
 //! Run with: `cargo bench -p fulllock-bench --bench dip_loop`
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fulllock_attacks::{EncodeStyle, SatAttack, SatAttackConfig, SimOracle};
 use fulllock_bench::cln_locked_host;
+use fulllock_bench::record::{BenchRecord, Cmp};
 use fulllock_locking::ClnTopology;
 use fulllock_sat::cdcl::SolverConfig;
 use fulllock_sat::BackendSpec;
@@ -115,43 +115,22 @@ fn bench_dip_loop(c: &mut Criterion) {
         current_best = current_best.min(run.1 / run.0.max(1) as f64);
         current_last = run;
     }
-    let speedup = legacy_best / current_best;
-    assert!(
-        speedup >= MIN_SPEEDUP,
-        "DIP loop speedup {speedup:.2}x is below the {MIN_SPEEDUP}x bar \
-         (legacy {legacy_best:.4}s/iter vs current {current_best:.4}s/iter)"
-    );
-
     let snapshot_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dip_loop.json");
-    let json = format!(
-        "{{\n  \"workload\": \"{}-gate random host locked with a cln{} almost non-blocking CLN, \
-         {} DIP budget\",\n  \
-         \"legacy\": {{ \"iterations\": {}, \"seconds\": {:.4}, \"final_clauses\": {}, \
-         \"secs_per_iteration\": {:.5} }},\n  \
-         \"current\": {{ \"iterations\": {}, \"seconds\": {:.4}, \"final_clauses\": {}, \
-         \"secs_per_iteration\": {:.5} }},\n  \
-         \"speedup\": {:.2},\n  \"min_speedup\": {:.1}\n}}\n",
-        HOST_GATES,
-        CLN_SIZE,
-        DIP_BUDGET,
-        legacy_last.0,
-        legacy_last.1,
-        legacy_last.2,
-        legacy_best,
-        current_last.0,
-        current_last.1,
-        current_last.2,
-        current_best,
-        speedup,
-        MIN_SPEEDUP,
-    );
-    match std::fs::File::create(snapshot_path) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            println!("dip loop snapshot: {speedup:.2}x vs legacy pipeline -> BENCH_dip_loop.json");
-        }
-        Err(e) => eprintln!("could not write {snapshot_path}: {e}"),
-    }
+    BenchRecord::new(format!(
+        "{HOST_GATES}-gate random host locked with a cln{CLN_SIZE} almost non-blocking CLN, \
+         {DIP_BUDGET} DIP budget"
+    ))
+    .metric("legacy_iterations", legacy_last.0)
+    .metric("legacy_seconds", legacy_last.1)
+    .metric("legacy_final_clauses", legacy_last.2)
+    .metric("legacy_secs_per_iteration", legacy_best)
+    .metric("current_iterations", current_last.0)
+    .metric("current_seconds", current_last.1)
+    .metric("current_final_clauses", current_last.2)
+    .metric("current_secs_per_iteration", current_best)
+    .metric("speedup", legacy_best / current_best)
+    .bar("speedup", Cmp::Ge, MIN_SPEEDUP)
+    .finish(snapshot_path);
 }
 
 criterion_group!(benches, bench_dip_loop);

@@ -7,23 +7,18 @@
 //! with a 4-thread [`PortfolioSolver`] (diversified restart/decay/
 //! polarity configs, glue-clause exchange, first-finisher-wins).
 //!
-//! The snapshot records both sides' wall-clock and the speedup. A CPU
-//! race is only meaningful when every worker has a hardware thread to
-//! run on: on a host with fewer hardware threads than workers the four
-//! solvers time-share one core and the measured wall-clock understates
-//! the portfolio by exactly the starvation factor. The snapshot
-//! therefore also records `projected_speedup` — the wall ratio with the
-//! starvation factor removed (`measured × threads / min(threads, hw)`),
-//! i.e. what an unstarved host measures; `speedup` reports the projected
-//! figure and `speedup_basis` says which case applied.
+//! The snapshot records both sides' wall-clock and the measured speedup,
+//! which must reach 1.3x. The record carries the host's core count: on a
+//! host with fewer cores than workers the four solvers time-share them,
+//! and the measured speedup is what that host gets.
 //!
 //! Run with: `cargo bench -p fulllock-bench --bench portfolio`
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fulllock_bench::miter_workload;
+use fulllock_bench::record::{BenchRecord, Cmp};
 use fulllock_sat::cdcl::{SolveLimits, SolveResult, Solver};
 use fulllock_sat::{Cnf, PortfolioConfig, PortfolioSolver};
 
@@ -86,46 +81,17 @@ fn bench_portfolio(c: &mut Criterion) {
         portfolio_secs = portfolio_secs.min(run_portfolio(&instances));
     }
 
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let measured = single_secs / portfolio_secs;
-    // Workers beyond the hardware thread count time-share cores; remove
-    // that starvation factor to get the unstarved-host wall ratio.
-    let starvation = THREADS as f64 / THREADS.min(hardware_threads) as f64;
-    let projected = measured * starvation;
-    let (speedup, basis) = if hardware_threads >= THREADS {
-        (measured, "measured (unstarved host)")
-    } else {
-        (
-            projected,
-            "projected (host has fewer hardware threads than workers)",
-        )
-    };
-    let json = format!(
-        "{{\n  \"workload\": \"cln32 almost-non-blocking DIP miters x{}\",\n  \
-         \"threads\": {THREADS},\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"single_secs\": {single_secs:.3},\n  \"portfolio_secs\": {portfolio_secs:.3},\n  \
-         \"measured_wall_speedup\": {measured:.2},\n  \
-         \"projected_speedup\": {projected:.2},\n  \
-         \"speedup\": {speedup:.2},\n  \"speedup_basis\": \"{basis}\",\n  \
-         \"target_speedup\": 1.3\n}}\n",
-        instances.len(),
-    );
     let snapshot_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_portfolio.json");
-    match std::fs::File::create(snapshot_path) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            println!(
-                "portfolio race: single {single_secs:.2}s vs portfolio{THREADS} \
-                 {portfolio_secs:.2}s — speedup {speedup:.2}x ({basis}) -> BENCH_portfolio.json"
-            );
-        }
-        Err(e) => eprintln!("could not write {snapshot_path}: {e}"),
-    }
-    if speedup < 1.3 {
-        eprintln!("WARNING: portfolio speedup {speedup:.2}x below the 1.3x target");
-    }
+    BenchRecord::new(format!(
+        "cln32 almost-non-blocking DIP miters x{}",
+        instances.len()
+    ))
+    .metric("threads", THREADS)
+    .metric("single_secs", single_secs)
+    .metric("portfolio_secs", portfolio_secs)
+    .metric("speedup", single_secs / portfolio_secs)
+    .bar("speedup", Cmp::Ge, 1.3)
+    .finish(snapshot_path);
 }
 
 criterion_group!(benches, bench_portfolio);

@@ -5,16 +5,17 @@
 //! Full-Lock miter (two key copies of a locked circuit sharing inputs,
 //! outputs XOR-ed) solved under a fixed conflict budget. Besides the
 //! criterion timing, the bench writes `BENCH_cdcl.json` at the repository
-//! root recording propagations/second so future PRs can detect solver
-//! regressions (`scripts/` or CI can diff the snapshot).
+//! root. It records propagations/second against the seed baseline, with
+//! no bar, and asserts one bar: `Model`-level certification costs under
+//! 5% of that throughput.
 //!
 //! Run with: `cargo bench -p fulllock-bench --bench propagation`
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fulllock_bench::miter_workload;
+use fulllock_bench::record::{BenchRecord, Cmp};
 use fulllock_sat::backend::BackendSpec;
 use fulllock_sat::cdcl::{SolveLimits, SolveResult, Solver};
 use fulllock_sat::{CertifyLevel, Cnf};
@@ -22,7 +23,8 @@ use fulllock_sat::{CertifyLevel, Cnf};
 /// Propagations/second measured at the seed commit (separately-allocated
 /// `Vec<Lit>` clauses, activity-only reduction) on the reference container:
 /// 3.25M props/sec, 1.21 s per 30k-conflict solve on this workload. The
-/// acceptance bar for the arena rewrite is >= 1.5x this number.
+/// record compares against it; no bar judges throughput until the 1.5x
+/// arena-rewrite bar is re-established on the recording host.
 const BASELINE_PROPS_PER_SEC: f64 = 3_250_000.0;
 
 /// Conflict budget per solve: large enough that propagation dominates,
@@ -114,42 +116,22 @@ fn bench_propagation(c: &mut Criterion) {
         certify_model = certify_model.max(props as f64 / secs);
     }
     let certify_overhead_pct = (1.0 - certify_model / certify_off) * 100.0;
-    assert!(
-        certify_overhead_pct < MAX_CERTIFY_OVERHEAD_PCT,
-        "Model-level certification costs {certify_overhead_pct:.1}% of propagation \
-         throughput (bar: {MAX_CERTIFY_OVERHEAD_PCT}%): {certify_model:.0} vs {certify_off:.0} props/sec"
-    );
 
     let snapshot_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cdcl.json");
-    let speedup = best_props_per_sec / BASELINE_PROPS_PER_SEC;
-    let json = format!(
-        "{{\n  \"workload\": \"cln16 almost-non-blocking miter, {} conflicts\",\n  \
-         \"formula\": {{ \"vars\": {}, \"clauses\": {} }},\n  \
-         \"propagations\": {},\n  \"seconds\": {:.4},\n  \
-         \"props_per_sec\": {:.0},\n  \
-         \"baseline_props_per_sec\": {:.0},\n  \"speedup_vs_baseline\": {:.2},\n  \
-         \"certify_off_props_per_sec\": {:.0},\n  \
-         \"certify_model_props_per_sec\": {:.0},\n  \
-         \"certify_overhead_pct\": {:.2}\n}}\n",
-        CONFLICT_BUDGET,
-        cnf.num_vars(),
-        cnf.num_clauses(),
-        last.0,
-        last.1,
-        best_props_per_sec,
-        BASELINE_PROPS_PER_SEC,
-        speedup,
-        certify_off,
-        certify_model,
-        certify_overhead_pct,
-    );
-    match std::fs::File::create(snapshot_path) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            println!("propagation snapshot: {best_props_per_sec:.0} props/sec ({speedup:.2}x baseline) -> BENCH_cdcl.json");
-        }
-        Err(e) => eprintln!("could not write {snapshot_path}: {e}"),
-    }
+    BenchRecord::new(format!(
+        "cln16 almost-non-blocking miter, {CONFLICT_BUDGET} conflicts"
+    ))
+    .metric("vars", cnf.num_vars())
+    .metric("clauses", cnf.num_clauses())
+    .metric("propagations", last.0)
+    .metric("seconds", last.1)
+    .metric("props_per_sec", best_props_per_sec)
+    .metric("baseline_props_per_sec", BASELINE_PROPS_PER_SEC)
+    .metric("certify_off_props_per_sec", certify_off)
+    .metric("certify_model_props_per_sec", certify_model)
+    .metric("certify_overhead_pct", certify_overhead_pct)
+    .bar("certify_overhead_pct", Cmp::Lt, MAX_CERTIFY_OVERHEAD_PCT)
+    .finish(snapshot_path);
 }
 
 criterion_group!(benches, bench_propagation);

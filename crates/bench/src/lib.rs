@@ -3,7 +3,8 @@
 //! Every table and figure of the paper has a binary in `src/bin/` (see
 //! `EXPERIMENTS.md` at the repository root for the index). This library
 //! holds what they share: wall-clock scaling, plain-text table rendering,
-//! and the standalone-CLN testbed of Table 2.
+//! and the standalone-CLN testbed of Table 2. The [`record`] module is
+//! the one writer of the `BENCH_*.json` guard records.
 //!
 //! # Scaling
 //!
@@ -27,6 +28,8 @@ use fulllock_locking::{
 };
 use fulllock_netlist::{GateKind, Netlist};
 use fulllock_sat::{AmbientConfig, AmbientError, Cnf, Lit, Var};
+
+pub mod record;
 
 /// Experiment scaling knobs, read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -123,11 +126,7 @@ impl Scale {
     /// The solving backend the thread knob selects: the sequential solver
     /// for 1 thread, a racing portfolio otherwise.
     pub fn backend(&self) -> fulllock_sat::BackendSpec {
-        if self.threads <= 1 {
-            fulllock_sat::BackendSpec::Single
-        } else {
-            fulllock_sat::BackendSpec::portfolio(self.threads)
-        }
+        fulllock_sat::BackendSpec::for_threads(self.threads)
     }
 }
 

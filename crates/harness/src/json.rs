@@ -152,6 +152,42 @@ impl Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Int(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Float(x)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

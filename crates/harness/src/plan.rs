@@ -137,6 +137,81 @@ impl JobSpec {
         h.finish()
     }
 
+    /// The spec as a JSON object: `id` first when `with_id`, then
+    /// program, args, env and whichever overrides are set. Plan files and
+    /// `submit` lines carry the id inside the spec; queue shards keep it
+    /// beside the spec, on the job record.
+    pub(crate) fn to_json(&self, with_id: bool) -> Json {
+        let mut members = Vec::with_capacity(6);
+        if with_id {
+            members.push(("id".to_string(), Json::Str(self.id.clone())));
+        }
+        members.push(("program".to_string(), Json::Str(self.program.clone())));
+        members.push((
+            "args".to_string(),
+            Json::Array(self.args.iter().cloned().map(Json::Str).collect()),
+        ));
+        members.push((
+            "env".to_string(),
+            Json::Object(
+                self.env
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                    .collect(),
+            ),
+        ));
+        if let Some(t) = self.timeout_secs {
+            members.push(("timeout_secs".to_string(), Json::Float(t)));
+        }
+        if let Some(n) = self.max_attempts {
+            members.push(("max_attempts".to_string(), Json::Int(u64::from(n))));
+        }
+        Json::Object(members)
+    }
+
+    /// Inverse of [`to_json`](Self::to_json). The id is `id` when given,
+    /// the object's `"id"` member otherwise; `args` and `env` may be
+    /// absent.
+    pub(crate) fn from_json(json: &Json, id: Option<&str>) -> std::result::Result<JobSpec, String> {
+        let str_field = |name: &str| {
+            json.get(name)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("missing string field {name:?}"))
+        };
+        let id = match id {
+            Some(id) => id,
+            None => str_field("id")?,
+        };
+        let mut spec = JobSpec::new(id, str_field("program")?);
+        if let Some(args) = json.get("args") {
+            for a in args.as_array().ok_or("field \"args\" must be an array")? {
+                spec.args
+                    .push(a.as_str().ok_or("args must be strings")?.to_string());
+            }
+        }
+        match json.get("env") {
+            None => {}
+            Some(Json::Object(members)) => {
+                for (k, v) in members {
+                    let v = v.as_str().ok_or("env values must be strings")?;
+                    spec.env.push((k.clone(), v.to_string()));
+                }
+            }
+            Some(_) => return Err("field \"env\" must be an object".to_string()),
+        }
+        if let Some(t) = json.get("timeout_secs") {
+            spec.timeout_secs = Some(t.as_f64().ok_or("\"timeout_secs\" must be a number")?);
+        }
+        if let Some(n) = json.get("max_attempts") {
+            spec.max_attempts = Some(
+                n.as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("\"max_attempts\" must fit u32")?,
+            );
+        }
+        Ok(spec)
+    }
+
     fn validate(&self) -> std::result::Result<(), String> {
         if self.id.is_empty() {
             return Err("job id must be non-empty".to_string());
@@ -293,37 +368,7 @@ impl CampaignPlan {
 
     /// Serializes to the versioned JSON plan format.
     pub fn to_json(&self) -> String {
-        let jobs = Json::Array(
-            self.jobs
-                .iter()
-                .map(|job| {
-                    let mut members = vec![
-                        ("id".to_string(), Json::Str(job.id.clone())),
-                        ("program".to_string(), Json::Str(job.program.clone())),
-                        (
-                            "args".to_string(),
-                            Json::Array(job.args.iter().cloned().map(Json::Str).collect()),
-                        ),
-                        (
-                            "env".to_string(),
-                            Json::Object(
-                                job.env
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                                    .collect(),
-                            ),
-                        ),
-                    ];
-                    if let Some(t) = job.timeout_secs {
-                        members.push(("timeout_secs".to_string(), Json::Float(t)));
-                    }
-                    if let Some(n) = job.max_attempts {
-                        members.push(("max_attempts".to_string(), Json::Int(u64::from(n))));
-                    }
-                    Json::Object(members)
-                })
-                .collect(),
-        );
+        let jobs = Json::Array(self.jobs.iter().map(|job| job.to_json(true)).collect());
         Json::Object(vec![
             ("version".to_string(), Json::Int(PLAN_VERSION)),
             ("name".to_string(), Json::Str(self.name.clone())),
@@ -391,52 +436,7 @@ fn parse_plan(text: &str) -> std::result::Result<CampaignPlan, String> {
         .ok_or("missing array field \"jobs\"")?;
     let mut jobs = Vec::with_capacity(jobs_json.len());
     for (i, job) in jobs_json.iter().enumerate() {
-        let str_field = |name: &str| {
-            job.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("job #{i}: missing string field {name:?}"))
-        };
-        let mut spec = JobSpec::new(str_field("id")?, str_field("program")?);
-        if let Some(args) = job.get("args") {
-            let args = args
-                .as_array()
-                .ok_or_else(|| format!("job #{i}: \"args\" must be an array"))?;
-            for a in args {
-                spec.args.push(
-                    a.as_str()
-                        .ok_or_else(|| format!("job #{i}: args must be strings"))?
-                        .to_string(),
-                );
-            }
-        }
-        if let Some(env) = job.get("env") {
-            match env {
-                Json::Object(members) => {
-                    for (k, v) in members {
-                        let v = v
-                            .as_str()
-                            .ok_or_else(|| format!("job #{i}: env values must be strings"))?;
-                        spec.env.push((k.clone(), v.to_string()));
-                    }
-                }
-                _ => return Err(format!("job #{i}: \"env\" must be an object")),
-            }
-        }
-        if let Some(t) = job.get("timeout_secs") {
-            spec.timeout_secs = Some(
-                t.as_f64()
-                    .ok_or_else(|| format!("job #{i}: \"timeout_secs\" must be a number"))?,
-            );
-        }
-        if let Some(n) = job.get("max_attempts") {
-            spec.max_attempts = Some(
-                n.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("job #{i}: \"max_attempts\" must fit u32"))?,
-            );
-        }
-        jobs.push(spec);
+        jobs.push(JobSpec::from_json(job, None).map_err(|e| format!("job #{i}: {e}"))?);
     }
     Ok(CampaignPlan { name, jobs })
 }
@@ -544,6 +544,53 @@ mod tests {
         let text = sample().to_json().replace("\"version\":1", "\"version\":9");
         let err = CampaignPlan::from_json(&text).expect_err("must reject");
         assert!(err.to_string().contains("version 9"), "{err}");
+    }
+
+    /// The plan file, the `submit` line and the queue shard share one
+    /// spec codec; these are their bytes from before it was shared.
+    #[test]
+    fn job_spec_codec_keeps_every_format_byte_for_byte() {
+        use crate::service::protocol::{encode_request, parse_request, Request};
+        use crate::service::ShardedQueue;
+
+        let spec = JobSpec::new("j1", "/bin/sh")
+            .arg("-c")
+            .arg("echo \"hi\"")
+            .env("K", "v")
+            .timeout_secs(1.5)
+            .max_attempts(3);
+        let fields = r#""program":"/bin/sh","args":["-c","echo \"hi\""],"env":{"K":"v"},"timeout_secs":1.5,"max_attempts":3"#;
+
+        let plan = CampaignPlan::new("pin").job(spec.clone());
+        let plan_text = format!(r#"{{"version":1,"name":"pin","jobs":[{{"id":"j1",{fields}}}]}}"#);
+        assert_eq!(plan.to_json(), plan_text);
+        assert_eq!(
+            CampaignPlan::from_json(&plan_text).expect("plan parses"),
+            plan
+        );
+
+        let submit = Request::Submit {
+            tenant: "acme".to_string(),
+            job: spec.clone(),
+        };
+        let line = format!(r#"{{"verb":"submit","tenant":"acme","job":{{"id":"j1",{fields}}}}}"#);
+        assert_eq!(encode_request(&submit), line);
+        assert_eq!(parse_request(&line).expect("submit parses"), submit);
+
+        let dir = std::env::temp_dir().join(format!("fulllock-spec-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut queue = ShardedQueue::open(&dir, 1).expect("open queue");
+        queue.submit("acme", spec.clone()).expect("submit");
+        let shard = std::fs::read_to_string(dir.join("shard-00.json")).expect("read shard");
+        assert_eq!(
+            shard,
+            format!(
+                r#"{{"checksum":1111625821507315177,"payload":{{"version":1,"shard":0,"jobs":[{{"id":"j1","tenant":"acme","spec":{{{fields}}},"state":"pending","attempts":0,"seq":0,"completions":0,"last_error":null,"charged_conflicts":0,"charged_wall_secs":0.0,"interrupted":false}}]}}}}"#
+            ) + "\n"
+        );
+        let reopened = ShardedQueue::open(&dir, 1).expect("reopen queue");
+        assert_eq!(reopened.job("j1").expect("job survives").spec, spec);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

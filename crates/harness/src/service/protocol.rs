@@ -154,8 +154,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             let job_json = root.get("job").ok_or_else(|| {
                 ProtocolError::new("malformed_request", "submit requires object field \"job\"")
             })?;
-            let job =
-                parse_job_spec(job_json).map_err(|m| ProtocolError::new("malformed_request", m))?;
+            let job = JobSpec::from_json(job_json, None)
+                .map_err(|m| ProtocolError::new("malformed_request", format!("job: {m}")))?;
             // Reuse the campaign plan validator: id charset, non-empty
             // program, finite positive timeout.
             crate::plan::CampaignPlan::new("submit")
@@ -206,7 +206,7 @@ pub fn encode_request(request: &Request) -> String {
         Request::Submit { tenant, job } => Json::Object(vec![
             ("verb".to_string(), Json::Str("submit".to_string())),
             ("tenant".to_string(), Json::Str(tenant.clone())),
-            ("job".to_string(), job_spec_to_json(job)),
+            ("job".to_string(), job.to_json(true)),
         ]),
         Request::Status { job } => verb_job("status", job),
         Request::Cancel { job } => verb_job("cancel", job),
@@ -233,75 +233,6 @@ fn verb_job(verb: &str, job: &str) -> Json {
         ("verb".to_string(), Json::Str(verb.to_string())),
         ("job".to_string(), Json::Str(job.to_string())),
     ])
-}
-
-fn job_spec_to_json(spec: &JobSpec) -> Json {
-    let mut members = vec![
-        ("id".to_string(), Json::Str(spec.id.clone())),
-        ("program".to_string(), Json::Str(spec.program.clone())),
-        (
-            "args".to_string(),
-            Json::Array(spec.args.iter().cloned().map(Json::Str).collect()),
-        ),
-        (
-            "env".to_string(),
-            Json::Object(
-                spec.env
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(t) = spec.timeout_secs {
-        members.push(("timeout_secs".to_string(), Json::Float(t)));
-    }
-    if let Some(n) = spec.max_attempts {
-        members.push(("max_attempts".to_string(), Json::Int(u64::from(n))));
-    }
-    Json::Object(members)
-}
-
-fn parse_job_spec(json: &Json) -> Result<JobSpec, String> {
-    let id = json
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("job missing string field \"id\"")?;
-    let program = json
-        .get("program")
-        .and_then(Json::as_str)
-        .ok_or("job missing string field \"program\"")?;
-    let mut spec = JobSpec::new(id, program);
-    if let Some(args) = json.get("args") {
-        for a in args
-            .as_array()
-            .ok_or("job field \"args\" must be an array")?
-        {
-            spec.args
-                .push(a.as_str().ok_or("job args must be strings")?.to_string());
-        }
-    }
-    match json.get("env") {
-        None => {}
-        Some(Json::Object(members)) => {
-            for (k, v) in members {
-                let v = v.as_str().ok_or("job env values must be strings")?;
-                spec.env.push((k.clone(), v.to_string()));
-            }
-        }
-        Some(_) => return Err("job field \"env\" must be an object".to_string()),
-    }
-    if let Some(t) = json.get("timeout_secs") {
-        spec.timeout_secs = Some(t.as_f64().ok_or("job \"timeout_secs\" must be a number")?);
-    }
-    if let Some(n) = json.get("max_attempts") {
-        spec.max_attempts = Some(
-            n.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("job \"max_attempts\" must fit u32")?,
-        );
-    }
-    Ok(spec)
 }
 
 /// The `{"ok": true}` status line describing one job (used by `submit`

@@ -140,33 +140,10 @@ impl ServiceJob {
     }
 
     fn to_json(&self) -> Json {
-        let mut spec_members = vec![
-            ("program".to_string(), Json::Str(self.spec.program.clone())),
-            (
-                "args".to_string(),
-                Json::Array(self.spec.args.iter().cloned().map(Json::Str).collect()),
-            ),
-            (
-                "env".to_string(),
-                Json::Object(
-                    self.spec
-                        .env
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(t) = self.spec.timeout_secs {
-            spec_members.push(("timeout_secs".to_string(), Json::Float(t)));
-        }
-        if let Some(n) = self.spec.max_attempts {
-            spec_members.push(("max_attempts".to_string(), Json::Int(u64::from(n))));
-        }
         Json::Object(vec![
             ("id".to_string(), Json::Str(self.id.clone())),
             ("tenant".to_string(), Json::Str(self.tenant.clone())),
-            ("spec".to_string(), Json::Object(spec_members)),
+            ("spec".to_string(), self.spec.to_json(false)),
             (
                 "state".to_string(),
                 Json::Str(self.state.as_str().to_string()),
@@ -207,40 +184,7 @@ impl ServiceJob {
         };
         let id = str_field("id")?;
         let spec_json = json.get("spec").ok_or("job missing field \"spec\"")?;
-        let mut spec = JobSpec::new(
-            id.clone(),
-            spec_json
-                .get("program")
-                .and_then(Json::as_str)
-                .ok_or("spec missing string field \"program\"")?,
-        );
-        for a in spec_json
-            .get("args")
-            .and_then(Json::as_array)
-            .ok_or("spec field \"args\" must be an array")?
-        {
-            spec.args
-                .push(a.as_str().ok_or("spec args must be strings")?.to_string());
-        }
-        match spec_json.get("env").ok_or("spec missing field \"env\"")? {
-            Json::Object(members) => {
-                for (k, v) in members {
-                    let v = v.as_str().ok_or("spec env values must be strings")?;
-                    spec.env.push((k.clone(), v.to_string()));
-                }
-            }
-            _ => return Err("spec field \"env\" must be an object".to_string()),
-        }
-        if let Some(t) = spec_json.get("timeout_secs") {
-            spec.timeout_secs = Some(t.as_f64().ok_or("spec \"timeout_secs\" must be a number")?);
-        }
-        if let Some(n) = spec_json.get("max_attempts") {
-            spec.max_attempts = Some(
-                n.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("spec \"max_attempts\" must fit u32")?,
-            );
-        }
+        let spec = JobSpec::from_json(spec_json, Some(&id)).map_err(|e| format!("spec: {e}"))?;
         let state_name = str_field("state")?;
         let state = JobState::parse(&state_name)
             .ok_or_else(|| format!("unknown job state {state_name:?}"))?;

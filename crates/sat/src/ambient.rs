@@ -22,7 +22,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::backend::BackendSpec;
 use crate::cdcl::INPROCESS_ENV;
 use crate::certify::{CertifyLevel, CERTIFY_ENV};
 use crate::faults::FaultPlan;
@@ -145,74 +144,17 @@ impl AmbientConfig {
                 reason,
             };
             match name.as_str() {
-                TIMEOUT_ENV => {
-                    let secs: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| err("expected a number of seconds".to_string()))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(err(format!(
-                            "timeout must be a positive finite number, got {secs}"
-                        )));
-                    }
-                    config.timeout = Some(Duration::from_secs_f64(secs));
-                }
-                THREADS_ENV => {
-                    let threads: usize = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| err("expected a thread count".to_string()))?;
-                    if threads == 0 {
-                        return Err(err("thread count must be at least 1".to_string()));
-                    }
-                    config.threads = threads;
-                }
-                CERTIFY_ENV => {
-                    config.certify = value.parse::<CertifyLevel>().map_err(err)?;
-                }
-                INPROCESS_ENV => {
-                    config.inprocess = match value.trim().to_ascii_lowercase().as_str() {
-                        "off" | "0" | "false" | "no" => false,
-                        "" | "on" | "1" | "true" | "yes" => true,
-                        other => {
-                            return Err(err(format!(
-                                "expected on/off/1/0/true/false, got {other:?}"
-                            )))
-                        }
-                    };
-                }
+                TIMEOUT_ENV => config.timeout = Some(parse_timeout(&value).map_err(err)?),
+                THREADS_ENV => config.threads = parse_threads(&value).map_err(err)?,
+                CERTIFY_ENV => config.certify = value.parse::<CertifyLevel>().map_err(err)?,
+                INPROCESS_ENV => config.inprocess = parse_inprocess(&value).map_err(err)?,
                 ORACLE_VOTES_ENV => {
-                    let votes: u32 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| err("expected a vote count".to_string()))?;
-                    if votes == 0 || votes.is_multiple_of(2) {
-                        return Err(err(format!(
-                            "vote count must be odd and at least 1, got {votes}"
-                        )));
-                    }
-                    config.oracle_votes = Some(votes);
+                    config.oracle_votes = Some(parse_oracle_votes(&value).map_err(err)?);
                 }
                 ORACLE_RETRIES_ENV => {
-                    config.oracle_retries = Some(
-                        value
-                            .trim()
-                            .parse()
-                            .map_err(|_| err("expected a retry count".to_string()))?,
-                    );
+                    config.oracle_retries = Some(parse_oracle_retries(&value).map_err(err)?);
                 }
-                ORACLE_QPS_ENV => {
-                    let qps: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| err("expected queries per second".to_string()))?;
-                    if !qps.is_finite() || qps <= 0.0 {
-                        return Err(err(format!(
-                            "rate limit must be a positive finite number, got {qps}"
-                        )));
-                    }
-                    config.oracle_qps = Some(qps);
-                }
+                ORACLE_QPS_ENV => config.oracle_qps = Some(parse_oracle_qps(&value).map_err(err)?),
                 FAILPOINTS_ENV => {
                     let spec = value.trim();
                     if spec.is_empty() {
@@ -250,15 +192,6 @@ impl AmbientConfig {
         AmbientConfig::parse(std::env::vars())
     }
 
-    /// The solving backend the thread knob selects.
-    pub fn backend(&self) -> BackendSpec {
-        if self.threads <= 1 {
-            BackendSpec::Single
-        } else {
-            BackendSpec::portfolio(self.threads)
-        }
-    }
-
     /// Renders the snapshot back into explicit `(variable, value)` pairs
     /// for a child process's environment, so serve-mode workers inherit
     /// the *captured* configuration rather than whatever the server's
@@ -293,6 +226,84 @@ impl AmbientConfig {
     }
 }
 
+/// `var` from the process environment under its grammar `parse`; `None`
+/// when it is unset or malformed. The per-layer readers fall back to
+/// their defaults on `None`, so a typo never crashes a campaign job;
+/// [`AmbientConfig::parse`] is where a malformed value is an error.
+pub fn env_value<T>(var: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    parse(&std::env::var(var).ok()?).ok()
+}
+
+fn parse_timeout(value: &str) -> Result<Duration, String> {
+    let secs: f64 = value
+        .trim()
+        .parse()
+        .map_err(|_| "expected a number of seconds".to_string())?;
+    if !secs.is_finite() || secs <= 0.0 {
+        return Err(format!(
+            "timeout must be a positive finite number, got {secs}"
+        ));
+    }
+    Ok(Duration::from_secs_f64(secs))
+}
+
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse() {
+        Ok(0) => Err("thread count must be at least 1".to_string()),
+        Ok(threads) => Ok(threads),
+        Err(_) => Err("expected a thread count".to_string()),
+    }
+}
+
+/// The [`INPROCESS_ENV`] grammar: `off`/`0`/`false`/`no` turn CDCL
+/// inprocessing off; empty, `on`/`1`/`true`/`yes` keep it on.
+pub fn parse_inprocess(value: &str) -> Result<bool, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "off" | "0" | "false" | "no" => Ok(false),
+        "" | "on" | "1" | "true" | "yes" => Ok(true),
+        other => Err(format!(
+            "expected on/off/1/0/true/false/yes/no, got {other:?}"
+        )),
+    }
+}
+
+/// The [`ORACLE_VOTES_ENV`] grammar: an odd vote count of at least 1.
+pub fn parse_oracle_votes(value: &str) -> Result<u32, String> {
+    let votes: u32 = value
+        .trim()
+        .parse()
+        .map_err(|_| "expected a vote count".to_string())?;
+    if votes == 0 || votes.is_multiple_of(2) {
+        return Err(format!(
+            "vote count must be odd and at least 1, got {votes}"
+        ));
+    }
+    Ok(votes)
+}
+
+/// The [`ORACLE_RETRIES_ENV`] grammar: a retry count.
+pub fn parse_oracle_retries(value: &str) -> Result<u32, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| "expected a retry count".to_string())
+}
+
+/// The [`ORACLE_QPS_ENV`] grammar: a positive, finite rate in queries
+/// per second.
+pub fn parse_oracle_qps(value: &str) -> Result<f64, String> {
+    let qps: f64 = value
+        .trim()
+        .parse()
+        .map_err(|_| "expected queries per second".to_string())?;
+    if !qps.is_finite() || qps <= 0.0 {
+        return Err(format!(
+            "rate limit must be a positive finite number, got {qps}"
+        ));
+    }
+    Ok(qps)
+}
+
 /// Levenshtein distance (iterative two-row), for typo suggestions.
 pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
@@ -313,6 +324,7 @@ pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendSpec;
 
     fn parse(vars: &[(&str, &str)]) -> Result<(AmbientConfig, Vec<String>), AmbientError> {
         AmbientConfig::parse(
@@ -354,7 +366,10 @@ mod tests {
             Some("portfolio.worker.panic#1=panicx1")
         );
         assert!(warnings.is_empty());
-        assert!(matches!(config.backend(), BackendSpec::Portfolio(_)));
+        assert!(matches!(
+            BackendSpec::for_threads(config.threads),
+            BackendSpec::Portfolio(_)
+        ));
     }
 
     #[test]

@@ -232,6 +232,16 @@ impl BackendSpec {
         BackendSpec::Portfolio(PortfolioConfig::with_threads(threads))
     }
 
+    /// The backend a thread count selects: the sequential solver for at
+    /// most one thread, a racing portfolio of `threads` workers otherwise.
+    pub fn for_threads(threads: usize) -> BackendSpec {
+        if threads <= 1 {
+            BackendSpec::Single
+        } else {
+            BackendSpec::portfolio(threads)
+        }
+    }
+
     /// Instantiates an empty backend.
     pub fn create(self) -> Box<dyn SolveBackend> {
         match self {

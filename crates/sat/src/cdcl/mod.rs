@@ -199,18 +199,13 @@ pub struct SolverConfig {
 }
 
 /// Environment variable that flips [`SolverConfig::default`]'s
-/// `inprocess` field: `off` / `0` / `false` disable inprocessing, any
-/// other value (or unset) keeps it on.
+/// `inprocess` field, read with [`crate::ambient::parse_inprocess`]:
+/// `off` / `0` / `false` / `no` disable inprocessing; unset or malformed
+/// keeps it on.
 pub const INPROCESS_ENV: &str = "FULLLOCK_INPROCESS";
 
 fn inprocess_from_env() -> bool {
-    match std::env::var(INPROCESS_ENV) {
-        Ok(value) => !matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false"
-        ),
-        Err(_) => true,
-    }
+    crate::ambient::env_value(INPROCESS_ENV, crate::ambient::parse_inprocess).unwrap_or(true)
 }
 
 impl Default for SolverConfig {

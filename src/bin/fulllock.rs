@@ -41,6 +41,7 @@ use full_lock::locking::{
     PlrSpec, Rll, SarLock, WireSelection,
 };
 use full_lock::netlist::{bench_io, topo, verilog, Netlist};
+use full_lock::sat::ambient::{parse_oracle_qps, parse_oracle_retries, parse_oracle_votes};
 use full_lock::sat::tseytin;
 use full_lock::sat::{AmbientConfig, QuotaSpec};
 use full_lock::sat::{BackendSpec, CertifyLevel};
@@ -460,27 +461,19 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     if let Some(qps) = ambient.oracle_qps {
         resilience.qps = Some(qps);
     }
+    // A flag reads with its variable's grammar.
     if let Some(votes) = args.flag("oracle-votes") {
-        resilience.votes = votes.parse()?;
-        if resilience.votes == 0 || resilience.votes.is_multiple_of(2) {
-            return Err("attack: --oracle-votes must be an odd count ≥ 1".into());
-        }
+        resilience.votes =
+            parse_oracle_votes(votes).map_err(|e| format!("attack: --oracle-votes: {e}"))?;
     }
     if let Some(retries) = args.flag("oracle-retries") {
-        resilience.retries = retries.parse()?;
+        resilience.retries =
+            parse_oracle_retries(retries).map_err(|e| format!("attack: --oracle-retries: {e}"))?;
     }
     if let Some(qps) = args.flag("oracle-qps") {
-        let qps: f64 = qps.parse()?;
-        if !qps.is_finite() || qps <= 0.0 {
-            return Err("attack: --oracle-qps must be a positive rate".into());
-        }
-        resilience.qps = Some(qps);
+        resilience.qps =
+            Some(parse_oracle_qps(qps).map_err(|e| format!("attack: --oracle-qps: {e}"))?);
     }
-    let backend = if threads > 1 {
-        BackendSpec::portfolio(threads)
-    } else {
-        BackendSpec::Single
-    };
     let locked = as_locked(load_netlist(path)?)?;
     let original = load_netlist(oracle_path)?;
     let oracle = SimOracle::new(&original)?;
@@ -501,7 +494,7 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     }
     let config = SatAttackConfig {
         timeout: Some(Duration::from_secs_f64(timeout)),
-        backend,
+        backend: BackendSpec::for_threads(threads),
         certify,
         resilience,
         ..Default::default()

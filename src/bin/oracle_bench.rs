@@ -28,25 +28,18 @@
 //! fails; without the `failpoints` feature the flip phase is recorded
 //! as skipped and only the overhead claim gates the exit code.
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use full_lock::attacks::{Attack, AttackOutcome, OracleResilience, SatAttackConfig, SimOracle};
 #[cfg(feature = "failpoints")]
 use full_lock::attacks::{AttackError, AttackReport};
+use full_lock::bench::record::{parse_flag, BenchRecord, Cmp};
 use full_lock::locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, WireSelection,
 };
 use full_lock::netlist::random::{generate, RandomCircuitConfig};
 use full_lock::netlist::{Netlist, Simulator};
 use full_lock::sat::faults::{self, FaultPlan};
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// A c432-class combinational host (same class the chaos suite uses).
 fn host(seed: u64) -> Netlist {
@@ -133,7 +126,7 @@ fn run_clean(original: &Netlist, locked: &LockedCircuit, resilience: OracleResil
     elapsed
 }
 
-/// Compact, stable description of an attack verdict for the JSON report.
+/// Compact, stable description of an attack verdict for the record.
 #[cfg(feature = "failpoints")]
 fn describe(result: &Result<AttackReport, AttackError>) -> String {
     match result {
@@ -147,22 +140,11 @@ fn describe(result: &Result<AttackReport, AttackError>) -> String {
     }
 }
 
-struct FlipPhase {
-    injected: String,
-    unguarded_outcome: String,
-    unguarded_fooled: bool,
-    resilient_outcome: String,
-    resilient_exact_key: bool,
-    resilient_requeries: u64,
-    resilient_quarantined: u64,
-    ran: bool,
-}
-
 /// Byzantine phase: every 50th oracle response has one output bit
 /// flipped. The unguarded loop must fail; the resilient loop must
 /// recover the exact key.
 #[cfg(feature = "failpoints")]
-fn flip_phase(original: &Netlist, locked: &LockedCircuit) -> FlipPhase {
+fn flip_phase(original: &Netlist, locked: &LockedCircuit, record: &mut BenchRecord) {
     use full_lock::sat::faults::{site, Failpoint, FaultAction};
 
     fn flip_plan() -> FaultPlan {
@@ -214,41 +196,36 @@ fn flip_phase(original: &Netlist, locked: &LockedCircuit) -> FlipPhase {
         Err(_) => (false, 0, 0),
     };
 
-    FlipPhase {
-        injected: "oracle.query=flip on every 50th response (indices 2, 52, ...)".to_string(),
-        unguarded_outcome: describe(&unguarded),
-        unguarded_fooled,
-        resilient_outcome: describe(&resilient),
-        resilient_exact_key,
-        resilient_requeries: requeries,
-        resilient_quarantined: quarantined,
-        ran: true,
-    }
+    println!(
+        "oracle bench: flip injection: unguarded -> {} (fooled: {unguarded_fooled}), \
+         resilient -> {} (exact key: {resilient_exact_key}, {requeries} re-queries, \
+         {quarantined} quarantined)",
+        describe(&unguarded),
+        describe(&resilient),
+    );
+    record
+        .metric("flip_injected", "oracle.query=flip at 2, 52, 102, ...")
+        .metric("flip_unguarded_outcome", describe(&unguarded))
+        .metric("flip_unguarded_fooled", unguarded_fooled)
+        .metric("flip_resilient_outcome", describe(&resilient))
+        .metric("flip_resilient_exact_key", resilient_exact_key)
+        .metric("flip_resilient_requeries", requeries)
+        .metric("flip_resilient_quarantined", quarantined)
+        .bar("flip_unguarded_fooled", Cmp::Eq, true)
+        .bar("flip_resilient_exact_key", Cmp::Eq, true);
 }
 
 #[cfg(not(feature = "failpoints"))]
-fn flip_phase(_original: &Netlist, _locked: &LockedCircuit) -> FlipPhase {
-    FlipPhase {
-        injected: "skipped — built without --features failpoints".to_string(),
-        unguarded_outcome: String::new(),
-        unguarded_fooled: false,
-        resilient_outcome: String::new(),
-        resilient_exact_key: false,
-        resilient_requeries: 0,
-        resilient_quarantined: 0,
-        ran: false,
-    }
+fn flip_phase(_original: &Netlist, _locked: &LockedCircuit, record: &mut BenchRecord) {
+    println!("oracle bench: flip injection skipped — built without --features failpoints");
+    record.metric("flip_injected", "skipped: no failpoints feature");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let reps: usize = parse_flag(&args, "--reps")
-        .map(|v| v.parse().expect("--reps must be an integer"))
-        .unwrap_or(5);
-    let max_overhead: f64 = parse_flag(&args, "--max-overhead")
-        .map(|v| v.parse().expect("--max-overhead must be a number"))
-        .unwrap_or(0.05);
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_oracle.json".to_string());
+    let reps: usize = parse_flag(&args, "--reps", 5);
+    let max_overhead: f64 = parse_flag(&args, "--max-overhead", 0.05);
+    let out: String = parse_flag(&args, "--out", "BENCH_oracle.json".to_string());
     assert!(reps >= 1, "--reps must be at least 1");
 
     let seeds = [42u64, 11, 13];
@@ -286,83 +263,29 @@ fn main() {
         wall_guarded += best_guarded;
     }
     let overhead = (wall_guarded - wall_off) / wall_off;
-    let clean_pass = overhead < max_overhead;
     println!(
         "oracle bench: clean overhead {:.2}% (budget {:.2}%)",
         overhead * 100.0,
         max_overhead * 100.0
     );
+    let mut record = BenchRecord::new(format!(
+        "oracle-guided SAT attack on {} CLN-locked c432-class hosts; clean overhead = sum of \
+         per-host minimum wall over {reps} interleaved reps, resilient layer (guard on, \
+         votes=1) vs OracleResilience::off(); flip phase injects oracle.query=flip and \
+         compares verdicts",
+        workloads.len()
+    ));
+    record
+        .metric("hosts", workloads.len())
+        .metric("reps", reps)
+        .metric("clean_wall_unguarded_secs", wall_off)
+        .metric("clean_wall_resilient_secs", wall_guarded)
+        .metric("clean_overhead_fraction", overhead)
+        .bar("clean_overhead_fraction", Cmp::Lt, max_overhead);
 
     // Phase 2: Byzantine recovery under an injected flip plan.
     let (flip_original, flip_locked) = &workloads[0];
-    let flip = flip_phase(flip_original, flip_locked);
+    flip_phase(flip_original, flip_locked, &mut record);
     faults::clear();
-    let flip_pass = if flip.ran {
-        println!(
-            "oracle bench: flip injection: unguarded -> {} (fooled: {}), resilient -> {} \
-             (exact key: {}, {} re-queries, {} quarantined)",
-            flip.unguarded_outcome,
-            flip.unguarded_fooled,
-            flip.resilient_outcome,
-            flip.resilient_exact_key,
-            flip.resilient_requeries,
-            flip.resilient_quarantined,
-        );
-        flip.unguarded_fooled && flip.resilient_exact_key
-    } else {
-        println!("oracle bench: flip injection {}", flip.injected);
-        true
-    };
-
-    let pass = clean_pass && flip_pass;
-    let flip_json = if flip.ran {
-        format!(
-            "{{\n    \"injected\": \"{}\",\n    \
-             \"unguarded_outcome\": \"{}\",\n    \
-             \"unguarded_fooled\": {},\n    \
-             \"resilient_outcome\": \"{}\",\n    \
-             \"resilient_exact_key\": {},\n    \
-             \"resilient_requeries\": {},\n    \
-             \"resilient_quarantined\": {}\n  }}",
-            flip.injected,
-            flip.unguarded_outcome,
-            flip.unguarded_fooled,
-            flip.resilient_outcome,
-            flip.resilient_exact_key,
-            flip.resilient_requeries,
-            flip.resilient_quarantined,
-        )
-    } else {
-        format!("{{\n    \"injected\": \"{}\"\n  }}", flip.injected)
-    };
-    let json = format!(
-        "{{\n  \"workload\": \"oracle-guided SAT attack on {} CLN-locked c432-class hosts; \
-         clean overhead = sum of per-host minimum wall over {reps} interleaved reps, \
-         resilient layer (guard on, votes=1) vs OracleResilience::off(); flip phase injects \
-         oracle.query=flip and compares verdicts\",\n  \
-         \"hosts\": {},\n  \"reps\": {reps},\n  \
-         \"clean_wall_unguarded_secs\": {wall_off:.3},\n  \
-         \"clean_wall_resilient_secs\": {wall_guarded:.3},\n  \
-         \"clean_overhead_fraction\": {overhead:.4},\n  \
-         \"max_overhead_fraction\": {max_overhead:.4},\n  \
-         \"clean_pass\": {clean_pass},\n  \
-         \"flip\": {flip_json},\n  \
-         \"pass\": {pass}\n}}\n",
-        workloads.len(),
-        workloads.len(),
-    );
-    let mut file = std::fs::File::create(&out).expect("create bench report");
-    file.write_all(json.as_bytes()).expect("write bench report");
-    println!("oracle bench: wrote {out}");
-
-    if !pass {
-        eprintln!(
-            "oracle bench: FAILED — clean overhead {:.2}% (budget {:.2}%), flip phase pass: \
-             {flip_pass}",
-            overhead * 100.0,
-            max_overhead * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("oracle bench: PASS");
+    record.finish(&out);
 }

@@ -11,44 +11,23 @@
 //! Options: `--jobs N` (default 500), `--workers N` (default 4),
 //! `--clients N` (default 8), `--out PATH` (default BENCH_service.json).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use full_lock::bench::record::{parse_flag, percentile, BenchRecord, Cmp};
 use full_lock::harness::plan::JobSpec;
 use full_lock::harness::service::{serve, Client, Endpoint, ServiceConfig};
 
 /// Sustained throughput the service must clear on this workload.
-const MIN_THROUGHPUT_JOBS_PER_MIN: f64 = 100.0;
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
+const MIN_JOBS_PER_MIN: f64 = 100.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: usize = parse_flag(&args, "--jobs")
-        .map(|v| v.parse().expect("--jobs must be an integer"))
-        .unwrap_or(500);
-    let workers: usize = parse_flag(&args, "--workers")
-        .map(|v| v.parse().expect("--workers must be an integer"))
-        .unwrap_or(4);
-    let clients: usize = parse_flag(&args, "--clients")
-        .map(|v| v.parse().expect("--clients must be an integer"))
-        .unwrap_or(8);
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_service.json".to_string());
+    let jobs: usize = parse_flag(&args, "--jobs", 500);
+    let workers: usize = parse_flag(&args, "--workers", 4);
+    let clients: usize = parse_flag(&args, "--clients", 8);
+    let out: String = parse_flag(&args, "--out", "BENCH_service.json".to_string());
 
     let dir = std::env::temp_dir().join(format!("fulllock-serve-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -133,21 +112,18 @@ fn main() {
         p99 * 1e3
     );
 
-    let json = format!(
-        "{{\n  \"workload\": \"{jobs} /bin/true jobs over a unix socket, {workers} workers, \
-         {clients} closed-loop clients\",\n  \"jobs\": {jobs},\n  \"workers\": {workers},\n  \
-         \"clients\": {clients},\n  \"elapsed_secs\": {elapsed:.4},\n  \
-         \"throughput_jobs_per_min\": {throughput:.1},\n  \
-         \"latency_secs\": {{ \"p50\": {p50:.5}, \"p95\": {p95:.5}, \"p99\": {p99:.5} }},\n  \
-         \"min_throughput_jobs_per_min\": {MIN_THROUGHPUT_JOBS_PER_MIN:.1}\n}}\n"
-    );
-    let mut file = std::fs::File::create(&out).expect("create bench report");
-    file.write_all(json.as_bytes()).expect("write bench report");
-    println!("serve-bench: wrote {out}");
-
     std::fs::remove_dir_all(&dir).ok();
-    assert!(
-        throughput >= MIN_THROUGHPUT_JOBS_PER_MIN,
-        "throughput {throughput:.1} jobs/min below the {MIN_THROUGHPUT_JOBS_PER_MIN} floor"
-    );
+    BenchRecord::new(format!(
+        "{jobs} /bin/true jobs over a unix socket, {workers} workers, {clients} closed-loop clients"
+    ))
+    .metric("jobs", jobs)
+    .metric("workers", workers)
+    .metric("clients", clients)
+    .metric("elapsed_secs", elapsed)
+    .metric("throughput_jobs_per_min", throughput)
+    .metric("latency_p50_secs", p50)
+    .metric("latency_p95_secs", p95)
+    .metric("latency_p99_secs", p99)
+    .bar("throughput_jobs_per_min", Cmp::Ge, MIN_JOBS_PER_MIN)
+    .finish(&out);
 }

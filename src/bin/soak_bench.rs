@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use full_lock::bench::record::{parse_flag, percentile, BenchRecord, Cmp};
 use full_lock::harness::json::Json;
 use full_lock::harness::plan::JobSpec;
 use full_lock::harness::service::{Client, Endpoint, JobState, ShardedQueue};
@@ -70,21 +71,6 @@ fn send_signal(pid: u32, sig: i32) {
     unsafe {
         kill(pid as i32, sig);
     }
-}
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The `fulllock` CLI binary, expected next to this benchmark binary
@@ -310,15 +296,6 @@ fn corrupt_random_shard(queue_dir: &Path, rng: &mut SmallRng) -> Option<u32> {
     Some(shard)
 }
 
-struct ChaosOutcome {
-    incarnations: usize,
-    kills: usize,
-    corruptions: usize,
-    accepted: usize,
-    completed: usize,
-    tenant_ledger: Vec<(String, u64, u64, f64)>,
-}
-
 /// The main soak: kill/corrupt/fault-inject loop, then a clean final
 /// incarnation that must finish every accepted job and drain.
 #[allow(clippy::too_many_lines)]
@@ -328,7 +305,8 @@ fn chaos_phase(
     bin: &Path,
     secs: u64,
     rng: &mut SmallRng,
-) -> ChaosOutcome {
+    record: &mut BenchRecord,
+) {
     let sock = dir.join("serve.sock");
     let state = dir.join("state");
     let queue_dir = state.join("queue");
@@ -497,7 +475,12 @@ fn chaos_phase(
                     "tenant {tenant} ledger wall {wall:.6}s != queue sum {job_wall:.6}s"
                 ));
             }
-            tenant_ledger.push((tenant.to_string(), in_flight, conflicts, wall));
+            tenant_ledger.push(Json::Object(vec![
+                ("tenant".to_string(), Json::from(tenant)),
+                ("in_flight".to_string(), Json::from(in_flight)),
+                ("conflicts".to_string(), Json::from(conflicts)),
+                ("wall_secs".to_string(), Json::from(wall)),
+            ]));
         }
     } else {
         soak.violation("final health request failed".to_string());
@@ -521,27 +504,19 @@ fn chaos_phase(
         }
     }
 
-    ChaosOutcome {
-        incarnations,
-        kills,
-        corruptions,
-        accepted: accepted.len(),
-        completed,
-        tenant_ledger,
-    }
-}
-
-struct OverloadOutcome {
-    burst: usize,
-    admitted: usize,
-    shed: usize,
-    submit_p99_ms: f64,
+    record
+        .metric("incarnations", incarnations)
+        .metric("kills", kills)
+        .metric("corruptions", corruptions)
+        .metric("jobs_accepted", accepted.len())
+        .metric("jobs_completed", completed)
+        .metric("tenant_ledger", Json::Array(tenant_ledger));
 }
 
 /// Overload burst against a deliberately tiny daemon: one worker, eight
 /// pending slots. Excess submissions must shed with a typed
 /// `overloaded` error while admission decisions stay fast.
-fn overload_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> OverloadOutcome {
+fn overload_phase(dir: &Path, bin: &Path, soak: &Soak, record: &mut BenchRecord) {
     let sock = dir.join("overload.sock");
     let state = dir.join("overload-state");
     let log = dir.join("overload.log");
@@ -599,30 +574,28 @@ fn overload_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> Ov
         match reply.error_code() {
             None => admitted += 1,
             Some("overloaded") => shed += 1,
-            Some(code) => violations.lock().expect("violations lock").push(format!(
+            Some(code) => soak.violation(format!(
                 "overload burst refused with {code}, want overloaded"
             )),
         }
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     let submit_p99_ms = percentile(&latencies, 99.0) * 1e3;
-    let mut violations = violations.lock().expect("violations lock");
     if shed == 0 {
-        violations.push(format!(
+        soak.violation(format!(
             "overload burst of {burst} against max-pending 8 shed nothing"
         ));
     }
     if admitted > 8 {
-        violations.push(format!(
+        soak.violation(format!(
             "overload admitted {admitted} submissions past a pending cap of 8"
         ));
     }
     if submit_p99_ms > 1_000.0 {
-        violations.push(format!(
+        soak.violation(format!(
             "overload submit p99 {submit_p99_ms:.1}ms is not bounded (want <1000ms)"
         ));
     }
-    drop(violations);
     println!(
         "soak: overload burst {burst}: {admitted} admitted, {shed} shed, \
          submit p99 {submit_p99_ms:.1}ms"
@@ -631,23 +604,17 @@ fn overload_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> Ov
     // State is disposable here; a hard kill is fine and fast.
     daemon.child.kill().ok();
     daemon.child.wait().ok();
-    OverloadOutcome {
-        burst,
-        admitted,
-        shed,
-        submit_p99_ms,
-    }
-}
-
-struct LorisOutcome {
-    disconnected: bool,
-    concurrent_ok: usize,
+    record
+        .metric("overload_burst", burst)
+        .metric("overload_admitted", admitted)
+        .metric("overload_shed", shed)
+        .metric("overload_submit_p99_ms", submit_p99_ms);
 }
 
 /// Slow-loris: a client that trickles a partial request line and never
 /// finishes it. The daemon must disconnect it at the io deadline with a
 /// typed error, without stalling well-behaved clients.
-fn loris_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> LorisOutcome {
+fn loris_phase(dir: &Path, bin: &Path, soak: &Soak, record: &mut BenchRecord) {
     let sock = dir.join("loris.sock");
     let state = dir.join("loris-state");
     let log = dir.join("loris.log");
@@ -681,13 +648,13 @@ fn loris_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> Loris
         .unwrap_or(false);
     let disconnected = got_error && got_eof;
     if !disconnected {
-        violations.lock().expect("violations lock").push(format!(
+        soak.violation(format!(
             "slow-loris not disconnected cleanly (typed error: {got_error}, eof: {got_eof}, \
              response {response:?})"
         ));
     }
     if concurrent_ok < 5 {
-        violations.lock().expect("violations lock").push(format!(
+        soak.violation(format!(
             "only {concurrent_ok}/5 concurrent requests succeeded while the loris hung"
         ));
     }
@@ -697,21 +664,16 @@ fn loris_phase(dir: &Path, bin: &Path, violations: &Mutex<Vec<String>>) -> Loris
 
     daemon.child.kill().ok();
     daemon.child.wait().ok();
-    LorisOutcome {
-        disconnected,
-        concurrent_ok,
-    }
+    record
+        .metric("slow_loris_disconnected", disconnected)
+        .metric("slow_loris_concurrent_ok", concurrent_ok);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let secs: u64 = parse_flag(&args, "--secs")
-        .map(|v| v.parse().expect("--secs must be an integer"))
-        .unwrap_or(60);
-    let seed: u64 = parse_flag(&args, "--seed")
-        .map(|v| v.parse().expect("--seed must be an integer"))
-        .unwrap_or(7);
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_soak.json".to_string());
+    let secs: u64 = parse_flag(&args, "--secs", 60);
+    let seed: u64 = parse_flag(&args, "--seed", 7);
+    let out: String = parse_flag(&args, "--out", "BENCH_soak.json".to_string());
     let bin = fulllock_binary();
     let mut rng = SmallRng::seed_from_u64(seed);
 
@@ -734,76 +696,29 @@ fn main() {
         baseline: Mutex::new(HashMap::new()),
     });
 
+    let mut record = BenchRecord::new(
+        "chaos soak of the real fulllock serve binary: SIGKILL every 3-8s, rotating failpoint \
+         schedules, shard corruption, 4-client swarm; then an overload burst and a slow-loris \
+         client",
+    );
+    record.metric("chaos_secs", secs).metric("seed", seed);
     let start = Instant::now();
-    let chaos = chaos_phase(&soak, &dir, &bin, secs, &mut rng);
-    let overload = overload_phase(&dir, &bin, &soak.violations);
-    let loris = loris_phase(&dir, &bin, &soak.violations);
-    let elapsed = start.elapsed().as_secs_f64();
-
-    let violations = soak.violations.lock().expect("violations lock").clone();
-    let refusals = soak.refusals.lock().expect("refusals lock").clone();
-    let pass = violations.is_empty();
-
-    let refusals_json = refusals
-        .iter()
-        .map(|(code, count)| format!("\"{code}\": {count}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let violations_json = violations
-        .iter()
-        .map(|v| format!("    \"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let ledger_json = chaos
-        .tenant_ledger
-        .iter()
-        .map(|(tenant, in_flight, conflicts, wall)| {
-            format!(
-                "    {{ \"tenant\": \"{tenant}\", \"in_flight\": {in_flight}, \
-                 \"conflicts\": {conflicts}, \"wall_secs\": {wall:.4} }}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"workload\": \"chaos soak of the real fulllock serve binary: SIGKILL every \
-         3-8s, rotating failpoint schedules, shard corruption, 4-client swarm; then an \
-         overload burst and a slow-loris client\",\n  \
-         \"chaos_secs\": {secs},\n  \"seed\": {seed},\n  \"elapsed_secs\": {elapsed:.1},\n  \
-         \"incarnations\": {},\n  \"kills\": {},\n  \"corruptions\": {},\n  \
-         \"jobs\": {{ \"accepted\": {}, \"completed\": {} }},\n  \
-         \"refusals\": {{ {refusals_json} }},\n  \
-         \"tenant_ledger\": [\n{ledger_json}\n  ],\n  \
-         \"overload\": {{ \"burst\": {}, \"admitted\": {}, \"shed\": {}, \
-         \"submit_p99_ms\": {:.1} }},\n  \
-         \"slow_loris\": {{ \"disconnected\": {}, \"concurrent_ok\": {} }},\n  \
-         \"violations\": [\n{violations_json}\n  ],\n  \"pass\": {pass}\n}}\n",
-        chaos.incarnations,
-        chaos.kills,
-        chaos.corruptions,
-        chaos.accepted,
-        chaos.completed,
-        overload.burst,
-        overload.admitted,
-        overload.shed,
-        overload.submit_p99_ms,
-        loris.disconnected,
-        loris.concurrent_ok,
-    );
-    let mut file = std::fs::File::create(&out).expect("create soak report");
-    file.write_all(json.as_bytes()).expect("write soak report");
-    println!("soak: wrote {out}");
-
+    chaos_phase(&soak, &dir, &bin, secs, &mut rng, &mut record);
+    overload_phase(&dir, &bin, &soak, &mut record);
+    loris_phase(&dir, &bin, &soak, &mut record);
     std::fs::remove_dir_all(&dir).ok();
-    if !pass {
-        eprintln!("soak: FAILED with {} violation(s)", violations.len());
-        for violation in &violations {
-            eprintln!("  - {violation}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "soak: PASS — {} jobs exactly-once through {} kills and {} corruptions",
-        chaos.accepted, chaos.kills, chaos.corruptions
-    );
+
+    let violations = soak.violations.lock().expect("violations lock");
+    let codes = soak.refusals.lock().expect("refusals lock");
+    let refusals = codes.iter().map(|(code, &n)| (code.clone(), Json::from(n)));
+    record
+        .metric("elapsed_secs", start.elapsed().as_secs_f64())
+        .metric("refusals", Json::Object(refusals.collect()))
+        .metric("violations", violations.len())
+        .metric(
+            "violation_messages",
+            Json::Array(violations.iter().map(|v| Json::from(v.as_str())).collect()),
+        )
+        .bar("violations", Cmp::Eq, 0u64)
+        .finish(&out);
 }

@@ -16,8 +16,9 @@
 //!   costs roughly one speculation deadline instead of `straggle_ms`.
 //!
 //! Reported speedup is `wall(1 worker) / wall(N workers)` for the
-//! identical plan, and the run fails (exit 1) below `--floor`. Results
-//! land in `BENCH_sweep.json` with the measurement basis spelled out.
+//! identical plan, and the run fails (exit 1) below `--floor` or when
+//! the straggler's first owner won. Results land in `BENCH_sweep.json`
+//! with the measurement basis spelled out.
 //!
 //! ```text
 //! cargo run --release --bin sweep_bench
@@ -31,20 +32,13 @@
 //! `internal-worker`), so a release build of this one target is the
 //! whole deployment.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use full_lock::bench::record::{parse_flag, BenchRecord, Cmp};
 use full_lock::harness::sweep::segment::fold_segments;
 use full_lock::harness::sweep::worker::{run_worker, SatUnitExecutor, WorkerArgs};
 use full_lock::harness::sweep::{run_sweep, SweepConfig, SweepGrid, SweepOutcome, SweepPlan};
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Worker mode: `sweep_bench internal-worker --dir ... --worker N ...`.
 /// The coordinator spawns these; they coordinate purely through the
@@ -123,22 +117,12 @@ fn main() {
         worker_main(&args[1..]);
     }
 
-    let workers: usize = parse_flag(&args, "--workers")
-        .map(|v| v.parse().expect("--workers must be an integer"))
-        .unwrap_or(8);
-    let units: usize = parse_flag(&args, "--units")
-        .map(|v| v.parse().expect("--units must be an integer"))
-        .unwrap_or(128);
-    let sleep_ms: u64 = parse_flag(&args, "--sleep-ms")
-        .map(|v| v.parse().expect("--sleep-ms must be an integer"))
-        .unwrap_or(50);
-    let straggle_ms: u64 = parse_flag(&args, "--straggle-ms")
-        .map(|v| v.parse().expect("--straggle-ms must be an integer"))
-        .unwrap_or(8_000);
-    let floor: f64 = parse_flag(&args, "--floor")
-        .map(|v| v.parse().expect("--floor must be a number"))
-        .unwrap_or(8.0);
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let workers: usize = parse_flag(&args, "--workers", 8);
+    let units: usize = parse_flag(&args, "--units", 128);
+    let sleep_ms: u64 = parse_flag(&args, "--sleep-ms", 50);
+    let straggle_ms: u64 = parse_flag(&args, "--straggle-ms", 8_000);
+    let floor: f64 = parse_flag(&args, "--floor", 8.0);
+    let out: String = parse_flag(&args, "--out", "BENCH_sweep.json".to_string());
     assert!(workers >= 2, "--workers must be at least 2");
 
     let plan = bench_plan(units, sleep_ms, straggle_ms);
@@ -170,33 +154,25 @@ fn main() {
         },
     );
 
-    let speedup = t1 / tn;
-    let pass = speedup >= floor && neutralized;
-    let json = format!(
-        "{{\n  \"workload\": \"distributed sweep of {units} latency-bound units \
-         ({sleep_ms}ms sleep each; unit 0 straggles {straggle_ms}ms on its first owner) \
-         through the real coordinator + worker processes; speedup = wall(1 worker) / \
-         wall({workers} workers) for the identical plan\",\n  \
-         \"units\": {units},\n  \"sleep_ms\": {sleep_ms},\n  \
-         \"straggle_ms\": {straggle_ms},\n  \"workers\": {workers},\n  \
-         \"wall_1_worker_secs\": {t1:.3},\n  \"wall_n_workers_secs\": {tn:.3},\n  \
-         \"speedup\": {speedup:.2},\n  \"floor\": {floor:.1},\n  \
-         \"straggler_neutralized\": {neutralized},\n  \
-         \"speculative_wins\": {},\n  \"stolen_wins\": {},\n  \
-         \"respawns\": {},\n  \"pass\": {pass}\n}}\n",
-        fold.speculative, fold.stolen, outcome.respawns,
-    );
-    let mut file = std::fs::File::create(&out).expect("create bench report");
-    file.write_all(json.as_bytes()).expect("write bench report");
-    println!("sweep bench: wrote {out}");
     std::fs::remove_dir_all(&scratch).ok();
 
-    if !pass {
-        eprintln!(
-            "sweep bench: FAILED — speedup {speedup:.2}x (floor {floor:.1}x), \
-             straggler neutralized: {neutralized}"
-        );
-        std::process::exit(1);
-    }
-    println!("sweep bench: PASS — {speedup:.2}x at {workers} workers");
+    BenchRecord::new(format!(
+        "distributed sweep of {units} latency-bound units ({sleep_ms}ms sleep each; unit 0 \
+         straggles {straggle_ms}ms on its first owner) through the real coordinator + worker \
+         processes; speedup = wall(1 worker) / wall({workers} workers) for the identical plan"
+    ))
+    .metric("units", units)
+    .metric("sleep_ms", sleep_ms)
+    .metric("straggle_ms", straggle_ms)
+    .metric("workers", workers)
+    .metric("wall_1_worker_secs", t1)
+    .metric("wall_n_workers_secs", tn)
+    .metric("speedup", t1 / tn)
+    .metric("straggler_neutralized", neutralized)
+    .metric("speculative_wins", fold.speculative)
+    .metric("stolen_wins", fold.stolen)
+    .metric("respawns", outcome.respawns)
+    .bar("speedup", Cmp::Ge, floor)
+    .bar("straggler_neutralized", Cmp::Eq, true)
+    .finish(&out);
 }

@@ -144,6 +144,51 @@ fn full_lock_attack_verify_flow() {
 }
 
 #[test]
+fn inprocess_env_has_one_grammar() {
+    let dir = workdir("inprocess");
+    let original = dir.join("c17.bench");
+    let locked = dir.join("locked.bench");
+    fs::write(&original, C17).unwrap();
+    let out = run(&[
+        "lock",
+        original.to_str().unwrap(),
+        "-o",
+        locked.to_str().unwrap(),
+        "--scheme",
+        "rll",
+        "--bits",
+        "4",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+    // Whether the attack under this FULLLOCK_INPROCESS value ran inprocessing.
+    let inprocessed = |value: Option<&str>| {
+        let mut attack = Command::new(env!("CARGO_BIN_EXE_fulllock"));
+        attack.args([
+            "attack",
+            locked.to_str().unwrap(),
+            "--oracle",
+            original.to_str().unwrap(),
+        ]);
+        match value {
+            Some(value) => attack.env("FULLLOCK_INPROCESS", value),
+            None => attack.env_remove("FULLLOCK_INPROCESS"),
+        };
+        let out = attack.output().expect("binary runs");
+        assert!(out.status.success(), "{value:?}: {}", stdout(&out));
+        stdout(&out).contains("inprocessing:")
+    };
+    for off in ["off", "no", "0", "false"] {
+        assert!(
+            !inprocessed(Some(off)),
+            "FULLLOCK_INPROCESS={off} ran inprocessing"
+        );
+    }
+    assert!(inprocessed(None), "inprocessing is on by default");
+}
+
+#[test]
 fn export_formats() {
     let dir = workdir("export");
     let original = dir.join("c17.bench");
