@@ -185,11 +185,6 @@ impl CampaignManifest {
         });
     }
 
-    /// Count of jobs currently in `status`.
-    pub fn count(&self, status: JobStatus) -> usize {
-        self.jobs.iter().filter(|j| j.status == status).count()
-    }
-
     /// Serializes to the versioned JSON manifest format.
     pub fn to_json(&self) -> String {
         let opt_int = |v: Option<u64>| match v {

@@ -306,8 +306,8 @@ impl Fnv {
 /// A named, ordered set of [`JobSpec`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPlan {
-    /// Plan name, recorded in the manifest (a resumed manifest warns if
-    /// it was written by a differently named plan).
+    /// Plan name, recorded in a new manifest. A resume keeps the name its
+    /// manifest already has and matches jobs by id and config hash alone.
     pub name: String,
     /// The jobs, in scheduling order.
     pub jobs: Vec<JobSpec>,

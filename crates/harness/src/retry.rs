@@ -34,14 +34,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with no retries at all.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Backoff to wait after `failures` failed attempts, or `None` when
     /// the attempt budget is exhausted and the job must be declared
     /// permanently failed.
@@ -99,12 +91,6 @@ mod tests {
         assert_eq!(tripling.delay_after(1), Some(Duration::from_secs(1)));
         assert_eq!(tripling.delay_after(2), Some(Duration::from_secs(3)));
         assert_eq!(tripling.delay_after(3), None);
-    }
-
-    #[test]
-    fn no_retry_policy_never_delays() {
-        let policy = RetryPolicy::none();
-        assert_eq!(policy.delay_after(1), None);
     }
 
     #[test]

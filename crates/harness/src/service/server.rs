@@ -76,7 +76,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::Stdio;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 use fulllock_sat::faults::{self, FaultAction};
 use fulllock_sat::{QuotaSpec, TenantQuota};
 
-use crate::child::{self, Stop};
+use crate::child::{self, Ended};
 use crate::retry::RetryPolicy;
 use crate::service::protocol::{self, parse_request, ProtocolError, Request, PROTOCOL_VERSION};
 use crate::service::queue::{JobState, ServiceJob, ShardedQueue};
@@ -1100,14 +1100,8 @@ fn health_response(shared: &Shared) -> String {
 // Worker pool
 // ---------------------------------------------------------------------
 
-/// Why an attempt ended.
-enum AttemptEnd {
-    /// Exit status 0.
-    Success,
-    /// Non-zero exit, launch failure, or injected fault — retryable.
-    Failure(String),
-    /// Deadline exceeded (SIGTERM → grace → SIGKILL) — retryable.
-    Timeout(f64),
+/// Why a worker stopped its job's child before it ended on its own.
+enum Halt {
     /// Canceled by request.
     Canceled,
     /// Interrupted by the drain; re-queue without consuming an attempt.
@@ -1139,7 +1133,7 @@ fn worker_loop(shared: &Shared, index: usize, generation: u64) {
                     .map(|s| (*s).to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "worker panicked".to_string());
-                AttemptEnd::Failure(format!("worker panic: {msg}"))
+                Ended::Failed(format!("worker panic: {msg}"))
             });
         settle_attempt(shared, &id, &tenant, end, attempt_start.elapsed());
     }
@@ -1195,12 +1189,13 @@ fn claim_next(shared: &Shared) -> Option<(String, String)> {
 }
 
 /// Runs one attempt of a claimed job to completion (or interruption).
-fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
+/// Launch failures, spawn errors included, are retryable failures.
+fn run_attempt(shared: &Shared, index: usize, id: &str) -> Ended<Halt> {
     // Chaos hook: see module docs.
     match faults::evaluate(faults::site::SERVICE_WORKER, index) {
         Some(FaultAction::Panic) => panic!("service.worker failpoint"),
         Some(FaultAction::Trigger) => {
-            return AttemptEnd::Failure("service.worker failpoint trigger".to_string())
+            return Ended::Failed("service.worker failpoint trigger".to_string())
         }
         Some(delay @ FaultAction::DelayMs(_)) => faults::apply_delay(delay),
         _ => {}
@@ -1213,64 +1208,42 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
     };
     let job_dir = shared.config.state_dir.join("jobs").join(id);
     if let Err(e) = std::fs::create_dir_all(&job_dir) {
-        return AttemptEnd::Failure(format!("create job dir: {e}"));
+        return Ended::Failed(format!("create job dir: {e}"));
     }
     let job_dir_str = job_dir.to_string_lossy().to_string();
-    let subst = |s: &str| s.replace("{job_dir}", &job_dir_str);
-
-    let stdout_log = job_dir.join(format!("attempt{attempt}.stdout.log"));
-    let stderr_log = job_dir.join(format!("attempt{attempt}.stderr.log"));
-    let open_log =
-        |p: &PathBuf| -> std::io::Result<Stdio> { Ok(Stdio::from(std::fs::File::create(p)?)) };
-    let mut command = Command::new(subst(&spec.program));
-    command
-        .args(spec.args.iter().map(|a| subst(a)))
-        .envs(spec.env.iter().map(|(k, v)| (k.clone(), subst(v))))
-        .stdin(Stdio::null());
-    match (open_log(&stdout_log), open_log(&stderr_log)) {
-        (Ok(out), Ok(err)) => {
-            command.stdout(out).stderr(err);
-        }
-        _ => {
-            command.stdout(Stdio::null()).stderr(Stdio::null());
-        }
-    }
-    let timeout = spec
-        .timeout_secs
-        .map(Duration::from_secs_f64)
-        .unwrap_or(shared.config.default_timeout);
-    let supervised = child::supervise(
-        &mut command,
-        timeout,
-        shared.config.grace,
-        shared.config.poll_interval,
+    let open_log = |stream: &str| {
+        std::fs::File::create(job_dir.join(format!("attempt{attempt}.{stream}.log")))
+            .map(Stdio::from)
+    };
+    let logs = match (open_log("stdout"), open_log("stderr")) {
+        (Ok(out), Ok(err)) => (out, err),
+        _ => (Stdio::null(), Stdio::null()),
+    };
+    let config = &shared.config;
+    let run = child::run(
+        &spec,
+        |s| s.replace("{job_dir}", &job_dir_str),
+        logs,
+        config.default_timeout,
+        config.grace,
+        config.poll_interval,
         || {
             // Supervising a long child is not "stuck": keep the heartbeat
             // fresh so the watchdog only recycles workers wedged *outside*
             // the runner (e.g. a blocking fault injection or harness bug).
             shared.beat(index);
             if lock(&shared.cancels).contains(id) {
-                Some(AttemptEnd::Canceled)
+                Some(Halt::Canceled)
             } else if shared.draining.load(Ordering::SeqCst) {
-                Some(AttemptEnd::Interrupted)
+                Some(Halt::Interrupted)
             } else {
                 None
             }
         },
     );
-    let supervised = match supervised {
-        Ok(supervised) => supervised,
-        Err(e) => return AttemptEnd::Failure(format!("spawn {:?}: {e}", spec.program)),
-    };
-    match (supervised.stop, supervised.status) {
-        (Some(Stop::Asked(end)), _) => end,
-        (Some(Stop::Deadline), _) => AttemptEnd::Timeout(timeout.as_secs_f64()),
-        (None, Ok(status)) if status.success() => AttemptEnd::Success,
-        (None, Ok(status)) => AttemptEnd::Failure(match child::exit_signal(status) {
-            Some(sig) => format!("killed by signal {sig}"),
-            None => format!("exit status {}", status.code().unwrap_or(-1)),
-        }),
-        (None, Err(e)) => AttemptEnd::Failure(format!("wait: {e}")),
+    match run {
+        Ok(run) => run.ended,
+        Err(e) => Ended::Failed(format!("spawn {:?}: {e}", spec.program)),
     }
 }
 
@@ -1279,13 +1252,13 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
 /// tenant for every attempt the *job* caused (success, failure, timeout,
 /// cancel); a drain interruption is the server's fault and costs the
 /// tenant nothing.
-fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: AttemptEnd, elapsed: Duration) {
+fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: Ended<Halt>, elapsed: Duration) {
     let quota = shared.quota(tenant);
     let mut queue = lock(&shared.queue);
     let Some(job) = queue.job_mut(id) else { return };
     let mut charge_wall = true;
     match end {
-        AttemptEnd::Success => {
+        Ended::Succeeded => {
             // Charge solver conflicts from the job's report, if it wrote
             // one in the standard location.
             let conflicts = report_conflicts(&shared.config.state_dir.join("jobs").join(id));
@@ -1296,13 +1269,13 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: AttemptEnd, elap
             quota.charge(conflicts, Duration::ZERO);
             lock(&shared.counters).completed += 1;
         }
-        AttemptEnd::Canceled => {
+        Ended::Stopped(Halt::Canceled) => {
             job.state = JobState::Canceled;
             job.last_error = Some("canceled".to_string());
             lock(&shared.cancels).remove(id);
             lock(&shared.counters).canceled += 1;
         }
-        AttemptEnd::Interrupted => {
+        Ended::Stopped(Halt::Interrupted) => {
             job.state = JobState::Pending;
             job.interrupted = true;
             // The interruption was the server's fault, not the job's:
@@ -1311,12 +1284,7 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: AttemptEnd, elap
             charge_wall = false;
             lock(&shared.counters).drained += 1;
         }
-        AttemptEnd::Failure(_) | AttemptEnd::Timeout(_) => {
-            let detail = match end {
-                AttemptEnd::Timeout(secs) => format!("timed out after {secs:.1}s"),
-                AttemptEnd::Failure(detail) => detail,
-                _ => unreachable!("outer match covers only these two"),
-            };
+        Ended::Failed(detail) | Ended::TimedOut(detail) => {
             job.last_error = Some(detail);
             match shared
                 .config

@@ -10,25 +10,25 @@
 //! its budget is recorded as `failed`/`timed_out` and the campaign moves
 //! on; one bad experiment no longer aborts a multi-hour sweep.
 //!
-//! `--jobs N` slot threads (the calling thread is one of them) share one
-//! schedule: the manifest and a queue of runs, each eligible once its
-//! backoff has passed. A slot claims the oldest eligible run and
-//! supervises its child through the same runner `fulllock serve` uses
-//! for its workers. Child stdout/stderr go to per-attempt files under
-//! `<out_dir>/logs/`, and every state transition atomically rewrites
-//! `<out_dir>/campaign.json` (see [`crate::manifest`]) so a killed
-//! supervisor can `--resume`.
+//! `--jobs N` slot threads (the calling thread is one of them) share the
+//! manifest and the list of jobs still to run. A slot takes the next job
+//! in plan order and runs all of that job's attempts, sleeping each
+//! retry's backoff in place, through the same attempt path `fulllock
+//! serve` uses for its workers. Child stdout/stderr go to per-attempt
+//! files under `<out_dir>/logs/`, and every state transition atomically
+//! rewrites `<out_dir>/campaign.json` (see [`crate::manifest`]) so a
+//! killed supervisor can `--resume`.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Stdio;
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::child::{self, Stop};
+use crate::child::{self, Ended};
 use crate::manifest::{CampaignManifest, JobRecord, JobStatus};
-use crate::plan::CampaignPlan;
+use crate::plan::{CampaignPlan, JobSpec};
 use crate::retry::RetryPolicy;
 use crate::{HarnessError, Result};
 
@@ -115,21 +115,12 @@ impl CampaignOutcome {
     }
 }
 
-/// A queued execution: the job at `idx` in the plan, about to run its
-/// `attempt`-th attempt once `eligible_at` passes (backoff).
-struct QueuedRun {
-    idx: usize,
-    attempt: u32,
-    eligible_at: Instant,
-}
-
 /// The campaign state the slot threads share.
 struct Schedule {
     manifest: CampaignManifest,
-    queue: VecDeque<QueuedRun>,
-    /// Runs claimed by a slot and not yet settled.
-    in_flight: usize,
-    /// The first supervisor-level error; once set, no slot claims work.
+    /// Plan indices of the jobs no slot has taken yet, in plan order.
+    todo: VecDeque<usize>,
+    /// The first supervisor-level error; once set, no attempt starts.
     error: Option<HarnessError>,
 }
 
@@ -168,8 +159,7 @@ pub fn run_campaign(plan: &CampaignPlan, config: &SupervisorConfig) -> Result<Ca
     let ambient = config
         .ambient_hash
         .unwrap_or_else(crate::plan::current_ambient_fingerprint);
-    let now = Instant::now();
-    let mut queue: VecDeque<QueuedRun> = VecDeque::new();
+    let mut todo = VecDeque::new();
     for (idx, job) in plan.jobs.iter().enumerate() {
         let hash = job.config_hash_with(ambient);
         let prior = manifest.job(&job.id);
@@ -190,30 +180,33 @@ pub fn run_campaign(plan: &CampaignPlan, config: &SupervisorConfig) -> Result<Ca
             // Fresh record: an interrupted (`running`), failed, timed-out,
             // pending, or config-drifted entry re-runs from scratch.
             manifest.upsert(JobRecord::new(&job.id, hash));
-            queue.push_back(QueuedRun {
-                idx,
-                attempt: 1,
-                eligible_at: now,
-            });
+            todo.push_back(idx);
         }
     }
     manifest.save(&manifest_path)?;
 
-    // A job has at most one run queued or in flight, so slots beyond the
-    // queue's length would never claim anything.
-    let slots = config.parallelism.max(1).min(queue.len());
+    // A slot runs one job at a time, so slots beyond the jobs to run
+    // would never take one.
+    let slots = config.parallelism.max(1).min(todo.len());
     let schedule = Mutex::new(Schedule {
         manifest,
-        queue,
-        in_flight: 0,
+        todo,
         error: None,
     });
+    let slot = || loop {
+        // A statement of its own, so the guard drops before the job runs.
+        let next = lock(&schedule).todo.pop_front();
+        let Some(idx) = next else { return };
+        if let Err(e) = run_job(&plan.jobs[idx], config, &manifest_path, &schedule) {
+            lock(&schedule).error.get_or_insert(e);
+        }
+    };
     std::thread::scope(|scope| {
         for _ in 1..slots {
-            scope.spawn(|| run_slot(plan, config, &manifest_path, &schedule));
+            scope.spawn(slot);
         }
         // The calling thread is a slot too.
-        run_slot(plan, config, &manifest_path, &schedule);
+        slot();
     });
     let Schedule {
         manifest, error, ..
@@ -224,200 +217,133 @@ pub fn run_campaign(plan: &CampaignPlan, config: &SupervisorConfig) -> Result<Ca
         return Err(e);
     }
     manifest.save(&manifest_path)?;
+    // Only the plan's jobs count: a resumed manifest keeps the records of
+    // jobs the plan has since dropped.
+    let count = |status| {
+        plan.jobs
+            .iter()
+            .filter(|job| {
+                manifest
+                    .job(&job.id)
+                    .is_some_and(|rec| rec.status == status)
+            })
+            .count()
+    };
     Ok(CampaignOutcome {
         total: plan.jobs.len(),
-        succeeded: manifest.count(JobStatus::Succeeded),
-        failed: manifest.count(JobStatus::Failed),
-        timed_out: manifest.count(JobStatus::TimedOut),
-        skipped: manifest.count(JobStatus::Skipped),
+        succeeded: count(JobStatus::Succeeded),
+        failed: count(JobStatus::Failed),
+        timed_out: count(JobStatus::TimedOut),
+        skipped: count(JobStatus::Skipped),
         manifest_path,
     })
 }
 
-/// One slot: runs claimed attempts until the campaign is over, and hands
-/// a supervisor-level error to the whole schedule.
-fn run_slot(
-    plan: &CampaignPlan,
+/// Runs `job`'s attempts in this slot and records each one: success,
+/// retry after its backoff (slept here, in the slot), or final
+/// failure/timeout. A program that cannot be spawned at all is a
+/// permanent failure (bad config — never retried).
+fn run_job(
+    job: &JobSpec,
     config: &SupervisorConfig,
     manifest_path: &Path,
     schedule: &Mutex<Schedule>,
-) {
-    while let Some(run) = claim(schedule, config.poll_interval) {
-        if let Err(e) = run_attempt(plan, config, manifest_path, schedule, run) {
-            lock(schedule).error.get_or_insert(e);
-            return;
-        }
-    }
-}
-
-/// Claims the oldest eligible run, waiting while everything left backs
-/// off or runs on other slots; `None` once nothing is left (or a slot
-/// failed).
-fn claim(schedule: &Mutex<Schedule>, poll: Duration) -> Option<QueuedRun> {
-    loop {
-        let wait = {
-            let mut schedule = lock(schedule);
-            if schedule.error.is_some() || (schedule.queue.is_empty() && schedule.in_flight == 0) {
-                return None;
-            }
-            let now = Instant::now();
-            if let Some(pos) = schedule.queue.iter().position(|q| q.eligible_at <= now) {
-                schedule.in_flight += 1;
-                return schedule.queue.remove(pos);
-            }
-            // A retry starts when its backoff ends; a run another slot
-            // settles is seen within a poll interval.
-            schedule
-                .queue
-                .iter()
-                .map(|q| q.eligible_at.saturating_duration_since(now))
-                .min()
-                .map_or(poll, |backoff| backoff.min(poll))
-        };
-        std::thread::sleep(wait);
-    }
-}
-
-/// Runs one claimed attempt and records it: success, retry with backoff,
-/// or final failure/timeout. A program that cannot be spawned at all is
-/// a permanent failure (bad config — never retried).
-fn run_attempt(
-    plan: &CampaignPlan,
-    config: &SupervisorConfig,
-    manifest_path: &Path,
-    schedule: &Mutex<Schedule>,
-    run: QueuedRun,
 ) -> Result<()> {
-    let job = &plan.jobs[run.idx];
-    let stdout_rel = format!("logs/{}.attempt{}.stdout.log", job.id, run.attempt);
-    let stderr_rel = format!("logs/{}.attempt{}.stderr.log", job.id, run.attempt);
-    let open = |rel: &str| {
-        let path = config.out_dir.join(rel);
-        File::create(&path).map_err(|e| HarnessError::Io {
-            path,
-            message: format!("create log file: {e}"),
-        })
-    };
-    let stdout = open(&stdout_rel)?;
-    let stderr = open(&stderr_rel)?;
-
-    let mut cmd = Command::new(&job.program);
-    cmd.args(&job.args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::from(stdout))
-        .stderr(Stdio::from(stderr));
-    for (k, v) in &job.env {
-        cmd.env(k, v);
-    }
-
-    // Records the attempt as started in `status`, writing to these logs.
-    let begin = |schedule: &mut Schedule, status: JobStatus| {
-        let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
-        rec.attempts = run.attempt;
-        rec.stdout_log = Some(stdout_rel.clone());
-        rec.stderr_log = Some(stderr_rel.clone());
-        rec.status = status;
-        schedule
-            .manifest
-            .push_event(&job.id, run.attempt, status.as_str());
-    };
-    let timeout = job
-        .timeout_secs
-        .map(Duration::from_secs_f64)
-        .unwrap_or(config.default_timeout);
-    // The schedule stays locked from the spawn until the attempt is
-    // recorded, so no other slot's manifest fsync runs while the child
-    // starts: one can hold `spawn()` past a short job's exit, and its
-    // spawn-time VmHWM sample is then lost.
-    let mut starting = Some(lock(schedule));
-    let supervised = child::supervise(
-        &mut cmd,
-        timeout,
-        config.grace,
-        config.poll_interval,
-        || {
-            // The first tick comes right after the spawn: only now is the
-            // job running. A manifest that cannot record it stops the child
-            // and fails the campaign.
-            let mut schedule = starting.take()?;
-            begin(&mut schedule, JobStatus::Running);
-            schedule.manifest.save(manifest_path).err()
-        },
-    );
-    let supervised = match supervised {
-        Ok(supervised) => supervised,
-        Err(e) => {
-            let mut schedule = starting.take().expect("no tick runs without a child");
-            begin(&mut schedule, JobStatus::Failed);
-            schedule.in_flight -= 1;
-            let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
-            rec.last_error = Some(format!("spawn failed: {e} (permanent, not retried)"));
-            return schedule.manifest.save(manifest_path);
+    let retry = config.retry.for_job(job);
+    let mut attempt = 1;
+    loop {
+        if lock(schedule).error.is_some() {
+            // Another slot failed the campaign: start no further attempt.
+            return Ok(());
         }
-    };
-    let timed_out = match supervised.stop {
-        Some(Stop::Asked(e)) => return Err(e),
-        Some(Stop::Deadline) => true,
-        None => false,
-    };
-
-    let mut guard = lock(schedule);
-    let schedule = &mut *guard;
-    schedule.in_flight -= 1;
-    let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
-    rec.duration_secs += supervised.elapsed.as_secs_f64();
-    if let Some(rss) = supervised.peak_rss_kb {
-        rec.peak_rss_kb = Some(rec.peak_rss_kb.unwrap_or(0).max(rss));
-    }
-    let status = supervised.status.as_ref().ok().copied();
-    rec.exit_code = status.and_then(|s| s.code()).map(i64::from);
-    rec.signal = status.and_then(child::exit_signal);
-
-    let succeeded = !timed_out && status.is_some_and(|s| s.success());
-    if succeeded {
-        rec.status = JobStatus::Succeeded;
-        rec.last_error = None;
-        schedule
-            .manifest
-            .push_event(&job.id, run.attempt, JobStatus::Succeeded.as_str());
-        return schedule.manifest.save(manifest_path);
-    }
-
-    let reason = if timed_out {
-        "wall-clock budget exceeded".to_string()
-    } else if let Err(e) = &supervised.status {
-        format!("wait failed: {e}")
-    } else {
-        match (rec.exit_code, rec.signal) {
-            (Some(code), _) => format!("exited with status {code}"),
-            (None, Some(sig)) => format!("killed by signal {sig}"),
-            (None, None) => "terminated abnormally".to_string(),
-        }
-    };
-    rec.last_error = Some(reason);
-
-    // Transient failure (non-zero exit, signal kill, timeout): retry
-    // with exponential backoff while the attempt budget lasts.
-    if let Some(delay) = config.retry.for_job(job).delay_after(run.attempt) {
-        rec.status = JobStatus::Pending;
-        schedule
-            .manifest
-            .push_event(&job.id, run.attempt, "retrying");
-        schedule.queue.push_back(QueuedRun {
-            idx: run.idx,
-            attempt: run.attempt + 1,
-            eligible_at: Instant::now() + delay,
-        });
-    } else {
-        let terminal = if timed_out {
-            JobStatus::TimedOut
-        } else {
-            JobStatus::Failed
+        let stdout_rel = format!("logs/{}.attempt{attempt}.stdout.log", job.id);
+        let stderr_rel = format!("logs/{}.attempt{attempt}.stderr.log", job.id);
+        let open = |rel: &str| {
+            let path = config.out_dir.join(rel);
+            File::create(&path)
+                .map(Stdio::from)
+                .map_err(|e| HarnessError::Io {
+                    path,
+                    message: format!("create log file: {e}"),
+                })
         };
-        rec.status = terminal;
-        schedule
-            .manifest
-            .push_event(&job.id, run.attempt, terminal.as_str());
+        let logs = (open(&stdout_rel)?, open(&stderr_rel)?);
+
+        // Records the attempt as started in `status`, writing to these logs.
+        let begin = |schedule: &mut Schedule, status: JobStatus| {
+            let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
+            rec.attempts = attempt;
+            rec.stdout_log = Some(stdout_rel.clone());
+            rec.stderr_log = Some(stderr_rel.clone());
+            rec.status = status;
+            schedule
+                .manifest
+                .push_event(&job.id, attempt, status.as_str());
+        };
+        // The schedule stays locked from the spawn until the attempt is
+        // recorded, so no other slot's manifest fsync runs while the child
+        // starts: one can hold `spawn()` past a short job's exit, and its
+        // spawn-time VmHWM sample is then lost.
+        let mut starting = Some(lock(schedule));
+        let run = child::run(
+            job,
+            str::to_string,
+            logs,
+            config.default_timeout,
+            config.grace,
+            config.poll_interval,
+            || {
+                // The first tick comes right after the spawn: only now is
+                // the job running. A manifest that cannot record it stops
+                // the child and fails the campaign.
+                let mut schedule = starting.take()?;
+                begin(&mut schedule, JobStatus::Running);
+                schedule.manifest.save(manifest_path).err()
+            },
+        );
+        let run = match run {
+            Ok(run) => run,
+            Err(e) => {
+                let mut schedule = starting.take().expect("no tick runs without a child");
+                begin(&mut schedule, JobStatus::Failed);
+                let rec = schedule.manifest.job_mut(&job.id).expect(UPSERTED);
+                rec.last_error = Some(format!("spawn failed: {e} (permanent, not retried)"));
+                return schedule.manifest.save(manifest_path);
+            }
+        };
+        let (status, reason) = match run.ended {
+            Ended::Stopped(e) => return Err(e),
+            Ended::Succeeded => (JobStatus::Succeeded, None),
+            Ended::Failed(reason) => (JobStatus::Failed, Some(reason)),
+            Ended::TimedOut(reason) => (JobStatus::TimedOut, Some(reason)),
+        };
+        // Transient failure (non-zero exit, signal kill, timeout): retry
+        // with exponential backoff while the attempt budget lasts.
+        let backoff = match status {
+            JobStatus::Succeeded => None,
+            _ => retry.delay_after(attempt),
+        };
+
+        let mut schedule = lock(schedule);
+        let manifest = &mut schedule.manifest;
+        let rec = manifest.job_mut(&job.id).expect(UPSERTED);
+        rec.duration_secs += run.elapsed.as_secs_f64();
+        if let Some(rss) = run.peak_rss_kb {
+            rec.peak_rss_kb = Some(rec.peak_rss_kb.unwrap_or(0).max(rss));
+        }
+        rec.exit_code = run.exit_code;
+        rec.signal = run.signal;
+        rec.last_error = reason;
+        let Some(backoff) = backoff else {
+            rec.status = status;
+            manifest.push_event(&job.id, attempt, status.as_str());
+            return manifest.save(manifest_path);
+        };
+        rec.status = JobStatus::Pending;
+        manifest.push_event(&job.id, attempt, "retrying");
+        manifest.save(manifest_path)?;
+        drop(schedule);
+        std::thread::sleep(backoff);
+        attempt += 1;
     }
-    schedule.manifest.save(manifest_path)
 }

@@ -301,7 +301,6 @@ pub fn run_worker(
                     continue;
                 }
                 execute_unit(
-                    plan,
                     config,
                     executor,
                     &leases,
@@ -340,7 +339,6 @@ pub fn run_worker(
                     continue;
                 }
                 execute_unit(
-                    plan,
                     config,
                     executor,
                     &leases,
@@ -370,7 +368,6 @@ pub fn run_worker(
                 };
                 if held.worker != config.worker && held.age_millis(now_millis()) > deadline_ms {
                     execute_unit(
-                        plan,
                         config,
                         executor,
                         &leases,
@@ -415,7 +412,6 @@ fn speculation_deadline_ms(config: &WorkerConfig, durations_ms: &[u64]) -> u64 {
 /// append, first-wins settlement, lease release.
 #[allow(clippy::too_many_arguments)]
 fn execute_unit(
-    plan: &SweepPlan,
     config: &WorkerConfig,
     executor: &dyn UnitExecutor,
     leases: &LeaseDir,
@@ -427,7 +423,6 @@ fn execute_unit(
     stolen: bool,
     speculative: bool,
 ) -> Result<()> {
-    let _ = plan;
     // The sweep.unit failpoint targets grid points by *unit* index:
     // delay makes this unit a straggler, panic kills the worker while it
     // holds the lease, trigger fails the execution spuriously.

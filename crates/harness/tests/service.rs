@@ -12,8 +12,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fulllock_harness::json::Json;
-use fulllock_harness::plan::JobSpec;
-use fulllock_harness::service::{serve, Client, Endpoint, ServeSummary, ServiceConfig};
+use fulllock_harness::manifest::CampaignManifest;
+use fulllock_harness::plan::{CampaignPlan, JobSpec};
+use fulllock_harness::service::{
+    serve, Client, Endpoint, ServeSummary, ServiceConfig, ServiceReply,
+};
+use fulllock_harness::supervisor::{run_campaign, SupervisorConfig};
 use fulllock_sat::QuotaSpec;
 
 struct TestServer {
@@ -313,6 +317,84 @@ fn failed_jobs_retry_then_fail_with_the_exit_detail() {
 
     let summary = server.stop();
     assert_eq!(summary.failed, 1);
+}
+
+/// Unlike a campaign, which fails such a job for good, serve counts a
+/// program that cannot be spawned as a failed attempt and retries it.
+#[test]
+fn unspawnable_program_is_retried() {
+    let mut server = TestServer::start("unspawnable", |config| {
+        config.retry.max_attempts = 2;
+        config.retry.base_delay = Duration::from_millis(5);
+    });
+    let client = server.client();
+    client
+        .submit(
+            "t",
+            JobSpec::new("ghost", "/nonexistent/fulllock-no-such-binary"),
+        )
+        .expect("submit");
+    let done = client.wait("ghost", Duration::from_secs(20)).expect("wait");
+    let ServiceReply::Ok(json) = &done else {
+        panic!("{done:?}")
+    };
+    let job = json.get("job").expect("job");
+    assert_eq!(job.get("state").and_then(Json::as_str), Some("failed"));
+    assert_eq!(job.get("attempts").and_then(Json::as_u64), Some(2));
+    assert!(
+        job.get("last_error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.starts_with("spawn ")),
+        "{done:?}"
+    );
+    server.stop();
+}
+
+/// `campaign` and `serve` run their jobs through one attempt path, so
+/// a job's failure reads the same in the campaign manifest and in its
+/// serve status.
+#[test]
+fn campaign_and_serve_word_a_failure_alike() {
+    let jobs = [
+        (sh_job("crashy", "exit 3"), "exit status 3"),
+        (
+            sh_job("hangy", "sleep 30").timeout_secs(0.3),
+            "timed out after 0.3s",
+        ),
+    ];
+    let mut server = TestServer::start("grammar", |_| {});
+    let client = server.client();
+    let mut plan = CampaignPlan::new("grammar");
+    for (job, _) in &jobs {
+        plan = plan.job(job.clone().max_attempts(1));
+        client
+            .submit("t", job.clone().max_attempts(1))
+            .expect("submit");
+    }
+    let config = SupervisorConfig {
+        out_dir: server.dir.join("campaign"),
+        parallelism: 2,
+        ..SupervisorConfig::default()
+    };
+    let outcome = run_campaign(&plan, &config).expect("campaign runs");
+    let manifest = CampaignManifest::load(&outcome.manifest_path).expect("manifest");
+
+    for (job, wording) in &jobs {
+        let done = client.wait(&job.id, Duration::from_secs(20)).expect("wait");
+        let ServiceReply::Ok(json) = &done else {
+            panic!("{done:?}")
+        };
+        let served = json
+            .get("job")
+            .and_then(|j| j.get("last_error"))
+            .and_then(Json::as_str);
+        let recorded = manifest
+            .job(&job.id)
+            .and_then(|rec| rec.last_error.as_deref());
+        assert_eq!(recorded, served, "{}", job.id);
+        assert_eq!(recorded, Some(*wording), "{}", job.id);
+    }
+    server.stop();
 }
 
 #[test]

@@ -301,6 +301,45 @@ fn config_drift_invalidates_a_previous_success() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resumed plan that dropped a job counts only its own jobs: the
+/// dropped job's failed record stays in the manifest but neither counts
+/// nor fails the resumed campaign.
+#[test]
+fn resume_counts_only_the_plans_jobs() {
+    let dir = scratch("resume-count");
+    let cfg = config(&dir);
+    let first = run_campaign(
+        &CampaignPlan::new("p")
+            .job(sh("a", "true"))
+            .job(sh("bad", "exit 3")),
+        &cfg,
+    )
+    .expect("first run");
+    assert_eq!((first.succeeded, first.failed), (1, 1));
+
+    let mut resume_cfg = cfg.clone();
+    resume_cfg.resume = true;
+    let outcome = run_campaign(&CampaignPlan::new("p").job(sh("a", "true")), &resume_cfg)
+        .expect("resume with a smaller plan");
+    assert_eq!(outcome.total, 1);
+    assert_eq!(
+        (
+            outcome.succeeded,
+            outcome.skipped,
+            outcome.failed,
+            outcome.timed_out
+        ),
+        (0, 1, 0, 0)
+    );
+    assert!(outcome.all_succeeded());
+    assert_eq!(
+        manifest(&dir).job("bad").map(|rec| rec.status),
+        Some(JobStatus::Failed),
+        "the dropped job's record is kept"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The ambient `FULLLOCK_*` fingerprint is part of every job's config
 /// hash: a resume under a drifted environment must re-run the job, and
 /// a resume under the same environment must skip it.

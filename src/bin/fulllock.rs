@@ -253,6 +253,21 @@ impl Args {
     }
 }
 
+/// The value of a seconds flag, if given: a finite number >= 0 (what
+/// `Duration` holds), or an error naming the flag.
+fn secs_flag(args: &Args, name: &str) -> Result<Option<Duration>, String> {
+    args.flag(name)
+        .map(|text| {
+            text.parse()
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| {
+                    format!("--{name} {text:?}: expected a finite number of seconds >= 0")
+                })
+        })
+        .transpose()
+}
+
 fn load_netlist(path: &str) -> Result<Netlist, Box<dyn Error>> {
     let text = fs::read_to_string(path)?;
     let name = std::path::Path::new(path)
@@ -430,10 +445,9 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     for w in &ambient_warnings {
         eprintln!("warning: {w}");
     }
-    let timeout: f64 = match args.flag("timeout") {
-        Some(t) => t.parse()?,
-        None => ambient.timeout.map_or(60.0, |d| d.as_secs_f64()),
-    };
+    let timeout = secs_flag(&args, "timeout")?
+        .or(ambient.timeout)
+        .unwrap_or(Duration::from_secs(60));
     let threads: usize = match args.flag("threads") {
         Some(t) => t.parse()?,
         None => ambient.threads,
@@ -482,10 +496,11 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     let quiet = json_out.as_deref() == Some("-");
     if !quiet {
         println!(
-            "attacking {} ({} key bits, cyclic: {}) with a {timeout}s budget on {} thread(s)…",
+            "attacking {} ({} key bits, cyclic: {}) with a {}s budget on {} thread(s)…",
             locked.netlist.name(),
             locked.key_len(),
             topo::is_cyclic(&locked.netlist),
+            timeout.as_secs_f64(),
             threads.max(1),
         );
         if certify != CertifyLevel::Off {
@@ -493,7 +508,7 @@ fn cmd_attack(raw: &[String]) -> CliResult {
         }
     }
     let config = SatAttackConfig {
-        timeout: Some(Duration::from_secs_f64(timeout)),
+        timeout: Some(timeout),
         backend: BackendSpec::for_threads(threads),
         certify,
         resilience,
@@ -631,10 +646,8 @@ fn cmd_campaign(raw: &[String]) -> CliResult {
         resume: args.has("resume"),
         out_dir: args.flag("out-dir").unwrap_or("campaign").into(),
         parallelism: args.flag("jobs").unwrap_or("1").parse()?,
-        default_timeout: Duration::from_secs_f64(
-            args.flag("timeout-secs").unwrap_or("3600").parse()?,
-        ),
-        grace: Duration::from_secs_f64(args.flag("grace-secs").unwrap_or("2").parse()?),
+        default_timeout: secs_flag(&args, "timeout-secs")?.unwrap_or(Duration::from_secs(3600)),
+        grace: secs_flag(&args, "grace-secs")?.unwrap_or(Duration::from_secs(2)),
         ..Default::default()
     };
     config.retry = RetryPolicy {
@@ -739,8 +752,8 @@ fn cmd_sweep(raw: &[String]) -> CliResult {
     config.lease_ttl =
         Duration::from_millis(args.flag("lease-ttl-millis").unwrap_or("2000").parse()?);
     config.max_respawns = args.flag("max-respawns").unwrap_or("16").parse()?;
-    let max_wall: f64 = args.flag("max-wall-secs").unwrap_or("1800").parse()?;
-    config.max_wall = (max_wall > 0.0).then(|| Duration::from_secs_f64(max_wall));
+    let max_wall = secs_flag(&args, "max-wall-secs")?.unwrap_or(Duration::from_secs(1800));
+    config.max_wall = (!max_wall.is_zero()).then_some(max_wall);
 
     println!(
         "sweep {:?}: {} unit(s) on {} worker(s), executor {}, {}s/unit -> {}",
@@ -878,9 +891,8 @@ fn cmd_serve(raw: &[String]) -> CliResult {
     let mut config = ServiceConfig::new(endpoint, args.flag("state-dir").unwrap_or("serve-state"));
     config.workers = args.flag("workers").unwrap_or("2").parse()?;
     config.shards = args.flag("shards").unwrap_or("4").parse()?;
-    config.default_timeout =
-        Duration::from_secs_f64(args.flag("timeout-secs").unwrap_or("3600").parse()?);
-    config.grace = Duration::from_secs_f64(args.flag("grace-secs").unwrap_or("2").parse()?);
+    config.default_timeout = secs_flag(&args, "timeout-secs")?.unwrap_or(Duration::from_secs(3600));
+    config.grace = secs_flag(&args, "grace-secs")?.unwrap_or(Duration::from_secs(2));
     config.retry.max_attempts = args.flag("max-attempts").unwrap_or("2").parse()?;
     if let Some(n) = args.flag("max-connections") {
         config.max_connections = n.parse()?;
@@ -888,14 +900,14 @@ fn cmd_serve(raw: &[String]) -> CliResult {
     if let Some(n) = args.flag("max-pending") {
         config.max_pending = n.parse()?;
     }
-    if let Some(s) = args.flag("io-timeout-secs") {
-        config.io_timeout = Duration::from_secs_f64(s.parse()?);
+    if let Some(secs) = secs_flag(&args, "io-timeout-secs")? {
+        config.io_timeout = secs;
     }
     if let Some(n) = args.flag("max-request-line") {
         config.max_request_line = n.parse()?;
     }
-    if let Some(s) = args.flag("watchdog-secs") {
-        config.watchdog_timeout = Duration::from_secs_f64(s.parse()?);
+    if let Some(secs) = secs_flag(&args, "watchdog-secs")? {
+        config.watchdog_timeout = secs;
     }
     if let Some(spec) = args.flag("default-quota") {
         config.default_quota = parse_quota_spec(spec)?;

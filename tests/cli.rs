@@ -188,6 +188,62 @@ fn inprocess_env_has_one_grammar() {
     assert!(inprocessed(None), "inprocessing is on by default");
 }
 
+/// A seconds flag refuses a value no `Duration` holds (negative, NaN,
+/// infinite) with an `error:` line naming the flag, instead of
+/// panicking.
+#[test]
+fn seconds_flags_refuse_negative_and_non_finite_values() {
+    let dir = workdir("secs");
+    let original = dir.join("c17.bench");
+    let locked = dir.join("locked.bench");
+    let plan = dir.join("plan.json");
+    fs::write(&original, C17).unwrap();
+    fs::write(
+        &plan,
+        r#"{"version":1,"name":"secs","jobs":[{"id":"a","program":"/bin/true"}]}"#,
+    )
+    .unwrap();
+    let (original, locked, plan) = (
+        original.to_str().unwrap(),
+        locked.to_str().unwrap(),
+        plan.to_str().unwrap(),
+    );
+    let out = run(&[
+        "lock", original, "-o", locked, "--scheme", "rll", "--bits", "4",
+    ]);
+    assert!(out.status.success());
+    let out_dir = dir.join("out");
+    let out_dir = out_dir.to_str().unwrap();
+    let socket = format!("unix:{}", dir.join("serve.sock").display());
+
+    let attack = ["attack", locked, "--oracle", original];
+    let campaign = ["campaign", "--plan", plan, "--out-dir", out_dir];
+    let sweep = ["sweep", "--grid", "vars=20", "--out-dir", out_dir];
+    let serve = ["serve", "--listen", &socket, "--state-dir", out_dir];
+    let cases: [(&[&str], &str, &str); 8] = [
+        (&attack, "timeout", "-1"),
+        (&campaign, "timeout-secs", "-1"),
+        (&campaign, "grace-secs", "inf"),
+        (&sweep, "max-wall-secs", "inf"),
+        (&serve, "timeout-secs", "-0.5"),
+        (&serve, "grace-secs", "-inf"),
+        (&serve, "io-timeout-secs", "NaN"),
+        (&serve, "watchdog-secs", "nan"),
+    ];
+    for (command, flag, value) in cases {
+        let flag = format!("--{flag}");
+        let mut args = command.to_vec();
+        args.extend([flag.as_str(), value]);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} ")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn export_formats() {
     let dir = workdir("export");
