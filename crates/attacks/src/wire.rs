@@ -82,6 +82,7 @@ pub fn solver_stats_to_json(stats: &SolverStats) -> Json {
         ("solves".into(), Json::Int(stats.solves)),
         ("learnts_carried".into(), Json::Int(stats.learnts_carried)),
         ("inprocessings".into(), Json::Int(stats.inprocessings)),
+        ("inprocess_ns".into(), Json::Int(stats.inprocess_ns)),
         ("vars_eliminated".into(), Json::Int(stats.vars_eliminated)),
         ("clauses_subsumed".into(), Json::Int(stats.clauses_subsumed)),
         (
@@ -144,6 +145,7 @@ pub fn solver_stats_from_json(json: &Json) -> std::result::Result<SolverStats, S
         solves: late_stat("solves"),
         learnts_carried: late_stat("learnts_carried"),
         inprocessings: late_stat("inprocessings"),
+        inprocess_ns: late_stat("inprocess_ns"),
         vars_eliminated: late_stat("vars_eliminated"),
         clauses_subsumed: late_stat("clauses_subsumed"),
         clauses_strengthened: late_stat("clauses_strengthened"),
@@ -643,6 +645,17 @@ mod tests {
         assert_eq!(back.resilience.oracle_retries, 0);
         assert_eq!(back.resilience.oracle_requeries, 0);
         assert_eq!(back.resilience.quarantined_pairs, 0);
+    }
+
+    #[test]
+    fn absent_inprocess_time_defaults_to_zero() {
+        // Reports and checkpoints written before rounds were timed.
+        let mut report = sample_report();
+        report.solver.inprocess_ns = 7;
+        let text = report.to_json().replace(",\"inprocess_ns\":7", "");
+        assert!(!text.contains("inprocess_ns"), "field really removed");
+        let back = AttackReport::from_json(&text).expect("old-format parse");
+        assert_eq!(back.solver.inprocess_ns, 0);
     }
 
     #[test]

@@ -93,6 +93,7 @@ fn derived_solver(mix: &mut Mix) -> SolverStats {
     solver.solves = mix.next() % 1_000;
     solver.learnts_carried = mix.next() % 10_000;
     solver.inprocessings = mix.next() % 10;
+    solver.inprocess_ns = mix.next() % u64::from(u32::MAX);
     solver.vars_eliminated = mix.next() % 1_000;
     solver.clauses_subsumed = mix.next() % 1_000;
     solver.clauses_strengthened = mix.next() % 1_000;

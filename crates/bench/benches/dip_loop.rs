@@ -17,7 +17,9 @@
 //!
 //! Besides the criterion timing, the bench writes `BENCH_dip_loop.json`
 //! at the repository root with both absolute numbers, and fails below
-//! a 2x per-iteration speedup over the legacy pipeline.
+//! a 2x per-iteration speedup over the legacy pipeline. It also records
+//! how much of the current pipeline's time its inprocessing rounds take
+//! (`current_inprocess_s`).
 //!
 //! Run with: `cargo bench -p fulllock-bench --bench dip_loop`
 
@@ -73,17 +75,19 @@ fn current_config() -> SatAttackConfig {
     }
 }
 
-/// One measured attack run; returns (iterations, seconds, clauses).
+/// One measured attack run; returns (iterations, seconds, clauses,
+/// seconds spent in inprocessing rounds).
 fn run_attack(
     locked: &fulllock_locking::LockedCircuit,
     oracle: &SimOracle,
     config: SatAttackConfig,
-) -> (u64, f64, usize) {
+) -> (u64, f64, usize, f64) {
     let mut engine = SatAttack::new(locked, oracle, config).expect("interfaces match");
     let start = Instant::now();
     let report = engine.run().expect("complete models");
     let secs = start.elapsed().as_secs_f64();
-    (report.iterations, secs, report.formula.1)
+    let inprocess_s = report.solver.inprocess_ns as f64 / 1e9;
+    (report.iterations, secs, report.formula.1, inprocess_s)
 }
 
 fn bench_dip_loop(c: &mut Criterion) {
@@ -105,8 +109,8 @@ fn bench_dip_loop(c: &mut Criterion) {
     // the figure meaningful if one pipeline converges inside the budget.
     let mut legacy_best = f64::INFINITY;
     let mut current_best = f64::INFINITY;
-    let mut legacy_last = (0u64, 0.0f64, 0usize);
-    let mut current_last = (0u64, 0.0f64, 0usize);
+    let mut legacy_last = (0u64, 0.0f64, 0usize, 0.0f64);
+    let mut current_last = (0u64, 0.0f64, 0usize, 0.0f64);
     for _ in 0..3 {
         let run = run_attack(&locked, &oracle, legacy_config());
         legacy_best = legacy_best.min(run.1 / run.0.max(1) as f64);
@@ -126,6 +130,7 @@ fn bench_dip_loop(c: &mut Criterion) {
     .metric("legacy_secs_per_iteration", legacy_best)
     .metric("current_iterations", current_last.0)
     .metric("current_seconds", current_last.1)
+    .metric("current_inprocess_s", current_last.3)
     .metric("current_final_clauses", current_last.2)
     .metric("current_secs_per_iteration", current_best)
     .metric("speedup", legacy_best / current_best)

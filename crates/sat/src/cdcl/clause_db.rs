@@ -14,6 +14,11 @@
 //! scan's memory traffic sequential (header and watched literals share a
 //! cache line for short clauses) and makes learnt-database reduction a
 //! single compacting sweep instead of a free-list churn.
+//!
+//! Clauses are only ever appended, and compaction keeps arena order, so an
+//! offset splits the database by age. The *watermark* is the offset where
+//! the last inprocessing round ended: every clause at or past it was
+//! allocated since (see [`ClauseDb::is_new`]).
 
 use crate::Lit;
 
@@ -54,6 +59,9 @@ pub(crate) struct ClauseDb {
     /// quantity a learnt-arena memory cap is enforced against.
     learnt_words: usize,
     num_problem: usize,
+    /// Arena offset where the last inprocessing round ended; always a
+    /// clause boundary or the arena end.
+    watermark: usize,
 }
 
 impl ClauseDb {
@@ -163,10 +171,38 @@ impl ClauseDb {
         }
     }
 
+    /// Whether clause `c` was allocated since the last inprocessing round
+    /// ended (it lies at or past the watermark).
+    #[inline]
+    pub(crate) fn is_new(&self, c: CRef) -> bool {
+        c as usize >= self.watermark
+    }
+
+    /// Moves the watermark to the arena end: every clause allocated so far
+    /// counts as old from now on.
+    pub(crate) fn advance_watermark(&mut self) {
+        self.watermark = self.arena.len();
+    }
+
+    /// Moves the watermark to the arena start: every clause counts as new.
+    pub(crate) fn reset_watermark(&mut self) {
+        self.watermark = 0;
+    }
+
     /// Every live (non-deleted) clause reference, problem and learnt, in
     /// arena order. Collect before mutating the database.
     pub(crate) fn iter_crefs(&self) -> impl Iterator<Item = CRef> + '_ {
-        let mut offset = 0usize;
+        self.iter_crefs_from(0)
+    }
+
+    /// [`ClauseDb::iter_crefs`] restricted to the clauses that
+    /// [`ClauseDb::is_new`] accepts.
+    pub(crate) fn iter_new_crefs(&self) -> impl Iterator<Item = CRef> + '_ {
+        self.iter_crefs_from(self.watermark)
+    }
+
+    fn iter_crefs_from(&self, start: usize) -> impl Iterator<Item = CRef> + '_ {
+        let mut offset = start;
         std::iter::from_fn(move || {
             while offset < self.arena.len() {
                 let header = self.arena[offset];
@@ -201,12 +237,19 @@ impl ClauseDb {
     /// the old→new offset map so the solver can rewrite watch lists,
     /// reason pointers, and the learnt index. Literal order within each
     /// clause is preserved, so the two-watched-literal invariant survives
-    /// untouched.
+    /// untouched. The watermark moves to the first surviving clause at or
+    /// after it (the new arena end if none survives), so the new clauses
+    /// stay exactly the ones allocated since the last round.
     pub(crate) fn compact(&mut self) -> CRefMap {
         let mut forward = vec![CREF_UNDEF; self.arena.len()];
         let mut write = 0usize;
         let mut read = 0usize;
+        let mut watermark = None;
         while read < self.arena.len() {
+            if watermark.is_none() && read >= self.watermark {
+                debug_assert_eq!(read, self.watermark, "watermark inside a clause");
+                watermark = Some(write);
+            }
             let words = HEADER_WORDS + (self.arena[read] >> 2) as usize;
             if self.arena[read] & FLAG_DELETED == 0 {
                 forward[read] = write as u32;
@@ -216,6 +259,7 @@ impl ClauseDb {
             read += words;
         }
         self.arena.truncate(write);
+        self.watermark = watermark.unwrap_or(write);
         self.wasted = 0;
         let map = CRefMap { forward };
         self.learnts.retain_mut(|c| {
@@ -279,6 +323,49 @@ mod tests {
         assert_eq!(db.lbd(new_c), 2);
         assert_eq!(db.learnts, vec![new_c]);
         assert_eq!(db.wasted_fraction(), 0.0);
+    }
+
+    #[test]
+    fn compaction_moves_the_watermark_to_the_first_new_survivor() {
+        // Both compactions, the learnt-database reduction's and the
+        // inprocessing round's, go through `compact`.
+        let mut db = ClauseDb::new();
+        let old_kept = db.alloc(&[lit(0), lit(1)], false);
+        let old_dropped = db.alloc(&[lit(2), lit(3), lit(4)], true);
+        db.advance_watermark();
+        let new_dropped = db.alloc(&[lit(5), lit(6)], false);
+        let new_kept = db.alloc(&[lit(7), lit(8)], true);
+        let newest = db.alloc(&[lit(9), lit(10)], false);
+        db.mark_deleted(old_dropped);
+        db.mark_deleted(new_dropped);
+        let map = db.compact();
+        assert!(!db.is_new(map.get(old_kept)));
+        assert!(db.is_new(map.get(new_kept)));
+        assert!(db.is_new(map.get(newest)));
+        assert_eq!(
+            db.iter_new_crefs().collect::<Vec<_>>(),
+            vec![map.get(new_kept), map.get(newest)]
+        );
+        assert_eq!(db.watermark, map.get(new_kept) as usize);
+
+        // Nothing new survives: the watermark lands on the arena end, and
+        // the next allocation is new.
+        db.advance_watermark();
+        let gone = db.alloc(&[lit(11), lit(12)], false);
+        db.mark_deleted(gone);
+        db.compact();
+        assert_eq!(db.iter_new_crefs().count(), 0);
+        assert_eq!(db.watermark, db.arena.len());
+        let fresh = db.alloc(&[lit(13), lit(14)], false);
+        assert!(db.is_new(fresh));
+        assert_eq!(db.iter_new_crefs().collect::<Vec<_>>(), vec![fresh]);
+
+        // After a reset everything is new, and compaction keeps it so.
+        db.reset_watermark();
+        db.mark_deleted(map.get(old_kept));
+        let map = db.compact();
+        assert_eq!(db.watermark, 0);
+        assert!(db.is_new(map.get(fresh)));
     }
 
     #[test]

@@ -316,6 +316,10 @@ pub struct SolverStats {
     pub learnts_carried: u64,
     /// Inprocessing rounds performed.
     pub inprocessings: u64,
+    /// Wall-clock nanoseconds spent inside inprocessing rounds. The unit
+    /// propagation that vivification runs inside a round also counts in
+    /// `propagate_ns`.
+    pub inprocess_ns: u64,
     /// Variables removed by bounded variable elimination (restored
     /// variables are not subtracted).
     pub vars_eliminated: u64,
@@ -385,6 +389,7 @@ impl SolverStats {
         self.solves += other.solves;
         self.learnts_carried += other.learnts_carried;
         self.inprocessings += other.inprocessings;
+        self.inprocess_ns += other.inprocess_ns;
         self.vars_eliminated += other.vars_eliminated;
         self.clauses_subsumed += other.clauses_subsumed;
         self.clauses_strengthened += other.clauses_strengthened;

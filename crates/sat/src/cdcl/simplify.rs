@@ -16,6 +16,23 @@
 //!   one by one; a conflict or forced literal proves a shorter clause,
 //!   which replaces the original.
 //!
+//! A round simplifies what changed since the last one. The clause arena's
+//! watermark marks where the last round ended, so every clause past it is
+//! new: the caller's additions since then, and the BVE resolvents and
+//! strengthened or vivified clauses the round itself allocates. A
+//! growth-triggered round works on that delta: vivification tries only new
+//! problem clauses, subsumption and self-subsuming resolution test only
+//! pairs that include a new clause, and BVE considers only variables that
+//! occur in a new problem clause. Root cleaning is always a full pass. A
+//! conflict-triggered round first resets the watermark to the arena start,
+//! because the learnt clauses of a conflict gap can prove more about old
+//! clauses too; it then runs the same passes over the whole formula.
+//!
+//! Root cleaning also strips root-false literals from learnt clauses. The
+//! shorter clause stays learnt, with the LBD and activity of the one it
+//! replaces, so database reduction can still delete it and it never counts
+//! toward the growth trigger.
+//!
 //! Interface variables the caller [`froze`](crate::cdcl::Solver::freeze_var)
 //! (the attack freezes its `x`/`k1`/`k2`/`act` vars) and the current
 //! assumptions are never eliminated, so incremental solving keeps working.
@@ -25,6 +42,10 @@
 //! *while their parents are still live*, so additions are pushed before
 //! the parent deletions and the built-in forward checker accepts the
 //! trace (`CertifyLevel::Proof` keeps verifying with inprocessing on).
+//! Root literals are logged as units before a round may delete the
+//! clauses that implied them (see `clear_root_reasons`).
+
+use std::time::Instant;
 
 use super::clause_db::{CRef, CREF_UNDEF};
 use super::{SolveLimits, Solver, VAL_FALSE, VAL_TRUE, VAL_UNDEF};
@@ -68,6 +89,9 @@ pub(super) struct SimpState {
     pub(super) last_problem: usize,
     /// `stats.conflicts` after the last round (conflict trigger).
     pub(super) last_conflicts: u64,
+    /// Root trail literals already logged as DRAT units (the root trail
+    /// only grows).
+    pub(super) units_logged: usize,
 }
 
 impl Solver {
@@ -104,6 +128,11 @@ impl Solver {
         let grown = problem >= self.simp.last_problem + self.simp.last_problem / 5 + 100;
         let conflicted = self.stats.conflicts >= self.simp.last_conflicts + INPROCESS_CONFLICT_GAP;
         if grown || conflicted {
+            if conflicted {
+                // The learnts of a conflict gap can prove more about old
+                // clauses too: this round treats every clause as new.
+                self.db.reset_watermark();
+            }
             // Simplification must never starve search: the round gets at
             // most half of whatever wall-clock remains.
             let round_limits = match limits.deadline() {
@@ -115,12 +144,15 @@ impl Solver {
                 }
                 None => limits.clone(),
             };
+            let start = Instant::now();
             self.inprocess(assumptions, &round_limits);
+            self.stats.inprocess_ns += start.elapsed().as_nanos() as u64;
         }
     }
 
-    /// One full inprocessing round: clean, subsume/strengthen, eliminate,
-    /// vivify, then compact if enough of the arena is dead.
+    /// One inprocessing round: clean, subsume/strengthen, eliminate,
+    /// vivify, then move the watermark past everything it saw and compact
+    /// if enough of the arena is dead.
     fn inprocess(&mut self, assumptions: &[Lit], limits: &SolveLimits) {
         debug_assert_eq!(self.decision_level(), 0);
         if self.propagate().is_some() {
@@ -160,6 +192,7 @@ impl Solver {
         self.simp.last_problem = self.db.num_problem();
         self.simp.last_conflicts = self.stats.conflicts;
         self.clear_root_reasons();
+        self.db.advance_watermark();
         if self.db.wasted_fraction() > 0.25 {
             self.db.prune_deleted_learnts();
             self.compact_db();
@@ -167,9 +200,17 @@ impl Solver {
     }
 
     /// Root-assigned literals need no reasons (analysis stops at level 0);
-    /// clearing them lets inprocessing delete any clause.
+    /// clearing them lets inprocessing delete any clause. Each root literal
+    /// not yet in the DRAT trace is first logged as a unit, while its
+    /// reason is still live: once the round deletes that reason (a clause
+    /// the literal satisfies), the checker could no longer derive it.
     fn clear_root_reasons(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
+        for i in self.simp.units_logged..self.trail.len() {
+            let unit = self.trail[i];
+            self.log_proof_add(&[unit]);
+        }
+        self.simp.units_logged = self.trail.len();
         for i in 0..self.trail.len() {
             let v = self.trail[i].var().index();
             self.reason[v] = CREF_UNDEF;
@@ -189,12 +230,17 @@ impl Solver {
 
     /// Replaces clause `c` by the (strictly stronger) `new_lits`: the new
     /// clause is DRAT-logged *before* the old one is deleted, so it is
-    /// checkable while its parent is live.
+    /// checkable while its parent is live. It keeps `c`'s learnt flag, LBD
+    /// and activity.
     fn replace_clause(&mut self, c: CRef, new_lits: &[Lit]) {
         debug_assert!(!new_lits.is_empty());
+        let (learnt, lbd, activity) = (self.db.is_learnt(c), self.db.lbd(c), self.db.activity(c));
         self.log_proof_add(new_lits);
         self.remove_clause(c);
-        self.materialize_derived(new_lits);
+        if let Some(nc) = self.materialize_derived(new_lits, learnt) {
+            self.db.set_lbd(nc, lbd);
+            self.db.set_activity(nc, activity);
+        }
     }
 
     /// Installs a derived clause that was already DRAT-logged, first
@@ -204,7 +250,7 @@ impl Solver {
     /// invisible to the search. A unit is enqueued and propagated; a
     /// root-satisfied clause is skipped entirely. Returns the new clause
     /// reference when one was allocated.
-    fn materialize_derived(&mut self, lits: &[Lit]) -> Option<CRef> {
+    fn materialize_derived(&mut self, lits: &[Lit], learnt: bool) -> Option<CRef> {
         let mut simplified: Vec<Lit> = Vec::new();
         for &l in lits {
             match self.assigns[l.code()] {
@@ -232,7 +278,7 @@ impl Solver {
                 None
             }
             _ => {
-                let nc = self.db.alloc(&simplified, false);
+                let nc = self.db.alloc(&simplified, learnt);
                 self.attach_clause(nc);
                 Some(nc)
             }
@@ -241,7 +287,9 @@ impl Solver {
 
     /// Deletes root-satisfied clauses and strips root-false literals: the
     /// cone-reduced DIP assertions pin many interface literals at the
-    /// root, and this pass folds those constants into the database.
+    /// root, and this pass folds those constants into the database. It
+    /// visits every clause, problem and learnt, old and new: a new root
+    /// literal can touch any of them.
     fn clean_root_clauses(&mut self, limits: &SolveLimits) {
         let crefs: Vec<CRef> = self.db.iter_crefs().collect();
         for (i, c) in crefs.into_iter().enumerate() {
@@ -307,20 +355,38 @@ impl Solver {
     }
 
     /// Forward subsumption and self-subsuming resolution over the problem
-    /// clauses, bounded by occurrence-list length.
+    /// clauses, bounded by occurrence-list length. Only pairs that include
+    /// a new clause are tested: a new clause meets every clause, an old
+    /// one only the new ones.
     fn subsume_and_strengthen(&mut self, limits: &SolveLimits) {
-        let mut crefs: Vec<CRef> = self
+        let problem: Vec<CRef> = self
             .db
             .iter_crefs()
             .filter(|&c| !self.db.is_learnt(c))
             .collect();
-        crefs.sort_by_key(|&c| self.db.size(c));
         let mut occ: Vec<Vec<CRef>> = vec![Vec::new(); 2 * self.num_vars()];
-        for &c in &crefs {
+        let mut occ_new: Vec<Vec<CRef>> = vec![Vec::new(); 2 * self.num_vars()];
+        for &c in &problem {
+            let new = self.db.is_new(c);
             for l in self.db.lits(c) {
                 occ[l.code()].push(c);
+                if new {
+                    occ_new[l.code()].push(c);
+                }
             }
         }
+        // An old clause meets a new one only through a shared variable.
+        let mut crefs: Vec<CRef> = problem
+            .into_iter()
+            .filter(|&c| {
+                self.db.is_new(c)
+                    || self
+                        .db
+                        .lits(c)
+                        .any(|l| !occ_new[l.code()].is_empty() || !occ_new[(!l).code()].is_empty())
+            })
+            .collect();
+        crefs.sort_by_key(|&c| self.db.size(c));
         for (i, &c) in crefs.iter().enumerate() {
             if !self.ok {
                 return;
@@ -332,6 +398,7 @@ impl Solver {
                 continue;
             }
             let sig = self.signature(c);
+            let partners = if self.db.is_new(c) { &occ } else { &occ_new };
             // Scan the shortest occurrence list for clauses C subsumes.
             let best = self
                 .db
@@ -339,7 +406,7 @@ impl Solver {
                 .min_by_key(|l| occ[l.code()].len())
                 .expect("clauses are non-empty");
             if occ[best.code()].len() <= SUBSUME_MAX_OCCS {
-                for &d in &occ[best.code()] {
+                for &d in &partners[best.code()] {
                     if d == c || self.db.is_deleted(d) || self.db.size(d) < self.db.size(c) {
                         continue;
                     }
@@ -360,7 +427,7 @@ impl Solver {
                 if occ[(!l).code()].len() > SUBSUME_MAX_OCCS {
                     continue;
                 }
-                for &d in &occ[(!l).code()] {
+                for &d in &partners[(!l).code()] {
                     if d == c || self.db.is_deleted(d) || self.db.size(d) < self.db.size(c) {
                         continue;
                     }
@@ -381,19 +448,24 @@ impl Solver {
         }
     }
 
-    /// Bounded variable elimination. A candidate must be unfrozen,
-    /// unassigned, with short occurrence lists, and its pairwise
-    /// resolvents must not outnumber the clauses they replace. The
-    /// variable's problem clauses move to the elimination stack; learnt
-    /// clauses mentioning it are simply deleted (they are implied).
+    /// Bounded variable elimination. A candidate must occur in a new
+    /// problem clause, be unfrozen and unassigned, have short occurrence
+    /// lists, and its pairwise resolvents must not outnumber the clauses
+    /// they replace. The variable's problem clauses move to the
+    /// elimination stack; learnt clauses mentioning it are simply deleted
+    /// (they are implied).
     fn eliminate_vars(&mut self, limits: &SolveLimits) {
-        // Occurrence lists over every live clause, maintained as
-        // resolvents are added so later candidates see them.
+        // Occurrence lists over every live clause, and the candidates,
+        // both maintained as resolvents (new problem clauses) are added so
+        // later candidates see them.
         let mut occ: Vec<Vec<CRef>> = vec![Vec::new(); 2 * self.num_vars()];
+        let mut candidate = vec![false; self.num_vars()];
         let crefs: Vec<CRef> = self.db.iter_crefs().collect();
         for &c in &crefs {
+            let new_problem = self.db.is_new(c) && !self.db.is_learnt(c);
             for l in self.db.lits(c) {
                 occ[l.code()].push(c);
+                candidate[l.var().index()] |= new_problem;
             }
         }
         for v in 0..self.num_vars() {
@@ -403,7 +475,11 @@ impl Solver {
             if v % LIMIT_POLL_INTERVAL == 0 && self.deadline_or_interrupt_hit(limits) {
                 break;
             }
-            if self.simp.frozen[v] || self.simp.eliminated[v] || self.assigns[2 * v] != VAL_UNDEF {
+            if !candidate[v]
+                || self.simp.frozen[v]
+                || self.simp.eliminated[v]
+                || self.assigns[2 * v] != VAL_UNDEF
+            {
                 continue;
             }
             let pos_lit = Lit::positive(Var::new(v));
@@ -444,9 +520,10 @@ impl Solver {
                 self.log_proof_add(r);
             }
             for r in &resolvents {
-                if let Some(nc) = self.materialize_derived(r) {
+                if let Some(nc) = self.materialize_derived(r, false) {
                     for l in self.db.lits(nc).collect::<Vec<_>>() {
                         occ[l.code()].push(nc);
+                        candidate[l.var().index()] = true;
                     }
                 }
                 if !self.ok {
@@ -525,14 +602,14 @@ impl Solver {
         Some(resolvents)
     }
 
-    /// Clause vivification: for each candidate clause, assume the
+    /// Clause vivification: for each new problem clause, assume the
     /// negations of its literals left to right at a throwaway decision
     /// level; a conflict or a forced literal proves a shorter clause.
     fn vivify_clauses(&mut self, limits: &SolveLimits) {
         let mut budget = VIVIFY_BUDGET;
         let crefs: Vec<CRef> = self
             .db
-            .iter_crefs()
+            .iter_new_crefs()
             .filter(|&c| !self.db.is_learnt(c) && VIVIFY_SIZE.contains(&self.db.size(c)))
             .collect();
         for c in crefs {
@@ -689,5 +766,57 @@ impl Solver {
                 self.attach_clause(c);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn root_cleaning_keeps_learnt_clauses_learnt() {
+        let mut s = Solver::new();
+        let lits: Vec<Lit> = (0..4).map(|_| Lit::positive(s.new_var())).collect();
+        let [a, b, c, d] = lits[..] else {
+            unreachable!("four variables")
+        };
+        for l in &lits {
+            s.freeze_var(l.var()); // keep BVE from deleting the learnt
+        }
+        s.add_clause([a, b, c]);
+        s.add_clause([!c, d]);
+        // Their resolvent on c, planted as a learnt clause.
+        let learnt = s.db.alloc(&[a, b, d], true);
+        s.db.set_lbd(learnt, 3);
+        s.attach_clause(learnt);
+        s.add_clause([!a]);
+        let problem = s.num_clauses();
+        s.inprocess(&[], &SolveLimits::default());
+        assert_eq!(
+            s.num_clauses(),
+            problem,
+            "a learnt clause became a problem clause"
+        );
+        assert_eq!(s.db.num_learnts(), 1);
+        let kept = s.db.learnts[0];
+        assert!(s.db.is_learnt(kept));
+        assert_eq!(s.db.lits(kept).collect::<Vec<_>>(), vec![b, d]);
+        assert_eq!(s.db.lbd(kept), 3);
+    }
+
+    #[test]
+    fn root_literal_stays_derivable_after_its_reason_is_deleted() {
+        let mut s = Solver::new();
+        assert!(s.enable_proof());
+        let [a, b, c] = [0, 1, 2].map(|_| Lit::positive(s.new_var()));
+        s.add_clause([!a, b]);
+        s.add_clause([a]); // propagates b at the root, reason (¬a ∨ b)
+        s.inprocess(&[], &SolveLimits::default());
+        assert_eq!(s.num_clauses(), 0, "root cleaning deletes (¬a ∨ b)");
+        // UNSAT only through b: the trace must still derive it.
+        s.add_clause([!b, c]);
+        assert!(!s.add_clause([!b, !c]));
+        let trace = s.proof().expect("proof logging is on");
+        assert_eq!(crate::certify::check_unsat_proof(trace), Ok(()));
     }
 }

@@ -353,39 +353,6 @@ proptest! {
         }
     }
 
-    /// Inprocessing survives DRAT proof certification: every change it
-    /// makes is logged so `CertifyLevel::Proof` keeps accepting UNSAT
-    /// answers (and models keep checking) on formulas pushed across the
-    /// phase transition.
-    #[test]
-    fn inprocessing_passes_proof_certification(
-        vars in 20usize..32,
-        ratio in 3.0f64..6.0,
-        seed in any::<u64>(),
-    ) {
-        let cnf = random_sat::generate(RandomSatConfig::from_ratio(vars, ratio, 3, seed))
-            .expect("valid config");
-        let mut backend = BackendSpec::Configured(
-            SolverConfig { inprocess: true, ..SolverConfig::default() },
-        ).create_certified(CertifyLevel::Proof);
-        backend.ensure_vars(cnf.num_vars());
-        for clause in cnf.clauses() {
-            backend.add_clause(clause);
-        }
-        let verdict = backend.solve_limited(&[], SolveLimits::default());
-        prop_assert!(
-            backend.certify_failure().is_none(),
-            "certification failed: {:?}",
-            backend.certify_failure()
-        );
-        let reference = dpll::solve(&cnf, None);
-        match (reference.result, verdict) {
-            (dpll::DpllResult::Sat(_), SolveResult::Sat) => {}
-            (dpll::DpllResult::Unsat, SolveResult::Unsat) => {}
-            (a, b) => return Err(TestCaseError::fail(format!("disagreement: {a:?} vs {b:?}"))),
-        }
-    }
-
     /// Every generated circuit is equivalent to its own `.bench`
     /// round-trip (formally, via the CEC).
     #[test]
@@ -452,6 +419,69 @@ proptest! {
                 prop_assert_ne!(sim_a.run(&cex).unwrap(), sim_b.run(&cex).unwrap());
             }
             equiv::EquivResult::Unknown => unreachable!("no limits"),
+        }
+    }
+}
+
+proptest! {
+    // Only about a quarter of the cases reach an UNSAT answer after a
+    // growth round, so this property gets more cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Inprocessing survives DRAT proof certification: every change it
+    /// makes is logged, so `CertifyLevel::Proof` keeps accepting UNSAT
+    /// answers and models keep checking. The formula grows between three
+    /// solves, as the DIP loop grows it, by enough clauses to re-trip the
+    /// growth trigger, so the later rounds simplify only what was added
+    /// since the one before; every UNSAT answer after such a round is
+    /// forward-checked over the whole trace. Verdicts must match DPLL's.
+    #[test]
+    fn inprocessing_passes_proof_certification(
+        vars in 20usize..32,
+        ratio in 3.0f64..6.0,
+        seed in any::<u64>(),
+    ) {
+        let mut cnf = random_sat::generate(RandomSatConfig::from_ratio(vars, ratio, 3, seed))
+            .expect("valid config");
+        let mut backend = BackendSpec::Configured(
+            SolverConfig { inprocess: true, ..SolverConfig::default() },
+        ).create_certified(CertifyLevel::Proof);
+        backend.ensure_vars(cnf.num_vars());
+        for clause in cnf.clauses() {
+            backend.add_clause(clause);
+        }
+        for round in 0..3u64 {
+            let verdict = backend.solve_limited(&[], SolveLimits::default());
+            prop_assert!(
+                backend.certify_failure().is_none(),
+                "round {}: certification failed: {:?}",
+                round,
+                backend.certify_failure()
+            );
+            let reference = dpll::solve(&cnf, None);
+            match (reference.result, verdict) {
+                (dpll::DpllResult::Sat(_), SolveResult::Sat) => {}
+                (dpll::DpllResult::Unsat, SolveResult::Unsat) => {}
+                (a, b) => {
+                    return Err(TestCaseError::fail(format!("round {round}: {a:?} vs {b:?}")))
+                }
+            }
+            if verdict == SolveResult::Unsat {
+                break; // growth cannot undo it
+            }
+            // Fresh clauses over three times the variables, so new
+            // variables keep the verdicts mixed.
+            let extra = random_sat::generate(RandomSatConfig {
+                vars: 3 * vars,
+                clauses: 160,
+                clause_len: 3,
+                seed: seed.wrapping_add(round + 1),
+            }).expect("valid config");
+            backend.ensure_vars(extra.num_vars());
+            for clause in extra.clauses() {
+                backend.add_clause(clause);
+                cnf.add_clause(clause.iter().copied());
+            }
         }
     }
 }

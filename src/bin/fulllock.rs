@@ -568,9 +568,10 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     );
     if solver.inprocessings > 0 {
         println!(
-            "inprocessing: {} round(s) — {} var(s) eliminated, {} clause(s) subsumed, \
-             {} strengthened, {} vivified",
+            "inprocessing: {} round(s) in {:?} — {} var(s) eliminated, \
+             {} clause(s) subsumed, {} strengthened, {} vivified",
             solver.inprocessings,
+            Duration::from_nanos(solver.inprocess_ns),
             solver.vars_eliminated,
             solver.clauses_subsumed,
             solver.clauses_strengthened,
