@@ -33,7 +33,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use fulllock_harness::persist;
+use fulllock_harness::{persist, HarnessError};
 use fulllock_locking::Key;
 use fulllock_sat::cdcl::SolverStats;
 
@@ -202,10 +202,7 @@ impl AttackCheckpoint {
             ),
             (
                 "candidate_key".into(),
-                match &self.candidate_key {
-                    Some(key) => Json::Str(key.to_string()),
-                    None => Json::Null,
-                },
+                self.candidate_key.as_ref().map(Key::to_string).into(),
             ),
             ("ratio_sum".into(), Json::Float(self.ratio_sum)),
             ("ratio_samples".into(), Json::Int(self.ratio_samples)),
@@ -266,35 +263,19 @@ impl AttackCheckpoint {
     /// and [`AttackError::CheckpointFormat`] if the surviving text is
     /// invalid.
     pub fn load(path: &Path) -> Result<AttackCheckpoint> {
-        let loaded = persist::load_sealed(path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                AttackError::CheckpointFormat {
-                    path: path.to_path_buf(),
-                    message: e.to_string(),
-                }
-            } else {
-                AttackError::CheckpointIo {
-                    path: path.to_path_buf(),
-                    message: format!("read: {e}"),
-                }
-            }
-        })?;
-        if loaded.from_previous {
-            eprintln!(
-                "warning: checkpoint {} failed its checksum{}; resuming from previous generation",
-                path.display(),
-                match &loaded.quarantined {
-                    Some(q) => format!(" (quarantined as {})", q.display()),
-                    None => String::new(),
-                }
-            );
-        }
-        AttackCheckpoint::from_json(&loaded.payload).map_err(|e| match e {
-            AttackError::CheckpointFormat { message, .. } => AttackError::CheckpointFormat {
+        persist::load_document(path, "checkpoint", parse_checkpoint).map_err(|e| match e {
+            HarnessError::ManifestFormat { message, .. } => AttackError::CheckpointFormat {
                 path: path.to_path_buf(),
                 message,
             },
-            other => other,
+            HarnessError::Io { message, .. } => AttackError::CheckpointIo {
+                path: path.to_path_buf(),
+                message,
+            },
+            other => AttackError::CheckpointIo {
+                path: path.to_path_buf(),
+                message: other.to_string(),
+            },
         })
     }
 }
@@ -317,84 +298,49 @@ fn string_to_bits(s: &str) -> Result<Vec<bool>, String> {
 
 fn parse_checkpoint(text: &str) -> std::result::Result<AttackCheckpoint, String> {
     let root = Json::parse(text)?;
-    let field = |name: &str| {
-        root.get(name)
-            .ok_or_else(|| format!("missing field {name:?}"))
-    };
-    let int_field = |name: &str| {
-        field(name)?
-            .as_u64()
-            .ok_or_else(|| format!("field {name:?} must be an unsigned integer"))
-    };
-
-    let version = int_field("version")?;
+    let version = root.u64_field("version")?;
     if version != CHECKPOINT_VERSION {
         return Err(format!(
             "unsupported checkpoint version {version} (this build reads version {CHECKPOINT_VERSION})"
         ));
     }
-    let attack = field("attack")?
-        .as_str()
-        .ok_or("field \"attack\" must be a string")?
-        .to_string();
-    let candidate_key = match field("candidate_key")? {
-        Json::Null => None,
-        Json::Str(s) => Some(
-            s.parse::<Key>()
-                .map_err(|e| format!("invalid candidate_key: {e}"))?,
-        ),
-        _ => return Err("field \"candidate_key\" must be a bit string or null".to_string()),
-    };
-    let ratio_sum = field("ratio_sum")?
-        .as_f64()
-        .ok_or("field \"ratio_sum\" must be a number")?;
-    let elapsed_secs = field("elapsed_secs")?
-        .as_f64()
-        .ok_or("field \"elapsed_secs\" must be a number")?;
+    root.field("candidate_key")?; // required, though it may be null
+    let candidate_key = root
+        .opt_field::<&str>("candidate_key")?
+        .map(str::parse::<Key>)
+        .transpose()
+        .map_err(|e| format!("invalid candidate_key: {e}"))?;
+    let elapsed_secs = root.f64_field("elapsed_secs")?;
     if !elapsed_secs.is_finite() || elapsed_secs < 0.0 {
         return Err(format!(
             "field \"elapsed_secs\" out of range: {elapsed_secs}"
         ));
     }
-
-    let solver = crate::wire::solver_stats_from_json(field("solver")?)?;
-
-    let pairs_json = field("io_pairs")?
-        .as_array()
-        .ok_or("field \"io_pairs\" must be an array")?;
-    let mut io_pairs = Vec::with_capacity(pairs_json.len());
-    for (i, pair) in pairs_json.iter().enumerate() {
-        let coord = |name: &str| {
-            pair.get(name)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("io pair {i} is missing bit string {name:?}"))
-        };
-        // Vote count and quarantine flag arrived with the resilient
-        // oracle layer; files written before then default to one
-        // supporting vote and not quarantined.
-        io_pairs.push(IoPair {
-            inputs: string_to_bits(coord("x")?)?,
-            outputs: string_to_bits(coord("y")?)?,
-            votes: pair.get("v").and_then(Json::as_u64).unwrap_or(1),
-            quarantined: pair.get("q").and_then(Json::as_bool).unwrap_or(false),
-        });
-    }
-
     Ok(AttackCheckpoint {
         version,
-        attack,
-        data_bits: int_field("data_bits")? as usize,
-        key_bits: int_field("key_bits")? as usize,
-        phase: int_field("phase")?,
-        iterations: int_field("iterations")?,
-        cleanup_iterations: int_field("cleanup_iterations")?,
+        attack: root.str_field("attack")?.to_string(),
+        data_bits: root.u64_field("data_bits")? as usize,
+        key_bits: root.u64_field("key_bits")? as usize,
+        phase: root.u64_field("phase")?,
+        iterations: root.u64_field("iterations")?,
+        cleanup_iterations: root.u64_field("cleanup_iterations")?,
         candidate_key,
-        ratio_sum,
-        ratio_samples: int_field("ratio_samples")?,
+        ratio_sum: root.f64_field("ratio_sum")?,
+        ratio_samples: root.u64_field("ratio_samples")?,
         elapsed: Duration::from_secs_f64(elapsed_secs),
-        oracle_queries: int_field("oracle_queries")?,
-        solver,
-        io_pairs,
+        oracle_queries: root.u64_field("oracle_queries")?,
+        solver: root.nested_field("solver", crate::wire::solver_stats_from_json)?,
+        // Vote count and quarantine flag arrived with the resilient
+        // oracle layer: pairs written before then read as one
+        // supporting vote, not quarantined.
+        io_pairs: root.items_field("io_pairs", |pair| {
+            Ok(IoPair {
+                inputs: string_to_bits(pair.str_field("x")?)?,
+                outputs: string_to_bits(pair.str_field("y")?)?,
+                votes: pair.late_field("v", 1)?,
+                quarantined: pair.late_field("q", false)?,
+            })
+        })?,
     })
 }
 
@@ -524,6 +470,19 @@ mod tests {
         for pair in &back.io_pairs {
             assert_eq!(pair.votes, 1);
             assert!(!pair.quarantined);
+        }
+    }
+
+    /// A late field present with the wrong type is an error, not its
+    /// default: a poisoned pair must not resume unquarantined.
+    #[test]
+    fn mistyped_vote_fields_are_rejected() {
+        let text = sample().to_json();
+        for (from, to) in [("\"q\":true", "\"q\":1"), ("\"v\":3", "\"v\":\"3\"")] {
+            let mistyped = text.replace(from, to);
+            assert_ne!(mistyped, text, "{from} must occur");
+            let err = AttackCheckpoint::from_json(&mistyped).expect_err(to);
+            assert!(err.to_string().contains("io_pairs["), "{err}");
         }
     }
 

@@ -50,12 +50,6 @@ pub const WIRE_VERSION: u64 = 1;
 /// decoded report can keep the `&'static str` field.
 const KNOWN_ATTACKS: [&str; 5] = ["sat", "appsat", "double-dip", "removal", "sps"];
 
-fn err(message: impl Into<String>) -> AttackError {
-    AttackError::ReportFormat {
-        message: message.into(),
-    }
-}
-
 /// Encodes solver counters as a JSON object — the one [`SolverStats`]
 /// codec, shared between wire reports and attack checkpoints.
 pub fn solver_stats_to_json(stats: &SolverStats) -> Json {
@@ -97,59 +91,39 @@ pub fn solver_stats_to_json(stats: &SolverStats) -> Json {
 }
 
 /// Decodes solver counters from [`solver_stats_to_json`]'s object form.
-/// Counters added after the format first shipped default to zero when
-/// absent, so older files keep loading.
+/// Counters added after the format first shipped are late fields: they
+/// default to zero when absent, so older files keep loading.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed core field.
+/// Returns a description of the first malformed field.
 pub fn solver_stats_from_json(json: &Json) -> std::result::Result<SolverStats, String> {
-    let stat = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("solver field {name:?} must be an unsigned integer"))
-    };
-    let late_stat = |name: &str| json.get(name).and_then(Json::as_u64).unwrap_or(0);
-    let mut lbd_histogram = [0u64; 8];
-    let hist = json
-        .get("lbd_histogram")
-        .and_then(Json::as_array)
-        .ok_or("solver field \"lbd_histogram\" must be an array")?;
-    if hist.len() != lbd_histogram.len() {
-        return Err(format!(
-            "solver field \"lbd_histogram\" must have {} buckets",
-            lbd_histogram.len()
-        ));
-    }
-    for (bucket, value) in lbd_histogram.iter_mut().zip(hist) {
-        *bucket = value
-            .as_u64()
-            .ok_or("lbd_histogram buckets must be unsigned integers")?;
-    }
+    let hist = json.field_as::<Vec<u64>>("lbd_histogram")?;
+    let lbd_histogram: [u64; 8] = hist
+        .try_into()
+        .map_err(|_| "field \"lbd_histogram\" must have 8 buckets".to_string())?;
     Ok(SolverStats {
-        decisions: stat("decisions")?,
-        propagations: stat("propagations")?,
-        conflicts: stat("conflicts")?,
-        restarts: stat("restarts")?,
-        deleted_learnts: stat("deleted_learnts")?,
-        minimized_literals: stat("minimized_literals")?,
-        reductions: stat("reductions")?,
+        decisions: json.u64_field("decisions")?,
+        propagations: json.u64_field("propagations")?,
+        conflicts: json.u64_field("conflicts")?,
+        restarts: json.u64_field("restarts")?,
+        deleted_learnts: json.u64_field("deleted_learnts")?,
+        minimized_literals: json.u64_field("minimized_literals")?,
+        reductions: json.u64_field("reductions")?,
         lbd_histogram,
-        propagate_ns: stat("propagate_ns")?,
-        analyze_ns: stat("analyze_ns")?,
-        worker_panics: stat("worker_panics")?,
-        // Fields added after the first on-disk files shipped; absent in
-        // older documents, so default to zero rather than rejecting them.
-        exchange_rejects: late_stat("exchange_rejects"),
-        certified_models: late_stat("certified_models"),
-        solves: late_stat("solves"),
-        learnts_carried: late_stat("learnts_carried"),
-        inprocessings: late_stat("inprocessings"),
-        inprocess_ns: late_stat("inprocess_ns"),
-        vars_eliminated: late_stat("vars_eliminated"),
-        clauses_subsumed: late_stat("clauses_subsumed"),
-        clauses_strengthened: late_stat("clauses_strengthened"),
-        vivification_shrinks: late_stat("vivification_shrinks"),
+        propagate_ns: json.u64_field("propagate_ns")?,
+        analyze_ns: json.u64_field("analyze_ns")?,
+        worker_panics: json.u64_field("worker_panics")?,
+        exchange_rejects: json.late_field("exchange_rejects", 0)?,
+        certified_models: json.late_field("certified_models", 0)?,
+        solves: json.late_field("solves", 0)?,
+        learnts_carried: json.late_field("learnts_carried", 0)?,
+        inprocessings: json.late_field("inprocessings", 0)?,
+        inprocess_ns: json.late_field("inprocess_ns", 0)?,
+        vars_eliminated: json.late_field("vars_eliminated", 0)?,
+        clauses_subsumed: json.late_field("clauses_subsumed", 0)?,
+        clauses_strengthened: json.late_field("clauses_strengthened", 0)?,
+        vivification_shrinks: json.late_field("vivification_shrinks", 0)?,
     })
 }
 
@@ -157,11 +131,10 @@ fn key_to_json(key: &Key) -> Json {
     Json::Str(key.to_string())
 }
 
-fn key_from_json(json: &Json, context: &str) -> Result<Key> {
-    json.as_str()
-        .ok_or_else(|| err(format!("{context} must be a bit string")))?
+fn key_field(json: &Json) -> std::result::Result<Key, String> {
+    json.str_field("key")?
         .parse::<Key>()
-        .map_err(|e| err(format!("{context}: {e}")))
+        .map_err(|e| format!("field \"key\": {e}"))
 }
 
 /// Encodes an outcome as a `kind`-tagged object.
@@ -200,54 +173,30 @@ pub fn outcome_to_json(outcome: &AttackOutcome) -> Json {
 ///
 /// # Errors
 ///
-/// Returns [`AttackError::ReportFormat`] on a missing/unknown `kind` or
-/// malformed payload fields.
-pub fn outcome_from_json(json: &Json) -> Result<AttackOutcome> {
-    let kind = json
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("outcome must be an object with a \"kind\" string"))?;
-    let float = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err(format!("outcome field {name:?} must be a number")))
-    };
-    let boolean = |name: &str| {
-        json.get(name)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| err(format!("outcome field {name:?} must be a boolean")))
-    };
-    match kind {
-        "key_recovered" => Ok(AttackOutcome::KeyRecovered {
-            key: key_from_json(
-                json.get("key").ok_or_else(|| err("missing outcome key"))?,
-                "outcome field \"key\"",
-            )?,
-            verified: boolean("verified")?,
-        }),
-        "approximate_key" => Ok(AttackOutcome::ApproximateKey {
-            key: key_from_json(
-                json.get("key").ok_or_else(|| err("missing outcome key"))?,
-                "outcome field \"key\"",
-            )?,
-            measured_error: float("measured_error")?,
-        }),
-        "bypassed" => Ok(AttackOutcome::Bypassed {
-            error_rate: float("error_rate")?,
-            exact: boolean("exact")?,
-        }),
-        "defeated" => Ok(AttackOutcome::Defeated {
-            reason: json
-                .get("reason")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err("outcome field \"reason\" must be a string"))?
-                .to_string(),
-        }),
-        "timeout" => Ok(AttackOutcome::Timeout),
-        "iteration_limit" => Ok(AttackOutcome::IterationLimit),
-        "inconclusive" => Ok(AttackOutcome::Inconclusive),
-        other => Err(err(format!("unknown outcome kind {other:?}"))),
-    }
+/// A description of a missing or unknown `kind` or a malformed payload
+/// field.
+pub fn outcome_from_json(json: &Json) -> std::result::Result<AttackOutcome, String> {
+    Ok(match json.str_field("kind")? {
+        "key_recovered" => AttackOutcome::KeyRecovered {
+            key: key_field(json)?,
+            verified: json.bool_field("verified")?,
+        },
+        "approximate_key" => AttackOutcome::ApproximateKey {
+            key: key_field(json)?,
+            measured_error: json.f64_field("measured_error")?,
+        },
+        "bypassed" => AttackOutcome::Bypassed {
+            error_rate: json.f64_field("error_rate")?,
+            exact: json.bool_field("exact")?,
+        },
+        "defeated" => AttackOutcome::Defeated {
+            reason: json.str_field("reason")?.to_string(),
+        },
+        "timeout" => AttackOutcome::Timeout,
+        "iteration_limit" => AttackOutcome::IterationLimit,
+        "inconclusive" => AttackOutcome::Inconclusive,
+        other => return Err(format!("unknown outcome kind {other:?}")),
+    })
 }
 
 /// Encodes the resilience record.
@@ -263,13 +212,7 @@ pub fn resilience_to_json(r: &RunResilience) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "resumed_from".into(),
-            match r.resumed_from {
-                Some(n) => Json::Int(n),
-                None => Json::Null,
-            },
-        ),
+        ("resumed_from".into(), r.resumed_from.into()),
         (
             "checkpoints_written".into(),
             Json::Int(r.checkpoints_written),
@@ -284,49 +227,22 @@ pub fn resilience_to_json(r: &RunResilience) -> Json {
     ])
 }
 
-/// Decodes the resilience record.
+/// Decodes the resilience record. The oracle-resilience counters
+/// postdate the first wire documents and are late fields.
 ///
 /// # Errors
 ///
-/// Returns [`AttackError::ReportFormat`] on malformed fields.
-pub fn resilience_from_json(json: &Json) -> Result<RunResilience> {
-    let int = |name: &str| {
-        json.get(name).and_then(Json::as_u64).ok_or_else(|| {
-            err(format!(
-                "resilience field {name:?} must be an unsigned integer"
-            ))
-        })
-    };
-    let failures = json
-        .get("worker_failures")
-        .and_then(Json::as_array)
-        .ok_or_else(|| err("resilience field \"worker_failures\" must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| err("worker_failures entries must be strings"))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let resumed_from =
-        match json.get("resumed_from") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                err("resilience field \"resumed_from\" must be an integer or null")
-            })?),
-        };
-    // Oracle-resilience counters postdate the first wire documents;
-    // absent fields default to zero so older reports keep decoding.
-    let late_int = |name: &str| json.get(name).and_then(Json::as_u64).unwrap_or(0);
+/// A description of the first malformed field.
+pub fn resilience_from_json(json: &Json) -> std::result::Result<RunResilience, String> {
     Ok(RunResilience {
-        worker_panics: int("worker_panics")?,
-        worker_failures: failures,
-        resumed_from,
-        checkpoints_written: int("checkpoints_written")?,
-        checkpoint_failures: int("checkpoint_failures")?,
-        oracle_retries: late_int("oracle_retries"),
-        oracle_requeries: late_int("oracle_requeries"),
-        quarantined_pairs: late_int("quarantined_pairs"),
+        worker_panics: json.u64_field("worker_panics")?,
+        worker_failures: json.field_as("worker_failures")?,
+        resumed_from: json.opt_field("resumed_from")?,
+        checkpoints_written: json.u64_field("checkpoints_written")?,
+        checkpoint_failures: json.u64_field("checkpoint_failures")?,
+        oracle_retries: json.late_field("oracle_retries", 0)?,
+        oracle_requeries: json.late_field("oracle_requeries", 0)?,
+        quarantined_pairs: json.late_field("quarantined_pairs", 0)?,
     })
 }
 
@@ -341,19 +257,16 @@ fn verdict_to_json(verdict: &FormalVerdict) -> Json {
     }
 }
 
-fn verdict_from_json(json: &Json) -> Result<FormalVerdict> {
-    if let Some(s) = json.as_str() {
-        return match s {
-            "equivalent" => Ok(FormalVerdict::Equivalent),
-            "not_equivalent" => Ok(FormalVerdict::NotEquivalent),
-            "unknown" => Ok(FormalVerdict::Unknown),
-            other => Err(err(format!("unknown formal verdict {other:?}"))),
-        };
+fn verdict_from_json(json: &Json) -> std::result::Result<FormalVerdict, String> {
+    match json.as_str() {
+        Some("equivalent") => Ok(FormalVerdict::Equivalent),
+        Some("not_equivalent") => Ok(FormalVerdict::NotEquivalent),
+        Some("unknown") => Ok(FormalVerdict::Unknown),
+        Some(other) => Err(format!("unknown formal verdict {other:?}")),
+        None => Ok(FormalVerdict::Unavailable(
+            json.str_field("unavailable")?.to_string(),
+        )),
     }
-    json.get("unavailable")
-        .and_then(Json::as_str)
-        .map(|reason| FormalVerdict::Unavailable(reason.to_string()))
-        .ok_or_else(|| err("formal verdict must be a string or an {\"unavailable\": ...} object"))
 }
 
 /// Encodes a key certificate.
@@ -369,22 +282,12 @@ pub fn certificate_to_json(cert: &KeyCertificate) -> Json {
 ///
 /// # Errors
 ///
-/// Returns [`AttackError::ReportFormat`] on malformed fields.
-pub fn certificate_from_json(json: &Json) -> Result<KeyCertificate> {
-    let int = |name: &str| {
-        json.get(name).and_then(Json::as_u64).ok_or_else(|| {
-            err(format!(
-                "certificate field {name:?} must be an unsigned integer"
-            ))
-        })
-    };
+/// A description of the first malformed field.
+pub fn certificate_from_json(json: &Json) -> std::result::Result<KeyCertificate, String> {
     Ok(KeyCertificate {
-        samples: int("samples")?,
-        mismatches: int("mismatches")?,
-        formal: verdict_from_json(
-            json.get("formal")
-                .ok_or_else(|| err("certificate is missing field \"formal\""))?,
-        )?,
+        samples: json.u64_field("samples")?,
+        mismatches: json.u64_field("mismatches")?,
+        formal: json.nested_field("formal", verdict_from_json)?,
     })
 }
 
@@ -424,13 +327,7 @@ pub fn details_to_json(details: &AttackDetails) -> Json {
             tag("sps"),
             ("skew".into(), Json::Float(r.skew)),
             ("found_suspect".into(), Json::Bool(r.suspect.is_some())),
-            (
-                "error_rate".into(),
-                match r.error_rate {
-                    Some(e) => Json::Float(e),
-                    None => Json::Null,
-                },
-            ),
+            ("error_rate".into(), r.error_rate.into()),
         ]),
         AttackDetails::Wire(summary) => summary.clone(),
         // `AttackDetails` is non-exhaustive; summarize future variants
@@ -459,10 +356,10 @@ impl AttackReport {
             ("resilience".into(), resilience_to_json(&self.resilience)),
             (
                 "key_certificate".into(),
-                match &self.key_certificate {
-                    Some(cert) => certificate_to_json(cert),
-                    None => Json::Null,
-                },
+                self.key_certificate
+                    .as_ref()
+                    .map(certificate_to_json)
+                    .into(),
             ),
             ("details".into(), details_to_json(&self.details)),
         ])
@@ -480,54 +377,45 @@ impl AttackReport {
     /// missing or mistyped field, an unknown attack name, or a
     /// `schema_version` other than [`WIRE_VERSION`].
     pub fn from_json(text: &str) -> Result<AttackReport> {
-        let root = Json::parse(text).map_err(err)?;
-        let field = |name: &str| {
-            root.get(name)
-                .ok_or_else(|| err(format!("missing field {name:?}")))
-        };
-        let int = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| err(format!("field {name:?} must be an unsigned integer")))
-        };
-        let version = int("schema_version")?;
-        if version != WIRE_VERSION {
-            return Err(err(format!(
-                "unsupported schema_version {version} (this build reads version {WIRE_VERSION})"
-            )));
-        }
-        let name = field("attack")?
-            .as_str()
-            .ok_or_else(|| err("field \"attack\" must be a string"))?;
-        let attack = KNOWN_ATTACKS
-            .iter()
-            .find(|&&known| known == name)
-            .copied()
-            .ok_or_else(|| err(format!("unknown attack name {name:?}")))?;
-        let elapsed_secs = field("elapsed_secs")?
-            .as_f64()
-            .ok_or_else(|| err("field \"elapsed_secs\" must be a number"))?;
-        if !elapsed_secs.is_finite() || elapsed_secs < 0.0 {
-            return Err(err(format!(
-                "field \"elapsed_secs\" out of range: {elapsed_secs}"
-            )));
-        }
-        let key_certificate = match field("key_certificate")? {
-            Json::Null => None,
-            cert => Some(certificate_from_json(cert)?),
-        };
-        Ok(AttackReport {
-            attack,
-            outcome: outcome_from_json(field("outcome")?)?,
-            iterations: int("iterations")?,
-            elapsed: Duration::from_secs_f64(elapsed_secs),
-            oracle_queries: int("oracle_queries")?,
-            solver: solver_stats_from_json(field("solver")?).map_err(err)?,
-            resilience: resilience_from_json(field("resilience")?)?,
-            key_certificate,
-            details: AttackDetails::Wire(field("details")?.clone()),
-        })
+        parse_report(text).map_err(|message| AttackError::ReportFormat { message })
     }
+}
+
+fn parse_report(text: &str) -> std::result::Result<AttackReport, String> {
+    let root = Json::parse(text)?;
+    let version = root.u64_field("schema_version")?;
+    if version != WIRE_VERSION {
+        return Err(format!(
+            "unsupported schema_version {version} (this build reads version {WIRE_VERSION})"
+        ));
+    }
+    let name = root.str_field("attack")?;
+    let attack = KNOWN_ATTACKS
+        .iter()
+        .find(|&&known| known == name)
+        .copied()
+        .ok_or_else(|| format!("unknown attack name {name:?}"))?;
+    let elapsed_secs = root.f64_field("elapsed_secs")?;
+    if !elapsed_secs.is_finite() || elapsed_secs < 0.0 {
+        return Err(format!(
+            "field \"elapsed_secs\" out of range: {elapsed_secs}"
+        ));
+    }
+    Ok(AttackReport {
+        attack,
+        outcome: root.nested_field("outcome", outcome_from_json)?,
+        iterations: root.u64_field("iterations")?,
+        elapsed: Duration::from_secs_f64(elapsed_secs),
+        oracle_queries: root.u64_field("oracle_queries")?,
+        solver: root.nested_field("solver", solver_stats_from_json)?,
+        resilience: root.nested_field("resilience", resilience_from_json)?,
+        // Required, though it may be null.
+        key_certificate: match root.field("key_certificate")? {
+            Json::Null => None,
+            _ => Some(root.nested_field("key_certificate", certificate_from_json)?),
+        },
+        details: AttackDetails::Wire(root.field("details")?.clone()),
+    })
 }
 
 #[cfg(test)]
@@ -656,6 +544,24 @@ mod tests {
         assert!(!text.contains("inprocess_ns"), "field really removed");
         let back = AttackReport::from_json(&text).expect("old-format parse");
         assert_eq!(back.solver.inprocess_ns, 0);
+    }
+
+    /// Late counters that are present with the wrong type are errors,
+    /// not zeros.
+    #[test]
+    fn mistyped_late_counters_are_rejected() {
+        let mut report = sample_report();
+        report.solver.inprocessings = 2;
+        let text = report.to_json();
+        for (from, to) in [
+            ("\"inprocessings\":2", "\"inprocessings\":\"2\""),
+            ("\"oracle_retries\":3", "\"oracle_retries\":null"),
+        ] {
+            let mistyped = text.replace(from, to);
+            assert_ne!(mistyped, text, "{from} must occur");
+            let e = AttackReport::from_json(&mistyped).expect_err(to);
+            assert!(matches!(e, AttackError::ReportFormat { .. }), "{e}");
+        }
     }
 
     #[test]

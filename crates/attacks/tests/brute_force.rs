@@ -4,13 +4,14 @@
 //! simulation, a judge that shares no code with the attacks. SAT and
 //! Double-DIP must recover a key in that class; AppSAT must too whenever
 //! it reports an exact key. Every attack runs with CDCL inprocessing on
-//! and off, and under `FULLLOCK_CERTIFY=proof` every solver answer is
-//! certified as well.
+//! and off, under the generic encoding, without cone reduction, and on a
+//! two-worker portfolio; under `FULLLOCK_CERTIFY=proof` every solver
+//! answer is certified as well.
 
 use std::time::Duration;
 
 use fulllock_attacks::{
-    AppSatConfig, Attack, AttackOutcome, DoubleDip, SatAttackConfig, SimOracle,
+    AppSatConfig, Attack, AttackOutcome, DoubleDip, EncodeStyle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, LockedCircuit, LockingScheme, PlrSpec, Rll, WireSelection,
@@ -133,14 +134,33 @@ fn recovered_keys_are_functionally_correct() {
             correct.contains(&locked.correct_key.bits().to_vec()),
             "{name}: the enumeration misses the locking's own key"
         );
-        for inprocess in [true, false] {
+        let configured = |inprocess| SatAttackConfig {
+            backend: BackendSpec::Configured(SolverConfig {
+                inprocess,
+                ..SolverConfig::default()
+            }),
+            ..SatAttackConfig::default()
+        };
+        let configs = [
+            configured(true),
+            configured(false),
+            SatAttackConfig {
+                encode_style: EncodeStyle::Generic,
+                ..SatAttackConfig::default()
+            },
+            SatAttackConfig {
+                cone_reduce: false,
+                ..SatAttackConfig::default()
+            },
+            SatAttackConfig {
+                backend: BackendSpec::portfolio(2),
+                ..SatAttackConfig::default()
+            },
+        ];
+        for config in configs {
             let base = SatAttackConfig {
                 timeout: Some(Duration::from_secs(60)),
-                backend: BackendSpec::Configured(SolverConfig {
-                    inprocess,
-                    ..SolverConfig::default()
-                }),
-                ..SatAttackConfig::default()
+                ..config
             };
             let attacks: [Box<dyn Attack>; 3] = [
                 Box::new(base),
@@ -153,7 +173,10 @@ fn recovered_keys_are_functionally_correct() {
             for attack in attacks {
                 let oracle = SimOracle::new(&host).expect("acyclic host");
                 let report = attack.run(&locked, &oracle).expect("attack runs");
-                let context = format!("{name}, {}, inprocessing {inprocess}", report.attack);
+                let context = format!(
+                    "{name}, {}, {:?} encoding, cone reduction {}, backend {:?}",
+                    report.attack, base.encode_style, base.cone_reduce, base.backend
+                );
                 max_rounds = max_rounds.max(report.solver.inprocessings);
                 match (&report.outcome, report.attack) {
                     (AttackOutcome::KeyRecovered { key, .. }, _) => assert!(

@@ -135,10 +135,7 @@ impl BenchRecord {
         Json::Object(vec![
             ("workload".to_string(), Json::from(self.workload.as_str())),
             ("host_cores".to_string(), Json::from(self.host_cores)),
-            (
-                "commit".to_string(),
-                self.commit.clone().map_or(Json::Null, Json::Str),
-            ),
+            ("commit".to_string(), self.commit.as_deref().into()),
             ("metrics".to_string(), Json::Object(self.metrics.clone())),
             ("bars".to_string(), Json::Array(bars.collect())),
             ("pass".to_string(), Json::from(self.pass())),
@@ -154,43 +151,28 @@ impl BenchRecord {
     /// the record differs from its re-judged self.
     pub fn parse(text: &str) -> Result<BenchRecord, String> {
         let root = Json::parse(text)?;
-        let malformed = |name: &str| format!("missing or malformed {name:?}");
-        let text_at = |json: &Json, name: &str| {
-            json.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| malformed(name))
-        };
-        let Some(Json::Object(metrics)) = root.get("metrics") else {
-            return Err(malformed("metrics"));
-        };
-        let mut record = BenchRecord {
-            workload: text_at(&root, "workload")?,
-            host_cores: (root.get("host_cores").and_then(Json::as_u64))
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| malformed("host_cores"))?,
-            commit: match root.get("commit") {
-                Some(Json::Null) => None,
-                _ => Some(text_at(&root, "commit")?),
-            },
-            metrics: metrics.clone(),
-            bars: Vec::new(),
-        };
-        let bars = root.get("bars").and_then(Json::as_array);
-        for bar in bars.ok_or_else(|| malformed("bars"))? {
-            let cmp = text_at(bar, "cmp")?;
-            record.bars.push(Bar {
-                metric: text_at(bar, "metric")?,
-                cmp: [Cmp::Lt, Cmp::Ge, Cmp::Eq]
-                    .into_iter()
-                    .find(|c| c.as_str() == cmp)
-                    .ok_or_else(|| malformed("cmp"))?,
-                bound: bar
-                    .get("bound")
-                    .cloned()
-                    .ok_or_else(|| malformed("bound"))?,
-            });
+        let host_cores = root.u64_field("host_cores")?;
+        if host_cores == 0 {
+            return Err("field \"host_cores\" must be at least 1".to_string());
         }
+        root.field("commit")?; // required, though it may be null
+        let record = BenchRecord {
+            workload: root.str_field("workload")?.to_string(),
+            host_cores,
+            commit: root.opt_field("commit")?,
+            metrics: root.field_as::<&[(String, Json)]>("metrics")?.to_vec(),
+            bars: root.items_field("bars", |bar| {
+                let cmp = bar.str_field("cmp")?;
+                Ok(Bar {
+                    metric: bar.str_field("metric")?.to_string(),
+                    cmp: [Cmp::Lt, Cmp::Ge, Cmp::Eq]
+                        .into_iter()
+                        .find(|c| c.as_str() == cmp)
+                        .ok_or_else(|| format!("unknown cmp {cmp:?}"))?,
+                    bound: bar.field("bound")?.clone(),
+                })
+            })?,
+        };
         // A record must be exactly what its own fields write: a stored
         // verdict its metrics do not give, or a stray field, differs.
         if record.to_json() != root {

@@ -18,13 +18,27 @@ pub enum HarnessError {
         /// What was wrong.
         message: String,
     },
-    /// A manifest file exists but cannot be parsed (or has an
-    /// unsupported version).
+    /// A persisted document (campaign manifest, queue shard, sweep
+    /// plan) exists but no generation of it verifies, or the one that
+    /// does cannot be decoded (bad version, malformed field).
     ManifestFormat {
-        /// The manifest file.
+        /// What the document is (`"campaign manifest"`, `"queue shard"`,
+        /// `"sweep plan"`).
+        kind: &'static str,
+        /// The document file.
         path: PathBuf,
         /// What was wrong.
         message: String,
+    },
+    /// A queue directory holds shards written under a shard count other
+    /// than the one it was opened with; jobs would be lost or run twice.
+    ShardCount {
+        /// The queue directory.
+        dir: PathBuf,
+        /// The shard count it was opened with.
+        shards: u32,
+        /// What showed the mismatch.
+        evidence: String,
     },
     /// A filesystem operation failed (logs directory, manifest write,
     /// plan read).
@@ -51,8 +65,24 @@ impl fmt::Display for HarnessError {
             } => {
                 write!(f, "invalid campaign plan: {message}")
             }
-            HarnessError::ManifestFormat { path, message } => {
-                write!(f, "invalid campaign manifest {}: {message}", path.display())
+            HarnessError::ManifestFormat {
+                kind,
+                path,
+                message,
+            } => {
+                write!(f, "invalid {kind} {}: {message}", path.display())
+            }
+            HarnessError::ShardCount {
+                dir,
+                shards,
+                evidence,
+            } => {
+                write!(
+                    f,
+                    "queue {} was written under a shard count other than {shards} \
+                     ({evidence}); restart with the --shards value it was written under",
+                    dir.display()
+                )
             }
             HarnessError::Io { path, message } => {
                 write!(f, "campaign io error at {}: {message}", path.display())

@@ -1,13 +1,37 @@
-//! A minimal JSON value, writer, and recursive-descent parser.
+//! A minimal JSON value, writer, recursive-descent parser, and the typed
+//! field readers every document decoder in the workspace is built on.
 //!
-//! The on-disk formats of this workspace — attack checkpoints
-//! (`fulllock-attacks`), campaign plans and manifests
-//! ([`crate::plan`], [`crate::manifest`]) — need a stable
-//! self-describing format, and the workspace deliberately carries no
-//! serialization dependency. This module hand-rolls the subset of JSON
-//! those schemas use: objects, arrays, strings, booleans, null, and
-//! numbers split into unsigned integers (exact, for counters) and floats
-//! (for ratios and seconds).
+//! The workspace deliberately carries no serialization dependency, and
+//! every format it persists or sends is JSON: attack checkpoints and
+//! wire reports (`fulllock-attacks`), campaign plans and manifests
+//! ([`crate::plan`], [`crate::manifest`]), the `serve` protocol lines and
+//! queue shards ([`crate::service`]), sweep plans, leases and segment
+//! samples ([`crate::sweep`]), and the `BENCH_*.json` guard records
+//! (`fulllock-bench`). This module hand-rolls the subset of JSON those
+//! schemas use: objects, arrays, strings, booleans, null, and numbers
+//! split into unsigned integers (exact, for counters) and floats (for
+//! ratios and seconds).
+//!
+//! # Read policy
+//!
+//! Decoders read object members only through the typed field readers,
+//! which word every error one way (`missing field "x"`, `field "x" must
+//! be an unsigned integer`) and apply one rule to each kind of field:
+//!
+//! * **required** ([`Json::field`], [`Json::u64_field`],
+//!   [`Json::u32_field`], [`Json::f64_field`], [`Json::bool_field`],
+//!   [`Json::str_field`], [`Json::array_field`], [`Json::field_as`]):
+//!   absent or of another type is an error;
+//! * **optional** ([`Json::opt_field`]): absent or `null` gives `None`,
+//!   another type is an error;
+//! * **late-added** ([`Json::late_field`]), a field that documents
+//!   written before it existed lack: absent gives the default, present
+//!   with another type (`null` included) is an error.
+//!
+//! Members a reader does not ask for are ignored, so a newer writer's
+//! extra fields do not break an older reader. [`Json::nested_field`]
+//! and [`Json::items_field`] decode a nested record or an array of them
+//! and name where a failure sits (`solver: …`, `jobs[3]: …`).
 
 use std::fmt::Write as _;
 
@@ -82,6 +106,115 @@ impl Json {
         }
     }
 
+    /// The member `name` of an object.
+    ///
+    /// # Errors
+    ///
+    /// `missing field "name"` when the member is absent (or `self` is not
+    /// an object).
+    pub fn field(&self, name: &str) -> Result<&Json, String> {
+        self.get(name)
+            .ok_or_else(|| format!("missing field {name:?}"))
+    }
+
+    /// A required member of type `T`.
+    ///
+    /// # Errors
+    ///
+    /// When the member is absent or holds another type.
+    pub fn field_as<'a, T: FromJson<'a>>(&'a self, name: &str) -> Result<T, String> {
+        typed(name, self.field(name)?)
+    }
+
+    /// A required unsigned integer member ([`Json::field_as`]).
+    pub fn u64_field(&self, name: &str) -> Result<u64, String> {
+        self.field_as(name)
+    }
+
+    /// A required unsigned integer member that fits `u32`.
+    pub fn u32_field(&self, name: &str) -> Result<u32, String> {
+        self.field_as(name)
+    }
+
+    /// A required number member; integers widen.
+    pub fn f64_field(&self, name: &str) -> Result<f64, String> {
+        self.field_as(name)
+    }
+
+    /// A required boolean member.
+    pub fn bool_field(&self, name: &str) -> Result<bool, String> {
+        self.field_as(name)
+    }
+
+    /// A required string member.
+    pub fn str_field(&self, name: &str) -> Result<&str, String> {
+        self.field_as(name)
+    }
+
+    /// A required array member.
+    pub fn array_field(&self, name: &str) -> Result<&[Json], String> {
+        self.field_as(name)
+    }
+
+    /// A required member that `decode` reads; its error is prefixed with
+    /// the member's name (`name: …`).
+    ///
+    /// # Errors
+    ///
+    /// When the member is absent or `decode` fails.
+    pub fn nested_field<'a, T>(
+        &'a self,
+        name: &str,
+        decode: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        decode(self.field(name)?).map_err(|e| format!("{name}: {e}"))
+    }
+
+    /// A required array member whose items `decode` reads; an item's
+    /// error is prefixed with its position (`name[3]: …`).
+    ///
+    /// # Errors
+    ///
+    /// When the member is absent or not an array, or an item fails.
+    pub fn items_field<'a, T>(
+        &'a self,
+        name: &str,
+        mut decode: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.array_field(name)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| decode(item).map_err(|e| format!("{name}[{i}]: {e}")))
+            .collect()
+    }
+
+    /// An optional member: absent or `null` gives `None`.
+    ///
+    /// # Errors
+    ///
+    /// When the member is present, not `null`, and of another type.
+    pub fn opt_field<'a, T: FromJson<'a>>(&'a self, name: &str) -> Result<Option<T>, String> {
+        match self.get(name) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => T::from_json(value)
+                .map(Some)
+                .ok_or_else(|| format!("field {name:?} must be {} or null", T::EXPECTED)),
+        }
+    }
+
+    /// A member added after documents without it were written: absent
+    /// gives `default`.
+    ///
+    /// # Errors
+    ///
+    /// When the member is present with another type (`null` included).
+    pub fn late_field<'a, T: FromJson<'a>>(&'a self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(value) => typed(name, value),
+        }
+    }
+
     /// Serializes to compact JSON text.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -152,6 +285,139 @@ impl Json {
     }
 }
 
+/// Reads member `name`'s `value` as a `T`.
+fn typed<'a, T: FromJson<'a>>(name: &str, value: &'a Json) -> Result<T, String> {
+    T::from_json(value).ok_or_else(|| format!("field {name:?} must be {}", T::EXPECTED))
+}
+
+/// A type the field readers can read a JSON value as.
+pub trait FromJson<'a>: Sized {
+    /// What a value of the type is, for error messages ("a string").
+    const EXPECTED: &'static str;
+
+    /// The value `json` holds, or `None` when it holds another type.
+    fn from_json(json: &'a Json) -> Option<Self>;
+}
+
+impl FromJson<'_> for u64 {
+    const EXPECTED: &'static str = "an unsigned integer";
+
+    fn from_json(json: &Json) -> Option<u64> {
+        json.as_u64()
+    }
+}
+
+impl FromJson<'_> for u32 {
+    const EXPECTED: &'static str = "an unsigned 32-bit integer";
+
+    fn from_json(json: &Json) -> Option<u32> {
+        json.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+}
+
+/// Signed integers. `Json::from(i64)` writes a negative value as a
+/// float, so a float reads back truncated toward zero.
+impl FromJson<'_> for i64 {
+    const EXPECTED: &'static str = "an integer";
+
+    fn from_json(json: &Json) -> Option<i64> {
+        match json {
+            Json::Int(n) => i64::try_from(*n).ok(),
+            Json::Float(x) => Some(*x as i64),
+            _ => None,
+        }
+    }
+}
+
+impl FromJson<'_> for f64 {
+    const EXPECTED: &'static str = "a number";
+
+    fn from_json(json: &Json) -> Option<f64> {
+        json.as_f64()
+    }
+}
+
+impl FromJson<'_> for bool {
+    const EXPECTED: &'static str = "a boolean";
+
+    fn from_json(json: &Json) -> Option<bool> {
+        json.as_bool()
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    const EXPECTED: &'static str = "a string";
+
+    fn from_json(json: &'a Json) -> Option<&'a str> {
+        json.as_str()
+    }
+}
+
+impl FromJson<'_> for String {
+    const EXPECTED: &'static str = "a string";
+
+    fn from_json(json: &Json) -> Option<String> {
+        json.as_str().map(str::to_string)
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [Json] {
+    const EXPECTED: &'static str = "an array";
+
+    fn from_json(json: &'a Json) -> Option<&'a [Json]> {
+        json.as_array()
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [(String, Json)] {
+    const EXPECTED: &'static str = "an object";
+
+    fn from_json(json: &'a Json) -> Option<&'a [(String, Json)]> {
+        match json {
+            Json::Object(members) => Some(members),
+            _ => None,
+        }
+    }
+}
+
+impl FromJson<'_> for Vec<String> {
+    const EXPECTED: &'static str = "an array of strings";
+
+    fn from_json(json: &Json) -> Option<Vec<String>> {
+        json.as_array()?.iter().map(String::from_json).collect()
+    }
+}
+
+impl FromJson<'_> for Vec<u64> {
+    const EXPECTED: &'static str = "an array of unsigned integers";
+
+    fn from_json(json: &Json) -> Option<Vec<u64>> {
+        json.as_array()?.iter().map(Json::as_u64).collect()
+    }
+}
+
+impl FromJson<'_> for Vec<(String, String)> {
+    const EXPECTED: &'static str = "an object of strings";
+
+    fn from_json(json: &Json) -> Option<Vec<(String, String)>> {
+        <&[(String, Json)]>::from_json(json)?
+            .iter()
+            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+            .collect()
+    }
+}
+
+/// A present `T` reads as `Some`; `null` is another type. With
+/// [`Json::late_field`] and a `None` default this reads an override that
+/// documents may leave out.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
+
+    fn from_json(json: &'a Json) -> Option<Option<T>> {
+        T::from_json(json).map(Some)
+    }
+}
+
 impl From<bool> for Json {
     fn from(b: bool) -> Json {
         Json::Bool(b)
@@ -170,6 +436,16 @@ impl From<usize> for Json {
     }
 }
 
+/// A negative value has no [`Json::Int`] form and is written as a float.
+impl From<i64> for Json {
+    fn from(n: i64) -> Json {
+        match u64::try_from(n) {
+            Ok(n) => Json::Int(n),
+            Err(_) => Json::Float(n as f64),
+        }
+    }
+}
+
 impl From<f64> for Json {
     fn from(x: f64) -> Json {
         Json::Float(x)
@@ -185,6 +461,13 @@ impl From<&str> for Json {
 impl From<String> for Json {
     fn from(s: String) -> Json {
         Json::Str(s)
+    }
+}
+
+/// `None` is written as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
     }
 }
 
@@ -535,6 +818,48 @@ mod tests {
             mutated[i] ^= 0x01;
             assert_ne!(fnv1a(&mutated), h, "byte {i}");
         }
+    }
+
+    #[test]
+    fn field_readers_apply_one_policy() {
+        let doc = Json::parse(r#"{"n":7,"s":"x","z":null,"neg":-2.0,"items":[{"n":1},{"n":"2"}]}"#)
+            .expect("parses");
+        // Required: present with its type, or an error naming the field.
+        assert_eq!(doc.u64_field("n"), Ok(7));
+        assert_eq!(doc.u32_field("n"), Ok(7));
+        assert_eq!(doc.field_as::<i64>("neg"), Ok(-2));
+        assert_eq!(
+            doc.str_field("gone"),
+            Err("missing field \"gone\"".to_string())
+        );
+        assert_eq!(
+            doc.u64_field("s"),
+            Err("field \"s\" must be an unsigned integer".to_string())
+        );
+        // Optional: absent or null is None, another type an error.
+        assert_eq!(doc.opt_field::<u64>("gone"), Ok(None));
+        assert_eq!(doc.opt_field::<u64>("z"), Ok(None));
+        assert_eq!(doc.opt_field::<&str>("s"), Ok(Some("x")));
+        assert!(doc.opt_field::<u64>("s").is_err());
+        // Late: absent is the default; null or another type an error.
+        assert_eq!(doc.late_field("gone", 5u64), Ok(5));
+        assert_eq!(doc.late_field("n", 5u64), Ok(7));
+        assert!(doc.late_field("z", 5u64).is_err());
+        assert!(doc.late_field("s", 5u64).is_err());
+        assert_eq!(doc.late_field::<Option<u64>>("gone", None), Ok(None));
+        // Nested failures name where they sit.
+        assert_eq!(
+            doc.items_field("items", |item| item.u64_field("n")),
+            Err("items[1]: field \"n\" must be an unsigned integer".to_string())
+        );
+    }
+
+    #[test]
+    fn none_is_written_as_null() {
+        assert_eq!(Json::from(None::<u64>), Json::Null);
+        assert_eq!(Json::from(Some("a")), Json::Str("a".to_string()));
+        assert_eq!(Json::from(-3i64).to_text(), "-3.0");
+        assert_eq!(Json::from(3i64), Json::Int(3));
     }
 
     #[test]

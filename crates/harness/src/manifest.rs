@@ -20,6 +20,9 @@ use crate::{HarnessError, Result};
 /// fails rather than guessing.
 pub const MANIFEST_VERSION: u64 = 1;
 
+/// What a manifest is called in its format errors.
+const MANIFEST_KIND: &str = "campaign manifest";
+
 /// Lifecycle state of one supervised job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
@@ -187,19 +190,6 @@ impl CampaignManifest {
 
     /// Serializes to the versioned JSON manifest format.
     pub fn to_json(&self) -> String {
-        let opt_int = |v: Option<u64>| match v {
-            Some(n) => Json::Int(n),
-            None => Json::Null,
-        };
-        let opt_signed = |v: Option<i64>| match v {
-            Some(n) if n >= 0 => Json::Int(n as u64),
-            Some(n) => Json::Float(n as f64),
-            None => Json::Null,
-        };
-        let opt_str = |v: &Option<String>| match v {
-            Some(s) => Json::Str(s.clone()),
-            None => Json::Null,
-        };
         let jobs = Json::Array(
             self.jobs
                 .iter()
@@ -209,13 +199,13 @@ impl CampaignManifest {
                         ("config_hash".to_string(), Json::Int(j.config_hash)),
                         ("status".to_string(), Json::Str(j.status.as_str().into())),
                         ("attempts".to_string(), Json::Int(u64::from(j.attempts))),
-                        ("exit_code".to_string(), opt_signed(j.exit_code)),
-                        ("signal".to_string(), opt_signed(j.signal)),
+                        ("exit_code".to_string(), j.exit_code.into()),
+                        ("signal".to_string(), j.signal.into()),
                         ("duration_secs".to_string(), Json::Float(j.duration_secs)),
-                        ("peak_rss_kb".to_string(), opt_int(j.peak_rss_kb)),
-                        ("stdout_log".to_string(), opt_str(&j.stdout_log)),
-                        ("stderr_log".to_string(), opt_str(&j.stderr_log)),
-                        ("last_error".to_string(), opt_str(&j.last_error)),
+                        ("peak_rss_kb".to_string(), j.peak_rss_kb.into()),
+                        ("stdout_log".to_string(), j.stdout_log.as_deref().into()),
+                        ("stderr_log".to_string(), j.stderr_log.as_deref().into()),
+                        ("last_error".to_string(), j.last_error.as_deref().into()),
                     ])
                 })
                 .collect(),
@@ -250,6 +240,7 @@ impl CampaignManifest {
     /// unsupported version.
     pub fn from_json(text: &str) -> Result<CampaignManifest> {
         parse_manifest(text).map_err(|message| HarnessError::ManifestFormat {
+            kind: MANIFEST_KIND,
             path: PathBuf::new(),
             message,
         })
@@ -285,150 +276,46 @@ impl CampaignManifest {
     /// invalid (checksum failure on every generation, bad version, parse
     /// error).
     pub fn load(path: &Path) -> Result<CampaignManifest> {
-        let loaded = crate::persist::load_sealed(path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                HarnessError::ManifestFormat {
-                    path: path.to_path_buf(),
-                    message: e.to_string(),
-                }
-            } else {
-                HarnessError::Io {
-                    path: path.to_path_buf(),
-                    message: format!("read: {e}"),
-                }
-            }
-        })?;
-        if loaded.from_previous {
-            eprintln!(
-                "warning: manifest {} was corrupt{}; resumed from previous generation",
-                path.display(),
-                loaded
-                    .quarantined
-                    .as_deref()
-                    .map(|q| format!(" (quarantined as {})", q.display()))
-                    .unwrap_or_default(),
-            );
-        }
-        CampaignManifest::from_json(&loaded.payload).map_err(|e| match e {
-            HarnessError::ManifestFormat { message, .. } => HarnessError::ManifestFormat {
-                path: path.to_path_buf(),
-                message,
-            },
-            other => other,
-        })
+        crate::persist::load_document(path, MANIFEST_KIND, parse_manifest)
     }
 }
 
 fn parse_manifest(text: &str) -> std::result::Result<CampaignManifest, String> {
     let root = Json::parse(text)?;
-    let version = root
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"version\"")?;
+    let version = root.u64_field("version")?;
     if version != MANIFEST_VERSION {
         return Err(format!(
             "unsupported manifest version {version} (this build reads version {MANIFEST_VERSION})"
         ));
     }
-    let plan_name = root
-        .get("plan_name")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"plan_name\"")?
-        .to_string();
-
-    let jobs_json = root
-        .get("jobs")
-        .and_then(Json::as_array)
-        .ok_or("missing array field \"jobs\"")?;
-    let mut jobs = Vec::with_capacity(jobs_json.len());
-    for (i, j) in jobs_json.iter().enumerate() {
-        let opt_signed = |name: &str| -> std::result::Result<Option<i64>, String> {
-            match j.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                // Non-negative values are written as integers; keep them
-                // exact instead of bouncing through f64.
-                Some(Json::Int(n)) => i64::try_from(*n)
-                    .map(Some)
-                    .map_err(|_| format!("job #{i}: field {name:?} overflows i64")),
-                Some(Json::Float(x)) => Ok(Some(*x as i64)),
-                Some(_) => Err(format!("job #{i}: field {name:?} must be a number or null")),
-            }
-        };
-        let opt_str = |name: &str| -> std::result::Result<Option<String>, String> {
-            match j.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(Json::Str(s)) => Ok(Some(s.clone())),
-                Some(_) => Err(format!("job #{i}: field {name:?} must be a string or null")),
-            }
-        };
-        let status_name = j
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("job #{i}: missing string field \"status\""))?;
-        let status = JobStatus::parse(status_name)
-            .ok_or_else(|| format!("job #{i}: unknown status {status_name:?}"))?;
-        jobs.push(JobRecord {
-            id: j
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("job #{i}: missing string field \"id\""))?
-                .to_string(),
-            config_hash: j
-                .get("config_hash")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("job #{i}: missing integer field \"config_hash\""))?,
-            status,
-            attempts: j
-                .get("attempts")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("job #{i}: field \"attempts\" must fit u32"))?,
-            exit_code: opt_signed("exit_code")?,
-            signal: opt_signed("signal")?,
-            duration_secs: j
-                .get("duration_secs")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("job #{i}: missing number field \"duration_secs\""))?,
-            peak_rss_kb: match j.get("peak_rss_kb") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    format!("job #{i}: field \"peak_rss_kb\" must be an unsigned integer or null")
-                })?),
-            },
-            stdout_log: opt_str("stdout_log")?,
-            stderr_log: opt_str("stderr_log")?,
-            last_error: opt_str("last_error")?,
-        });
-    }
-
-    let events_json = root
-        .get("events")
-        .and_then(Json::as_array)
-        .ok_or("missing array field \"events\"")?;
-    let mut events = Vec::with_capacity(events_json.len());
-    for (i, e) in events_json.iter().enumerate() {
-        let str_field = |name: &str| {
-            e.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("event #{i}: missing string field {name:?}"))
-        };
-        events.push(TransitionEvent {
-            job: str_field("job")?,
-            attempt: e
-                .get("attempt")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("event #{i}: field \"attempt\" must fit u32"))?,
-            to: str_field("to")?,
-        });
-    }
-
     Ok(CampaignManifest {
         version,
-        plan_name,
-        jobs,
-        events,
+        plan_name: root.str_field("plan_name")?.to_string(),
+        jobs: root.items_field("jobs", parse_job)?,
+        events: root.items_field("events", |e| {
+            Ok(TransitionEvent {
+                job: e.str_field("job")?.to_string(),
+                attempt: e.u32_field("attempt")?,
+                to: e.str_field("to")?.to_string(),
+            })
+        })?,
+    })
+}
+
+fn parse_job(j: &Json) -> std::result::Result<JobRecord, String> {
+    let status = j.str_field("status")?;
+    Ok(JobRecord {
+        id: j.str_field("id")?.to_string(),
+        config_hash: j.u64_field("config_hash")?,
+        status: JobStatus::parse(status).ok_or_else(|| format!("unknown status {status:?}"))?,
+        attempts: j.u32_field("attempts")?,
+        exit_code: j.opt_field("exit_code")?,
+        signal: j.opt_field("signal")?,
+        duration_secs: j.f64_field("duration_secs")?,
+        peak_rss_kb: j.opt_field("peak_rss_kb")?,
+        stdout_log: j.opt_field("stdout_log")?,
+        stderr_log: j.opt_field("stderr_log")?,
+        last_error: j.opt_field("last_error")?,
     })
 }
 

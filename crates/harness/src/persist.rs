@@ -20,6 +20,17 @@
 //! verify), so rolling this out does not invalidate existing campaign
 //! directories or checkpoints.
 //!
+//! # One loader
+//!
+//! Every sealed document — campaign manifest, attack checkpoint, queue
+//! shard, sweep plan — loads through [`load_document`], which names the
+//! document's kind. It reads the newest generation that verifies, warns
+//! on stderr when that is the previous one, and decodes it with the
+//! document's own decoder. A document no generation of which can be
+//! read is an [`HarnessError::Io`]; one torn in every generation, or
+//! whose surviving generation does not decode, is a
+//! [`HarnessError::ManifestFormat`] naming the kind.
+//!
 //! # Disk-fault injection
 //!
 //! With the `failpoints` feature, [`save_sealed`] consults two fault
@@ -45,6 +56,7 @@ use std::path::{Path, PathBuf};
 use fulllock_sat::faults::{self, FaultAction};
 
 use crate::json::{seal, unseal};
+use crate::HarnessError;
 
 /// The previous-generation suffix (`file` → `file.1`).
 const PREVIOUS_SUFFIX: &str = ".1";
@@ -170,6 +182,46 @@ pub fn load_sealed(path: &Path) -> io::Result<Loaded> {
         }),
         Err(_) => Err(primary_err),
     }
+}
+
+/// Loads the sealed `kind` document at `path` (see [`load_sealed`]) and
+/// decodes its payload with `decode`. Falling back to the previous
+/// generation prints a warning naming the document and where its
+/// corrupt primary was quarantined.
+///
+/// # Errors
+///
+/// [`HarnessError::Io`] when no generation can be read from disk;
+/// [`HarnessError::ManifestFormat`] naming `kind` when no generation
+/// verifies or the one that does fails `decode`.
+pub fn load_document<T>(
+    path: &Path,
+    kind: &'static str,
+    decode: impl FnOnce(&str) -> Result<T, String>,
+) -> crate::Result<T> {
+    let format = |message: String| HarnessError::ManifestFormat {
+        kind,
+        path: path.to_path_buf(),
+        message,
+    };
+    let loaded = load_sealed(path).map_err(|e| match e.kind() {
+        io::ErrorKind::InvalidData => format(e.to_string()),
+        _ => HarnessError::Io {
+            path: path.to_path_buf(),
+            message: format!("read {kind}: {e}"),
+        },
+    })?;
+    if loaded.from_previous {
+        eprintln!(
+            "warning: {kind} {} did not verify{}; using the previous generation",
+            path.display(),
+            loaded
+                .quarantined
+                .map(|q| format!(" (quarantined as {})", q.display()))
+                .unwrap_or_default(),
+        );
+    }
+    decode(&loaded.payload).map_err(format)
 }
 
 /// Reads one generation and verifies its envelope, mapping a seal

@@ -173,43 +173,18 @@ impl JobSpec {
     /// the object's `"id"` member otherwise; `args` and `env` may be
     /// absent.
     pub(crate) fn from_json(json: &Json, id: Option<&str>) -> std::result::Result<JobSpec, String> {
-        let str_field = |name: &str| {
-            json.get(name)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("missing string field {name:?}"))
-        };
         let id = match id {
             Some(id) => id,
-            None => str_field("id")?,
+            None => json.str_field("id")?,
         };
-        let mut spec = JobSpec::new(id, str_field("program")?);
-        if let Some(args) = json.get("args") {
-            for a in args.as_array().ok_or("field \"args\" must be an array")? {
-                spec.args
-                    .push(a.as_str().ok_or("args must be strings")?.to_string());
-            }
-        }
-        match json.get("env") {
-            None => {}
-            Some(Json::Object(members)) => {
-                for (k, v) in members {
-                    let v = v.as_str().ok_or("env values must be strings")?;
-                    spec.env.push((k.clone(), v.to_string()));
-                }
-            }
-            Some(_) => return Err("field \"env\" must be an object".to_string()),
-        }
-        if let Some(t) = json.get("timeout_secs") {
-            spec.timeout_secs = Some(t.as_f64().ok_or("\"timeout_secs\" must be a number")?);
-        }
-        if let Some(n) = json.get("max_attempts") {
-            spec.max_attempts = Some(
-                n.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("\"max_attempts\" must fit u32")?,
-            );
-        }
-        Ok(spec)
+        Ok(JobSpec {
+            id: id.to_string(),
+            program: json.str_field("program")?.to_string(),
+            args: json.late_field("args", Vec::new())?,
+            env: json.late_field("env", Vec::new())?,
+            timeout_secs: json.late_field("timeout_secs", None)?,
+            max_attempts: json.late_field("max_attempts", None)?,
+        })
     }
 
     fn validate(&self) -> std::result::Result<(), String> {
@@ -416,29 +391,16 @@ impl CampaignPlan {
 
 fn parse_plan(text: &str) -> std::result::Result<CampaignPlan, String> {
     let root = Json::parse(text)?;
-    let version = root
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"version\"")?;
+    let version = root.u64_field("version")?;
     if version != PLAN_VERSION {
         return Err(format!(
             "unsupported plan version {version} (this build reads version {PLAN_VERSION})"
         ));
     }
-    let name = root
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"name\"")?
-        .to_string();
-    let jobs_json = root
-        .get("jobs")
-        .and_then(Json::as_array)
-        .ok_or("missing array field \"jobs\"")?;
-    let mut jobs = Vec::with_capacity(jobs_json.len());
-    for (i, job) in jobs_json.iter().enumerate() {
-        jobs.push(JobSpec::from_json(job, None).map_err(|e| format!("job #{i}: {e}"))?);
-    }
-    Ok(CampaignPlan { name, jobs })
+    Ok(CampaignPlan {
+        name: root.str_field("name")?.to_string(),
+        jobs: root.items_field("jobs", |job| JobSpec::from_json(job, None))?,
+    })
 }
 
 #[cfg(test)]

@@ -33,11 +33,7 @@ impl ServiceReply {
     /// The job state carried by an `ok` job response, if any.
     pub fn job_state(&self) -> Option<JobState> {
         match self {
-            ServiceReply::Ok(json) => json
-                .get("job")
-                .and_then(|j| j.get("state"))
-                .and_then(Json::as_str)
-                .and_then(JobState::parse),
+            ServiceReply::Ok(json) => JobState::parse(json.get("job")?.str_field("state").ok()?),
             ServiceReply::Err { .. } => None,
         }
     }
@@ -52,30 +48,24 @@ impl ServiceReply {
 }
 
 fn decode_reply(line: &str) -> io::Result<ServiceReply> {
-    let json = Json::parse(line)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))?;
-    match json.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(ServiceReply::Ok(json)),
-        Some(false) => {
-            let code = json
-                .get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str)
-                .unwrap_or("internal")
-                .to_string();
-            let message = json
-                .get("error")
-                .and_then(|e| e.get("message"))
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            Ok(ServiceReply::Err { code, message })
-        }
-        None => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response missing \"ok\" field",
-        )),
+    let invalid =
+        |e: String| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}"));
+    let json = Json::parse(line).map_err(invalid)?;
+    if json.bool_field("ok").map_err(invalid)? {
+        return Ok(ServiceReply::Ok(json));
     }
+    // A refusal without its envelope still reads as a refusal.
+    let error = json.get("error").unwrap_or(&Json::Null);
+    Ok(ServiceReply::Err {
+        code: error
+            .late_field("code", "internal")
+            .map_err(invalid)?
+            .to_string(),
+        message: error
+            .late_field("message", "")
+            .map_err(invalid)?
+            .to_string(),
+    })
 }
 
 /// Blocking client handle (stores the endpoint; connects per request).

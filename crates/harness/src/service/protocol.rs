@@ -122,40 +122,20 @@ impl ProtocolError {
 /// the wrong shape; `unknown_verb` when the verb is not one of the five;
 /// `invalid_job` when a submitted job spec fails validation.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let root = Json::parse(line)
-        .map_err(|e| ProtocolError::new("malformed_request", format!("bad JSON: {e}")))?;
+    let malformed = |message: String| ProtocolError::new("malformed_request", message);
+    let root = Json::parse(line).map_err(|e| malformed(format!("bad JSON: {e}")))?;
     if !matches!(root, Json::Object(_)) {
-        return Err(ProtocolError::new(
-            "malformed_request",
-            "request must be a JSON object",
-        ));
+        return Err(malformed("request must be a JSON object".to_string()));
     }
-    let verb = root
-        .get("verb")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtocolError::new("malformed_request", "missing string field \"verb\""))?;
-    let job_id = |root: &Json| {
-        root.get("job")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ProtocolError::new("malformed_request", "missing string field \"job\""))
-    };
-    match verb {
+    match root.str_field("verb").map_err(malformed)? {
         "submit" => {
-            let tenant = root.get("tenant").and_then(Json::as_str).ok_or_else(|| {
-                ProtocolError::new(
-                    "malformed_request",
-                    "submit requires string field \"tenant\"",
-                )
-            })?;
+            let tenant = root.str_field("tenant").map_err(malformed)?;
             if tenant.is_empty() {
-                return Err(ProtocolError::new("malformed_request", "empty tenant name"));
+                return Err(malformed("empty tenant name".to_string()));
             }
-            let job_json = root.get("job").ok_or_else(|| {
-                ProtocolError::new("malformed_request", "submit requires object field \"job\"")
-            })?;
-            let job = JobSpec::from_json(job_json, None)
-                .map_err(|m| ProtocolError::new("malformed_request", format!("job: {m}")))?;
+            let job = root
+                .nested_field("job", |job| JobSpec::from_json(job, None))
+                .map_err(malformed)?;
             // Reuse the campaign plan validator: id charset, non-empty
             // program, finite positive timeout.
             crate::plan::CampaignPlan::new("submit")
@@ -168,31 +148,18 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             })
         }
         "status" => Ok(Request::Status {
-            job: job_id(&root)?,
+            job: root.field_as("job").map_err(malformed)?,
         }),
         "cancel" => Ok(Request::Cancel {
-            job: job_id(&root)?,
+            job: root.field_as("job").map_err(malformed)?,
         }),
         "stream" => Ok(Request::Stream {
-            job: job_id(&root)?,
+            job: root.field_as("job").map_err(malformed)?,
         }),
         "health" => Ok(Request::Health),
-        "list" => {
-            let tenant = match root.get("tenant") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            ProtocolError::new(
-                                "malformed_request",
-                                "list field \"tenant\" must be a string",
-                            )
-                        })?
-                        .to_string(),
-                ),
-            };
-            Ok(Request::List { tenant })
-        }
+        "list" => Ok(Request::List {
+            tenant: root.opt_field("tenant").map_err(malformed)?,
+        }),
         other => Err(ProtocolError::new(
             "unknown_verb",
             format!("unknown verb {other:?} (expected submit/status/cancel/list/stream/health)"),
@@ -213,13 +180,7 @@ pub fn encode_request(request: &Request) -> String {
         Request::Stream { job } => verb_job("stream", job),
         Request::List { tenant } => Json::Object(vec![
             ("verb".to_string(), Json::Str("list".to_string())),
-            (
-                "tenant".to_string(),
-                match tenant {
-                    Some(t) => Json::Str(t.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("tenant".to_string(), tenant.as_deref().into()),
         ]),
         Request::Health => {
             Json::Object(vec![("verb".to_string(), Json::Str("health".to_string()))])
@@ -268,13 +229,7 @@ pub fn job_summary_json(job: &ServiceJob) -> Json {
             Json::Float(job.charged_wall_secs),
         ),
         ("interrupted".to_string(), Json::Bool(job.interrupted)),
-        (
-            "last_error".to_string(),
-            match &job.last_error {
-                Some(e) => Json::Str(e.clone()),
-                None => Json::Null,
-            },
-        ),
+        ("last_error".to_string(), job.last_error.as_deref().into()),
     ])
 }
 

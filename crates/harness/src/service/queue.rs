@@ -151,13 +151,7 @@ impl ServiceJob {
             ("attempts".to_string(), Json::Int(u64::from(self.attempts))),
             ("seq".to_string(), Json::Int(self.seq)),
             ("completions".to_string(), Json::Int(self.completions)),
-            (
-                "last_error".to_string(),
-                match &self.last_error {
-                    Some(e) => Json::Str(e.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("last_error".to_string(), self.last_error.as_deref().into()),
             (
                 "charged_conflicts".to_string(),
                 Json::Int(self.charged_conflicts),
@@ -171,50 +165,20 @@ impl ServiceJob {
     }
 
     fn from_json(json: &Json) -> std::result::Result<ServiceJob, String> {
-        let str_field = |name: &str| {
-            json.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("job missing string field {name:?}"))
-        };
-        let int_field = |name: &str| {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("job field {name:?} must be an unsigned integer"))
-        };
-        let id = str_field("id")?;
-        let spec_json = json.get("spec").ok_or("job missing field \"spec\"")?;
-        let spec = JobSpec::from_json(spec_json, Some(&id)).map_err(|e| format!("spec: {e}"))?;
-        let state_name = str_field("state")?;
-        let state = JobState::parse(&state_name)
-            .ok_or_else(|| format!("unknown job state {state_name:?}"))?;
-        let last_error = match json.get("last_error") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("job field \"last_error\" must be a string or null")?
-                    .to_string(),
-            ),
-        };
+        let id = json.str_field("id")?;
+        let state = json.str_field("state")?;
         Ok(ServiceJob {
-            id,
-            tenant: str_field("tenant")?,
-            spec,
-            state,
-            attempts: u32::try_from(int_field("attempts")?)
-                .map_err(|_| "job field \"attempts\" must fit u32".to_string())?,
-            seq: int_field("seq")?,
-            completions: int_field("completions")?,
-            last_error,
-            charged_conflicts: int_field("charged_conflicts")?,
-            charged_wall_secs: json
-                .get("charged_wall_secs")
-                .and_then(Json::as_f64)
-                .ok_or("job field \"charged_wall_secs\" must be a number")?,
-            interrupted: json
-                .get("interrupted")
-                .and_then(Json::as_bool)
-                .ok_or("job field \"interrupted\" must be a boolean")?,
+            id: id.to_string(),
+            tenant: json.str_field("tenant")?.to_string(),
+            spec: json.nested_field("spec", |spec| JobSpec::from_json(spec, Some(id)))?,
+            state: JobState::parse(state).ok_or_else(|| format!("unknown job state {state:?}"))?,
+            attempts: json.u32_field("attempts")?,
+            seq: json.u64_field("seq")?,
+            completions: json.u64_field("completions")?,
+            last_error: json.opt_field("last_error")?,
+            charged_conflicts: json.u64_field("charged_conflicts")?,
+            charged_wall_secs: json.f64_field("charged_wall_secs")?,
+            interrupted: json.bool_field("interrupted")?,
         })
     }
 }
@@ -259,17 +223,39 @@ impl ShardedQueue {
     /// `pending` with [`ServiceJob::interrupted`] set — the previous
     /// server died mid-flight; their attempt counters are preserved.
     ///
+    /// The shard count is fixed for a directory: reading it under another
+    /// count would miss the shards past the new count and file jobs under
+    /// shards they do not hash to, losing or re-running them.
+    ///
     /// # Errors
     ///
     /// [`HarnessError::Io`] when the directory or a shard cannot be read,
     /// [`HarnessError::ManifestFormat`] when a shard's surviving
-    /// generation is unparseable.
+    /// generation is unparseable, and [`HarnessError::ShardCount`] when
+    /// the directory was written under another shard count: it holds a
+    /// shard file past `shards`, or a job in a shard it does not hash to.
     pub fn open(dir: &Path, shards: u32) -> Result<ShardedQueue> {
         let shards = shards.max(1);
         std::fs::create_dir_all(dir).map_err(|e| HarnessError::Io {
             path: dir.to_path_buf(),
             message: format!("create queue directory: {e}"),
         })?;
+        let mismatch = |evidence: String| HarnessError::ShardCount {
+            dir: dir.to_path_buf(),
+            shards,
+            evidence,
+        };
+        let entries = std::fs::read_dir(dir).map_err(|e| HarnessError::Io {
+            path: dir.to_path_buf(),
+            message: format!("list queue directory: {e}"),
+        })?;
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if shard_file_index(&name).is_some_and(|index| index >= shards) {
+                return Err(mismatch(format!("it holds {name}")));
+            }
+        }
         let mut jobs: Vec<ServiceJob> = Vec::new();
         let mut recovered = 0;
         for shard in 0..shards {
@@ -277,29 +263,21 @@ impl ShardedQueue {
             if !path.exists() && !crate::persist::with_suffix(&path, ".1").exists() {
                 continue;
             }
-            let loaded = persist::load_sealed(&path).map_err(|e| HarnessError::Io {
-                path: path.clone(),
-                message: format!("read shard: {e}"),
-            })?;
-            if loaded.from_previous {
-                eprintln!(
-                    "warning: queue shard {} failed its checksum; using previous generation",
-                    path.display()
-                );
-            }
-            let mut shard_jobs =
-                parse_shard(&loaded.payload).map_err(|message| HarnessError::ManifestFormat {
-                    path: path.clone(),
-                    message,
-                })?;
-            for job in &mut shard_jobs {
+            for mut job in persist::load_document(&path, "queue shard", parse_shard)? {
+                let home = shard_index(&job.id, shards);
+                if home != shard {
+                    return Err(mismatch(format!(
+                        "job {:?} sits in shard {shard} but hashes to shard {home}",
+                        job.id
+                    )));
+                }
                 if job.state == JobState::Running {
                     job.state = JobState::Pending;
                     job.interrupted = true;
                     recovered += 1;
                 }
+                jobs.push(job);
             }
-            jobs.extend(shard_jobs);
         }
         jobs.sort_by_key(|j| j.seq);
         let next_seq = jobs.iter().map(|j| j.seq + 1).max().unwrap_or(0);
@@ -315,7 +293,7 @@ impl ShardedQueue {
 
     /// The shard index a job id maps to.
     pub fn shard_of(&self, id: &str) -> u32 {
-        (fnv1a_str(id) % u64::from(self.shards)) as u32
+        shard_index(id, self.shards)
     }
 
     /// Inserts a freshly submitted job and persists its shard.
@@ -495,28 +473,28 @@ fn shard_path(dir: &Path, shard: u32) -> PathBuf {
     dir.join(format!("shard-{shard:02}.json"))
 }
 
+/// The shard index of a `shard-NN.json` file name, or of one of its
+/// generations (`.1`), quarantined copies (`.corrupt`) or temp files.
+fn shard_file_index(name: &str) -> Option<u32> {
+    let (digits, rest) = name.strip_prefix("shard-")?.split_once('.')?;
+    rest.starts_with("json").then(|| digits.parse().ok())?
+}
+
 fn parse_shard(text: &str) -> std::result::Result<Vec<ServiceJob>, String> {
     let root = Json::parse(text)?;
-    let version = root
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"version\"")?;
+    let version = root.u64_field("version")?;
     if version != QUEUE_VERSION {
         return Err(format!(
             "unsupported queue version {version} (this build reads version {QUEUE_VERSION})"
         ));
     }
-    root.get("jobs")
-        .and_then(Json::as_array)
-        .ok_or("missing array field \"jobs\"")?
-        .iter()
-        .map(ServiceJob::from_json)
-        .collect()
+    root.items_field("jobs", ServiceJob::from_json)
 }
 
-/// FNV-1a over a string (shard assignment; stable across restarts).
-fn fnv1a_str(s: &str) -> u64 {
-    crate::json::fnv1a(s.as_bytes())
+/// The shard a job id maps to under `shards` shards (FNV-1a of the id;
+/// stable across restarts).
+fn shard_index(id: &str, shards: u32) -> u32 {
+    (crate::json::fnv1a(id.as_bytes()) % u64::from(shards)) as u32
 }
 
 #[cfg(test)]
@@ -612,6 +590,30 @@ mod tests {
         assert_eq!(q2.jobs().len(), 1);
         assert_eq!(q2.jobs()[0].id, "one");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The shard count is fixed for a directory: reopening under fewer
+    /// shards would drop the jobs past them, under more would file jobs
+    /// where they do not hash and save them twice.
+    #[test]
+    fn reopening_under_another_shard_count_is_refused() {
+        for (written, reopened) in [(4, 2), (2, 4)] {
+            let dir = tmp_dir(&format!("shards-{written}-{reopened}"));
+            let mut q = ShardedQueue::open(&dir, written).expect("open");
+            for i in 0..16 {
+                q.submit("acme", spec(&format!("job{i}"))).expect("submit");
+            }
+            let err = ShardedQueue::open(&dir, reopened).expect_err("count changed");
+            assert!(
+                matches!(&err, HarnessError::ShardCount { dir: d, shards, .. }
+                    if *d == dir && *shards == reopened),
+                "{err}"
+            );
+            assert!(err.to_string().contains("restart with"), "{err}");
+            let back = ShardedQueue::open(&dir, written).expect("original count");
+            assert_eq!(back.jobs().len(), 16);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1326,11 +1326,7 @@ fn report_conflicts(job_dir: &std::path::Path) -> u64 {
         return 0;
     };
     crate::json::Json::parse(&text)
-        .ok()
-        .as_ref()
-        .and_then(|j| j.get("solver"))
-        .and_then(|s| s.get("conflicts"))
-        .and_then(crate::json::Json::as_u64)
+        .and_then(|report| report.nested_field("solver", |s| s.u64_field("conflicts")))
         .unwrap_or(0)
 }
 

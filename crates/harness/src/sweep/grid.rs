@@ -307,18 +307,17 @@ impl SweepPlan {
 
     /// Loads the sealed plan file from a sweep directory, returning the
     /// plan and its recorded config hash.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Io`] when no generation of the file can be read,
+    /// [`HarnessError::ManifestFormat`] when none verifies or the plan it
+    /// holds is malformed or invalid.
     pub fn load(dir: &Path) -> Result<(SweepPlan, u64)> {
-        let path = plan_path(dir);
-        let loaded = crate::persist::load_sealed(&path).map_err(|e| HarnessError::Io {
-            path: path.clone(),
-            message: format!("read sweep plan: {e}"),
-        })?;
-        SweepPlan::from_json(&loaded.payload).map_err(|e| match e {
-            HarnessError::PlanFormat { message, .. } => HarnessError::PlanFormat {
-                path: Some(path),
-                message,
-            },
-            other => other,
+        crate::persist::load_document(&plan_path(dir), "sweep plan", |text| {
+            let (plan, hash) = parse_sweep_plan(text)?;
+            plan.validate().map_err(|e| e.to_string())?;
+            Ok((plan, hash))
         })
     }
 }
@@ -330,69 +329,29 @@ pub fn plan_path(dir: &Path) -> std::path::PathBuf {
 
 fn parse_sweep_plan(text: &str) -> std::result::Result<(SweepPlan, u64), String> {
     let root = Json::parse(text)?;
-    let version = root
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"version\"")?;
+    let version = root.u64_field("version")?;
     if version != SWEEP_PLAN_VERSION {
         return Err(format!(
             "unsupported sweep plan version {version} (this build reads version \
              {SWEEP_PLAN_VERSION})"
         ));
     }
-    let name = root
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"name\"")?;
-    let executor = root
-        .get("executor")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"executor\"")?;
-    let unit_timeout_secs = root
-        .get("unit_timeout_secs")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field \"unit_timeout_secs\"")?;
-    let seed = root
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"seed\"")?;
-    let config_hash = root
-        .get("config_hash")
-        .and_then(Json::as_u64)
-        .ok_or("missing unsigned integer field \"config_hash\"")?;
-    let axes_json = root
-        .get("axes")
-        .and_then(Json::as_array)
-        .ok_or("missing array field \"axes\"")?;
-    let mut grid = SweepGrid::new(name);
-    for (i, axis) in axes_json.iter().enumerate() {
-        let axis_name = axis
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("axis #{i}: missing string field \"name\""))?;
-        let values = axis
-            .get("values")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("axis #{i}: missing array field \"values\""))?;
-        let values: Vec<String> = values
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("axis #{i}: values must be strings"))
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        grid = grid.axis(axis_name, values);
-    }
-    Ok((
-        SweepPlan {
-            grid,
-            executor: executor.to_string(),
-            unit_timeout_secs,
-            seed,
+    let axes = root.items_field("axes", |axis| {
+        Ok((
+            axis.str_field("name")?.to_string(),
+            axis.field_as::<Vec<String>>("values")?,
+        ))
+    })?;
+    let plan = SweepPlan {
+        grid: SweepGrid {
+            name: root.str_field("name")?.to_string(),
+            axes,
         },
-        config_hash,
-    ))
+        executor: root.str_field("executor")?.to_string(),
+        unit_timeout_secs: root.f64_field("unit_timeout_secs")?,
+        seed: root.u64_field("seed")?,
+    };
+    Ok((plan, root.u64_field("config_hash")?))
 }
 
 #[cfg(test)]

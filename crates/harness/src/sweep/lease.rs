@@ -101,24 +101,13 @@ impl Lease {
     /// Parses the JSON payload of a lease file.
     pub fn from_json(text: &str) -> Result<Lease, String> {
         let root = Json::parse(text)?;
-        let str_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("lease: missing string field {name:?}"))
-        };
-        let int_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("lease: missing integer field {name:?}"))
-        };
         Ok(Lease {
-            unit: str_field("unit")?,
-            worker: str_field("worker")?,
-            nonce: int_field("nonce")?,
-            generation: int_field("generation")?,
-            acquired_millis: int_field("acquired_millis")?,
-            expires_millis: int_field("expires_millis")?,
+            unit: root.str_field("unit")?.to_string(),
+            worker: root.str_field("worker")?.to_string(),
+            nonce: root.u64_field("nonce")?,
+            generation: root.u64_field("generation")?,
+            acquired_millis: root.u64_field("acquired_millis")?,
+            expires_millis: root.u64_field("expires_millis")?,
         })
     }
 }

@@ -82,38 +82,17 @@ impl SampleRecord {
     /// Parses one segment line's JSON payload.
     pub fn from_json(text: &str) -> Result<SampleRecord, String> {
         let root = Json::parse(text)?;
-        let str_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("sample: missing string field {name:?}"))
-        };
-        let int_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("sample: missing integer field {name:?}"))
-        };
-        let float_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("sample: missing numeric field {name:?}"))
-        };
-        let bool_field = |name: &str| {
-            root.get(name)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("sample: missing boolean field {name:?}"))
-        };
         Ok(SampleRecord {
-            unit: str_field("unit")?,
-            worker: str_field("worker")?,
-            stolen: bool_field("stolen")?,
-            speculative: bool_field("speculative")?,
-            verdict: str_field("verdict")?,
-            conflicts: int_field("conflicts")?,
-            vars: int_field("vars")?,
-            clauses: int_field("clauses")?,
-            clause_var_ratio: float_field("clause_var_ratio")?,
-            wall_secs: float_field("wall_secs")?,
+            unit: root.str_field("unit")?.to_string(),
+            worker: root.str_field("worker")?.to_string(),
+            stolen: root.bool_field("stolen")?,
+            speculative: root.bool_field("speculative")?,
+            verdict: root.str_field("verdict")?.to_string(),
+            conflicts: root.u64_field("conflicts")?,
+            vars: root.u64_field("vars")?,
+            clauses: root.u64_field("clauses")?,
+            clause_var_ratio: root.f64_field("clause_var_ratio")?,
+            wall_secs: root.f64_field("wall_secs")?,
         })
     }
 }

@@ -19,9 +19,17 @@
 # Every JSON line goes to $BENCH_PAIRS_DIR/<workload>.jsonl, tagged with
 # its side and seed, and each run's readable summary to <workload>.stderr;
 # both are appended to, never overwritten. At the end the
-# script prints, per metric, each side's median and quartiles over this
-# invocation's runs, the change of the medians, and in how many pairs the
-# working tree won (by the metric's `better` in `BENCHMARK.json`).
+# script prints each side's failed share and, per metric, each side's
+# median and quartiles over this invocation's runs, the change of the
+# medians, and in how many pairs the working tree won (by the metric's
+# `better` in `BENCHMARK.json`). Each end-to-end metric also gets its
+# `bound` from `BENCHMARK.json` and one verdict word:
+#   worse       the working tree's median is worse than the parent's by
+#               more than the bound;
+#   unresolved  the parent's quartile spread over its median exceeds the
+#               bound, and not every working-tree run beats every parent
+#               run;
+#   ok          otherwise.
 #
 # Environment:
 #   BENCH_PAIRS_DIR      work directory (default: .bench_pairs at the root)
@@ -95,6 +103,7 @@ import json, statistics, sys
 
 spec = json.load(open(sys.argv[1]))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 runs = [json.loads(line) for line in open(sys.argv[2])]
 by_seed = {}
 for r in runs:
@@ -107,22 +116,40 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
+def verdict(bound, sign, parent, change, pq, cq):
+    """The pipeline's word for one end-to-end metric."""
+    if sign * (cq[1] - pq[1]) > bound * abs(pq[1]):
+        return "worse"
+    every_run_beats = all(sign * (c - p) < 0 for c in change for p in parent)
+    if pq[2] - pq[0] > bound * abs(pq[1]) and not every_run_beats:
+        return "unresolved"
+    return "ok"
+
 for side in ("parent", "change"):
     rs = [p[side] for p in pairs]
+    failed = sum(r["failed"] for r in rs)
+    attempted = sum(r["attempted"] for r in rs)
+    share = failed / attempted if attempted else 0.0
     print(f"{side}: {len(rs)} runs, correct in {sum(bool(r['correct']) for r in rs)}, "
-          f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)}")
+          f"failed {failed} of {attempted} ({share:.1%})")
 names = sorted({n for p in pairs for side in p.values() for n in side["metrics"]})
 print(f"{'metric':<28} {'parent median [q1, q3]':>30} "
-      f"{'change median [q1, q3]':>30} {'delta':>8} wins")
+      f"{'change median [q1, q3]':>30} {'delta':>8} wins  bound verdict")
 for name in names:
     both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name)) for p in pairs]
     both = [(a["value"], b["value"]) for a, b in both if a and b]
     if not both:
         continue
-    pq, cq = quartiles([a for a, _ in both]), quartiles([b for _, b in both])
+    parent, change = [a for a, _ in both], [b for _, b in both]
+    pq, cq = quartiles(parent), quartiles(change)
     sign = 1 if better.get(name, "lower") == "lower" else -1
     wins = sum(sign * (b - a) < 0 for a, b in both)
     delta = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else float("nan")
+    judged = ""
+    if name in bounds:
+        word = verdict(bounds[name], sign, parent, change, pq, cq)
+        judged = f"  {bounds[name]:>5.0%} {word}"
     print(f"{name:<28} {pq[1]:>12.4g} [{pq[0]:.4g}, {pq[2]:.4g}] "
-          f"{cq[1]:>12.4g} [{cq[0]:.4g}, {cq[2]:.4g}] {delta:>+7.1f}% {wins}/{len(both)}")
+          f"{cq[1]:>12.4g} [{cq[0]:.4g}, {cq[2]:.4g}] {delta:>+7.1f}% "
+          f"{wins:>4}/{len(both)}{judged}")
 EOF

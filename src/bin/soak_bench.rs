@@ -236,6 +236,15 @@ fn swarm_client(soak: &Soak, client_index: usize) {
     }
 }
 
+/// A `list` row's id, state and completion count.
+fn list_row(job: &Json) -> Result<(&str, &str, u64), String> {
+    Ok((
+        job.late_field("id", "?")?,
+        job.late_field("state", "?")?,
+        job.late_field("completions", 0)?,
+    ))
+}
+
 /// One `list` snapshot checked against the exactly-once and monotonicity
 /// invariants. Returns the number of accepted jobs currently done.
 fn check_snapshot(soak: &Soak, client: &Client) -> Option<usize> {
@@ -243,16 +252,17 @@ fn check_snapshot(soak: &Soak, client: &Client) -> Option<usize> {
     let full_lock::harness::service::ServiceReply::Ok(json) = reply else {
         return None;
     };
-    let jobs = json.get("jobs").and_then(Json::as_array)?;
+    let jobs = json.array_field("jobs").ok()?;
     let mut done = 0usize;
     let mut baseline = soak.baseline.lock().expect("baseline lock");
     for job in jobs {
-        let id = job.get("id").and_then(Json::as_str).unwrap_or("?");
-        let completions = job
-            .get("completions")
-            .and_then(Json::as_u64)
-            .unwrap_or_default();
-        let state = job.get("state").and_then(Json::as_str).unwrap_or("?");
+        let (id, state, completions) = match list_row(job) {
+            Ok(row) => row,
+            Err(e) => {
+                soak.violation(format!("malformed list row: {e}"));
+                continue;
+            }
+        };
         if completions > 1 {
             soak.violation(format!(
                 "job {id} observed with completions={completions} (exactly-once broken)"
@@ -276,6 +286,59 @@ fn check_snapshot(soak: &Soak, client: &Client) -> Option<usize> {
         *seen = (*seen).max(completions);
     }
     Some(done)
+}
+
+/// Checks each tenant's quota ledger in `health` against the per-job
+/// charges in `list`: equal conflicts and wall time, no in-flight slot
+/// once every job is done. Returns the ledger rows for the record.
+fn check_ledger(
+    soak: &Soak,
+    health: &Json,
+    list: Option<&Json>,
+    accepted: usize,
+) -> Result<Vec<Json>, String> {
+    let mut by_tenant: HashMap<String, (u64, f64)> = HashMap::new();
+    let jobs: &[Json] = match list {
+        Some(list) => list.late_field::<&[Json]>("jobs", &[])?,
+        None => &[],
+    };
+    for job in jobs {
+        let entry = by_tenant
+            .entry(job.late_field("tenant", "?")?.to_string())
+            .or_insert((0, 0.0));
+        entry.0 += job.late_field("charged_conflicts", 0)?;
+        entry.1 += job.late_field("charged_wall_secs", 0.0)?;
+    }
+    let mut ledger = Vec::new();
+    for row in health.late_field::<&[Json]>("tenants", &[])? {
+        let tenant = row.late_field("tenant", "?")?;
+        let in_flight = row.late_field("in_flight", 0u64)?;
+        let conflicts = row.late_field("conflicts", 0)?;
+        let wall = row.late_field("wall_secs", 0.0)?;
+        if in_flight != 0 {
+            soak.violation(format!(
+                "tenant {tenant} holds {in_flight} in-flight slots after settling"
+            ));
+        }
+        let (job_conflicts, job_wall) = by_tenant.get(tenant).copied().unwrap_or((0, 0.0));
+        if conflicts != job_conflicts {
+            soak.violation(format!(
+                "tenant {tenant} ledger conflicts {conflicts} != queue sum {job_conflicts}"
+            ));
+        }
+        if (wall - job_wall).abs() > 1e-3 * (accepted as f64).max(1.0) {
+            soak.violation(format!(
+                "tenant {tenant} ledger wall {wall:.6}s != queue sum {job_wall:.6}s"
+            ));
+        }
+        ledger.push(Json::Object(vec![
+            ("tenant".to_string(), Json::from(tenant)),
+            ("in_flight".to_string(), Json::from(in_flight)),
+            ("conflicts".to_string(), Json::from(conflicts)),
+            ("wall_secs".to_string(), Json::from(wall)),
+        ]));
+    }
+    Ok(ledger)
 }
 
 /// Deliberately corrupts one shard's primary file (garbage mid-file),
@@ -416,75 +479,26 @@ fn chaos_phase(
     // Quota-ledger conservation: the rebuilt ledger must agree exactly
     // with the per-job charges in the queue, and hold zero in-flight
     // slots now that everything is done.
-    let mut tenant_ledger = Vec::new();
-    if let Ok(full_lock::harness::service::ServiceReply::Ok(json)) = monitor.health() {
-        let health = json.get("health").expect("health body");
-        let healthy = health
-            .get("persist")
-            .and_then(|p| p.get("healthy"))
-            .and_then(Json::as_bool);
-        if healthy != Some(true) {
-            soak.violation("final health reports persistence unhealthy".to_string());
+    let tenant_ledger = match monitor.health() {
+        Ok(full_lock::harness::service::ServiceReply::Ok(json)) => {
+            let health = json.get("health").expect("health body");
+            if health.nested_field("persist", |p| p.bool_field("healthy")) != Ok(true) {
+                soak.violation("final health reports persistence unhealthy".to_string());
+            }
+            let list = match monitor.list(None) {
+                Ok(full_lock::harness::service::ServiceReply::Ok(list)) => Some(list),
+                _ => None,
+            };
+            check_ledger(soak, health, list.as_ref(), accepted.len()).unwrap_or_else(|e| {
+                soak.violation(format!("malformed health or list reply: {e}"));
+                Vec::new()
+            })
         }
-        let mut by_tenant: HashMap<String, (u64, f64)> = HashMap::new();
-        if let Ok(full_lock::harness::service::ServiceReply::Ok(list)) = monitor.list(None) {
-            for job in list.get("jobs").and_then(Json::as_array).unwrap_or(&[]) {
-                let tenant = job.get("tenant").and_then(Json::as_str).unwrap_or("?");
-                let entry = by_tenant.entry(tenant.to_string()).or_insert((0, 0.0));
-                entry.0 += job
-                    .get("charged_conflicts")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_default();
-                entry.1 += job
-                    .get("charged_wall_secs")
-                    .and_then(Json::as_f64)
-                    .unwrap_or_default();
-            }
+        _ => {
+            soak.violation("final health request failed".to_string());
+            Vec::new()
         }
-        for row in health
-            .get("tenants")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-        {
-            let tenant = row.get("tenant").and_then(Json::as_str).unwrap_or("?");
-            let in_flight = row
-                .get("in_flight")
-                .and_then(Json::as_u64)
-                .unwrap_or_default();
-            let conflicts = row
-                .get("conflicts")
-                .and_then(Json::as_u64)
-                .unwrap_or_default();
-            let wall = row
-                .get("wall_secs")
-                .and_then(Json::as_f64)
-                .unwrap_or_default();
-            if in_flight != 0 {
-                soak.violation(format!(
-                    "tenant {tenant} holds {in_flight} in-flight slots after settling"
-                ));
-            }
-            let (job_conflicts, job_wall) = by_tenant.get(tenant).copied().unwrap_or((0, 0.0));
-            if conflicts != job_conflicts {
-                soak.violation(format!(
-                    "tenant {tenant} ledger conflicts {conflicts} != queue sum {job_conflicts}"
-                ));
-            }
-            if (wall - job_wall).abs() > 1e-3 * (accepted.len() as f64).max(1.0) {
-                soak.violation(format!(
-                    "tenant {tenant} ledger wall {wall:.6}s != queue sum {job_wall:.6}s"
-                ));
-            }
-            tenant_ledger.push(Json::Object(vec![
-                ("tenant".to_string(), Json::from(tenant)),
-                ("in_flight".to_string(), Json::from(in_flight)),
-                ("conflicts".to_string(), Json::from(conflicts)),
-                ("wall_secs".to_string(), Json::from(wall)),
-            ]));
-        }
-    } else {
-        soak.violation("final health request failed".to_string());
-    }
+    };
 
     drain_daemon(&mut daemon);
 
