@@ -19,8 +19,16 @@ use rand::{Rng, SeedableRng};
 
 use crate::oracle::Oracle;
 use crate::report::{Attack, AttackDetails, AttackOutcome, AttackReport};
-use crate::sat_attack::{reproduces, SatAttack, SatAttackConfig, Step};
+use crate::sat_attack::{reproduces, KeyCheck, SatAttack, SatAttackConfig, Step};
 use crate::Result;
+
+/// The check on the key the DIP loop converges to: one query on each of
+/// 32 patterns (two corners plus 30 random ones) when the key is right.
+const KEY_CHECK: KeyCheck = KeyCheck {
+    samples: 30,
+    seed: 0xA995,
+    vote_every_pattern: false,
+};
 
 /// Configuration of an AppSAT run.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +77,7 @@ pub struct AppSatReport {
     pub iterations: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// SAT solver counters accumulated over the run (merged across
-    /// portfolio workers when the backend is a portfolio).
+    /// SAT solver counters accumulated over the run.
     pub solver: SolverStats,
 }
 
@@ -82,24 +89,34 @@ fn run_appsat(
 ) -> Result<AppSatReport> {
     let mut engine = SatAttack::new(locked, oracle, config.base)?;
     engine.set_checkpoint_label("appsat");
-    drive_appsat(&mut engine, locked, config)
+    drive_appsat(&mut engine, locked, config).map(|(_, report)| report)
 }
 
 /// The AppSAT loop over a pre-built engine (fresh or resumed from a
 /// checkpoint — the engine-level I/O log covers DIPs *and* reinforcement
-/// queries, so a restored engine carries both back).
+/// queries, so a restored engine carries both back). A probe under the
+/// error threshold ends it with an approximate key; a converged DIP loop
+/// ends through the engine's [`settle`](SatAttack::settle) step, as the
+/// SAT attack and Double-DIP do; budget exhaustion ends it in a timeout.
 fn drive_appsat(
     engine: &mut SatAttack<'_>,
     locked: &LockedCircuit,
     config: AppSatConfig,
-) -> Result<AppSatReport> {
+) -> Result<(AttackOutcome, AppSatReport)> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut best: Option<(Key, f64)> = None;
+    let mut healing_rounds = 0u32;
+    // The iteration count of the last probe: a pass back from a healed
+    // settlement has no new DIP to probe after, and a fresh probe would
+    // only draw more unguarded answers into the ledger.
+    let mut probed_at = None;
 
     loop {
         // A settlement probe runs before the first DIP too: point-function
         // schemes are approximately broken by *any* consistent key.
-        if engine.iterations().is_multiple_of(config.probe_interval) {
+        let iterations = engine.iterations();
+        if iterations.is_multiple_of(config.probe_interval) && probed_at != Some(iterations) {
+            probed_at = Some(iterations);
             if let Some(key) = engine.extract_key()? {
                 let (error, mismatches) =
                     probe_error(engine, locked, &key, config.probe_samples, &mut rng)?;
@@ -118,7 +135,11 @@ fn drive_appsat(
                     engine.checkpoint_now();
                 }
                 if error <= config.error_threshold {
-                    return Ok(AppSatReport {
+                    let outcome = AttackOutcome::ApproximateKey {
+                        key: key.clone(),
+                        measured_error: error,
+                    };
+                    let report = AppSatReport {
                         key: Some(key),
                         measured_error: error,
                         settled: true,
@@ -126,19 +147,26 @@ fn drive_appsat(
                         iterations: engine.iterations(),
                         elapsed: engine.elapsed(),
                         solver: engine.solver_stats(),
-                    });
+                    };
+                    return Ok((outcome, report));
                 }
             }
         }
         match engine.step()? {
             Step::Dip(_) => continue,
             Step::NoMoreDips => {
-                let key = engine.extract_key()?;
+                let Some(outcome) = engine.settle(KEY_CHECK, &mut healing_rounds)? else {
+                    continue;
+                };
+                let key = match &outcome {
+                    AttackOutcome::KeyRecovered { key, .. } => Some(key.clone()),
+                    _ => None,
+                };
                 let (error, _) = match &key {
                     Some(k) => probe_error(engine, locked, k, config.probe_samples, &mut rng)?,
                     None => (1.0, Vec::new()),
                 };
-                return Ok(AppSatReport {
+                let report = AppSatReport {
                     settled: error <= config.error_threshold,
                     exact: key.is_some(),
                     measured_error: error,
@@ -146,7 +174,8 @@ fn drive_appsat(
                     iterations: engine.iterations(),
                     elapsed: engine.elapsed(),
                     solver: engine.solver_stats(),
-                });
+                };
+                return Ok((outcome, report));
             }
             Step::Budget => {
                 let (key, error) = match best {
@@ -156,7 +185,7 @@ fn drive_appsat(
                     // (pessimistic) error.
                     None => (engine.candidate_key().cloned(), 1.0),
                 };
-                return Ok(AppSatReport {
+                let report = AppSatReport {
                     key,
                     measured_error: error,
                     settled: false,
@@ -164,7 +193,8 @@ fn drive_appsat(
                     iterations: engine.iterations(),
                     elapsed: engine.elapsed(),
                     solver: engine.solver_stats(),
-                });
+                };
+                return Ok((AttackOutcome::Timeout, report));
             }
         }
     }
@@ -176,10 +206,12 @@ impl Attack for AppSatConfig {
     }
 
     /// Runs AppSAT and folds its settlement data into the common
-    /// envelope: an exact convergence maps to
-    /// [`AttackOutcome::KeyRecovered`], a settled approximate key to
-    /// [`AttackOutcome::ApproximateKey`], and budget exhaustion to
-    /// [`AttackOutcome::Timeout`].
+    /// envelope: a settled approximate key maps to
+    /// [`AttackOutcome::ApproximateKey`] and budget exhaustion to
+    /// [`AttackOutcome::Timeout`]; an exact convergence ends as the SAT
+    /// attack's does ([`AttackOutcome::KeyRecovered`], or
+    /// [`AttackOutcome::Inconclusive`] for an empty key space that
+    /// healing cannot repair).
     ///
     /// # Example
     ///
@@ -228,18 +260,7 @@ fn envelope(
     locked: &LockedCircuit,
     config: AppSatConfig,
 ) -> Result<AttackReport> {
-    let report = drive_appsat(engine, locked, config)?;
-    let outcome = match (&report.key, report.exact, report.settled) {
-        (Some(key), true, _) => AttackOutcome::KeyRecovered {
-            key: key.clone(),
-            verified: report.measured_error == 0.0,
-        },
-        (Some(key), false, true) => AttackOutcome::ApproximateKey {
-            key: key.clone(),
-            measured_error: report.measured_error,
-        },
-        _ => AttackOutcome::Timeout,
-    };
+    let (outcome, report) = drive_appsat(engine, locked, config)?;
     engine.seal(outcome, AttackDetails::AppSat(report))
 }
 

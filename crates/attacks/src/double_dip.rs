@@ -110,8 +110,7 @@ pub struct DoubleDipReport {
     pub cleanup_iterations: u64,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// SAT solver counters accumulated over the run (merged across
-    /// portfolio workers when the backend is a portfolio).
+    /// SAT solver counters accumulated over the run.
     pub solver: SolverStats,
 }
 

@@ -33,9 +33,9 @@ pub enum AttackError {
         message: String,
     },
     /// A solver answer failed its certification check (a claimed model
-    /// does not satisfy the formula, an UNSAT proof does not verify, or
-    /// portfolio workers disagreed). The run aborts rather than returning
-    /// a result built on an uncertified answer.
+    /// does not satisfy the formula, or an UNSAT proof does not verify).
+    /// The run aborts rather than returning a result built on an
+    /// uncertified answer.
     Certification(fulllock_sat::CertifyError),
     /// The solver reported SAT but its model has no value for a variable
     /// the attack needs (a DIP bit or key bit). Silently substituting a

@@ -65,19 +65,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! To solve the DIP queries on a racing CDCL portfolio instead of one
-//! sequential solver, point the config at a portfolio backend:
-//!
-//! ```no_run
-//! use fulllock_attacks::SatAttackConfig;
-//! use fulllock_sat::BackendSpec;
-//!
-//! let config = SatAttackConfig {
-//!     backend: BackendSpec::portfolio(4),
-//!     ..Default::default()
-//! };
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

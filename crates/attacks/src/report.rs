@@ -160,17 +160,17 @@ impl KeyCertificate {
     }
 }
 
-/// How a run weathered faults and interruptions: worker drop-outs the
-/// solver isolated, and checkpoint activity when the run was
-/// checkpointed. All-zeros ([`Default`]) for an undisturbed,
-/// un-checkpointed run.
+/// How a run weathered faults and interruptions: oracle faults absorbed,
+/// and checkpoint activity when the run was checkpointed. All-zeros
+/// ([`Default`]) for an undisturbed, un-checkpointed run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunResilience {
-    /// Portfolio workers that panicked and were isolated while the run's
-    /// solves were in flight (the race continued on the survivors).
+    /// Solver worker panics. The attacks run one sequential solver, so a
+    /// run reports 0; kept so the wire format stays unchanged.
     pub worker_panics: u64,
-    /// Human-readable worker drop-out records (panics, stalls, memory-cap
-    /// retirements), in observation order.
+    /// Solver worker drop-out records. The attacks run one sequential
+    /// solver, so a run reports none; kept so the wire format stays
+    /// unchanged.
     pub worker_failures: Vec<String>,
     /// Iteration count restored from a checkpoint, when the run resumed
     /// (`None` for a fresh run).
@@ -215,12 +215,11 @@ pub struct AttackReport {
     pub elapsed: Duration,
     /// Oracle queries issued.
     pub oracle_queries: u64,
-    /// SAT solver counters accumulated over the run
-    /// ([merged](SolverStats::merge) across portfolio workers; zeroed for
-    /// attacks that never touch a solver).
+    /// SAT solver counters accumulated over the run (zeroed for attacks
+    /// that never touch a solver).
     pub solver: SolverStats,
-    /// Fault-tolerance record of the run (worker drop-outs, checkpoint
-    /// activity).
+    /// Fault-tolerance record of the run (oracle faults absorbed,
+    /// checkpoint activity).
     pub resilience: RunResilience,
     /// Independent post-attack evidence for the recovered key
     /// ([`certify_key`](crate::certificate::certify_key)); `None` when the

@@ -53,8 +53,7 @@ pub struct SatAttackConfig {
     /// Add CycSAT no-structural-cycle clauses even for acyclic netlists
     /// (they are generated automatically whenever the netlist is cyclic).
     pub force_cycsat: bool,
-    /// Which SAT engine answers the miter queries: one sequential solver
-    /// or a racing portfolio.
+    /// The solver configuration that answers the miter queries.
     pub backend: BackendSpec,
     /// How much to trust the solver's answers (see
     /// [`CertifyLevel`]); a failed check aborts the run with
@@ -196,7 +195,12 @@ impl Miter {
     }
 }
 
-/// How [`SatAttack::drive`] checks a recovered key against the oracle:
+/// Upper bound on the healing rounds of one run: each UNSAT heal
+/// quarantines at least one pair (else the run ends), so this only guards
+/// against an oracle whose answers never stabilize.
+const MAX_HEALING_ROUNDS: u32 = 32;
+
+/// How [`SatAttack::settle`] checks a recovered key against the oracle:
 /// on the all-zeros and all-ones corners plus `samples` random patterns
 /// drawn from `seed`.
 #[derive(Debug, Clone, Copy)]
@@ -273,10 +277,6 @@ pub struct SatAttack<'a> {
     prior_elapsed: Duration,
     prior_oracle_queries: u64,
     prior_solver: SolverStats,
-    /// Worker failures reported by backends discarded in a
-    /// [`rebuild_solver`](Self::rebuild_solver) (the live backend only
-    /// knows its own).
-    prior_worker_failures: Vec<String>,
     /// Oracle query count at engine construction — the shared oracle may
     /// have served earlier runs in this process.
     oracle_baseline: u64,
@@ -437,7 +437,6 @@ impl<'a> SatAttack<'a> {
             prior_elapsed: Duration::ZERO,
             prior_oracle_queries: 0,
             prior_solver: SolverStats::default(),
-            prior_worker_failures: Vec::new(),
             oracle_baseline: oracle.queries(),
             resumed_from: None,
             certify_failure: None,
@@ -593,16 +592,12 @@ impl<'a> SatAttack<'a> {
         }
     }
 
-    /// Fault-tolerance record of the run so far: isolated worker panics,
-    /// checkpoint activity, and the resume origin.
+    /// Fault-tolerance record of the run so far: checkpoint activity,
+    /// oracle faults absorbed, and the resume origin.
     pub fn resilience(&self) -> RunResilience {
         RunResilience {
             worker_panics: self.solver_stats().worker_panics,
-            worker_failures: {
-                let mut failures = self.prior_worker_failures.clone();
-                failures.extend(self.solver.worker_failures());
-                failures
-            },
+            worker_failures: Vec::new(),
             resumed_from: self.resumed_from,
             checkpoints_written: self.checkpoints_written,
             checkpoint_failures: self.checkpoint_failures,
@@ -799,8 +794,6 @@ impl<'a> SatAttack<'a> {
     /// solver. Solver counters accumulate across rebuilds.
     fn rebuild_solver(&mut self) {
         self.prior_solver.merge(&self.solver.stats());
-        self.prior_worker_failures
-            .extend(self.solver.worker_failures());
         let base = Self::build_base(self.locked, &self.config, self.miter);
         self.cnf = base.cnf;
         self.encoder = base.encoder;
@@ -997,9 +990,9 @@ impl<'a> SatAttack<'a> {
         })
     }
 
-    /// Lifetime SAT-solver counters (merged across portfolio workers when
-    /// the backend is a portfolio, and including counters restored from a
-    /// checkpoint).
+    /// Lifetime SAT-solver counters, merged across the solvers a
+    /// quarantine rebuilt and including counters restored from a
+    /// checkpoint.
     pub fn solver_stats(&self) -> SolverStats {
         let mut stats = self.prior_solver;
         stats.merge(&self.solver.stats());
@@ -1031,66 +1024,15 @@ impl<'a> SatAttack<'a> {
     }
 
     /// The loop behind [`run`](Self::run), self-healing as described
-    /// there: DIP steps until none remains, key extraction, and `check`
-    /// on the extracted key.
+    /// there: DIP steps until none remains, then [`settle`](Self::settle).
     pub(crate) fn drive(&mut self, check: KeyCheck) -> Result<AttackOutcome> {
-        /// Upper bound on healing attempts: each UNSAT heal quarantines
-        /// at least one pair (else the loop breaks), so this only guards
-        /// against an oracle whose answers never stabilize.
-        const MAX_HEALING_ROUNDS: u32 = 32;
         let mut healing_rounds = 0u32;
-        Ok(loop {
+        loop {
             match self.step()? {
-                Step::Dip(_) => continue,
+                Step::Dip(_) => {}
                 Step::NoMoreDips => {
-                    let (result, key) = self.solve_key()?;
-                    match key {
-                        Some(key) => match self.find_mismatch(&key, check)? {
-                            None => {
-                                break AttackOutcome::KeyRecovered {
-                                    key,
-                                    verified: true,
-                                }
-                            }
-                            Some((x, y)) => {
-                                if self.config.resilience.guard
-                                    && healing_rounds < MAX_HEALING_ROUNDS
-                                {
-                                    // The candidate is wrong on a trusted
-                                    // observation: some asserted answer was
-                                    // poison. Reinforce with the trusted
-                                    // pair and keep iterating — the next
-                                    // pass either finds a better key or
-                                    // goes UNSAT and quarantines.
-                                    healing_rounds += 1;
-                                    self.oracle_requeries += 1;
-                                    self.assert_pair(IoPair::new(x, y));
-                                    self.checkpoint_now();
-                                    continue;
-                                }
-                                break AttackOutcome::KeyRecovered {
-                                    key,
-                                    verified: false,
-                                };
-                            }
-                        },
-                        None => {
-                            // Distinguish budget exhaustion from
-                            // inconsistency.
-                            if self.out_of_budget() {
-                                break AttackOutcome::Timeout;
-                            }
-                            if matches!(result, SolveResult::Unsat)
-                                && self.config.resilience.guard
-                                && healing_rounds < MAX_HEALING_ROUNDS
-                            {
-                                healing_rounds += 1;
-                                if self.heal_unsat()? {
-                                    continue;
-                                }
-                            }
-                            break AttackOutcome::Inconclusive;
-                        }
+                    if let Some(outcome) = self.settle(check, &mut healing_rounds)? {
+                        return Ok(outcome);
                     }
                 }
                 Step::Budget => {
@@ -1099,12 +1041,64 @@ impl<'a> SatAttack<'a> {
                         .max_iterations
                         .is_some_and(|m| self.iterations >= m)
                     {
-                        break AttackOutcome::IterationLimit;
+                        return Ok(AttackOutcome::IterationLimit);
                     }
-                    break AttackOutcome::Timeout;
+                    return Ok(AttackOutcome::Timeout);
                 }
             }
-        })
+        }
+    }
+
+    /// Ends a DIP loop whose last phase has no DIP left: extracts a key
+    /// and runs `check` on it against the oracle. With guarding on, a key
+    /// that fails the check reinforces the ledger with the trusted pair,
+    /// and an empty key space is healed by quarantine
+    /// ([`heal_unsat`](Self::heal_unsat)); both return `None`, and the
+    /// caller's loop searches for DIPs again. `healing_rounds` counts
+    /// those repairs across the caller's loop. An empty key space that
+    /// healing cannot repair ends the run as
+    /// [`AttackOutcome::Inconclusive`].
+    pub(crate) fn settle(
+        &mut self,
+        check: KeyCheck,
+        healing_rounds: &mut u32,
+    ) -> Result<Option<AttackOutcome>> {
+        let may_heal = self.config.resilience.guard && *healing_rounds < MAX_HEALING_ROUNDS;
+        let (result, key) = self.solve_key()?;
+        let Some(key) = key else {
+            // Distinguish budget exhaustion from inconsistency.
+            if self.out_of_budget() {
+                return Ok(Some(AttackOutcome::Timeout));
+            }
+            if matches!(result, SolveResult::Unsat) && may_heal {
+                *healing_rounds += 1;
+                if self.heal_unsat()? {
+                    return Ok(None);
+                }
+            }
+            return Ok(Some(AttackOutcome::Inconclusive));
+        };
+        match self.find_mismatch(&key, check)? {
+            None => Ok(Some(AttackOutcome::KeyRecovered {
+                key,
+                verified: true,
+            })),
+            Some((x, y)) if may_heal => {
+                // The candidate is wrong on a trusted observation: some
+                // asserted answer was poison. Reinforce with the trusted
+                // pair and keep iterating — the next pass either finds a
+                // better key or goes UNSAT and quarantines.
+                *healing_rounds += 1;
+                self.oracle_requeries += 1;
+                self.assert_pair(IoPair::new(x, y));
+                self.checkpoint_now();
+                Ok(None)
+            }
+            Some(_) => Ok(Some(AttackOutcome::KeyRecovered {
+                key,
+                verified: false,
+            })),
+        }
     }
 
     /// Folds a finished run into the common envelope under the attack

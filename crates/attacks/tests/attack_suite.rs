@@ -7,7 +7,6 @@ use fulllock_attacks::{
 };
 use fulllock_locking::{FullLock, FullLockConfig, LockingScheme};
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
-use fulllock_sat::BackendSpec;
 use std::time::Duration;
 
 fn host(seed: u64) -> fulllock_netlist::Netlist {
@@ -66,22 +65,6 @@ fn all_five_attacks_run_through_the_trait() {
         names.push(report.attack);
     }
     assert_eq!(names, ["sat", "appsat", "double-dip", "removal", "sps"]);
-}
-
-#[test]
-fn sat_attack_runs_on_a_portfolio_backend() {
-    let original = host(7);
-    let (locked, _trace) = FullLock::new(FullLockConfig::single_plr(4))
-        .lock_with_trace(&original)
-        .unwrap();
-    let config = SatAttackConfig {
-        backend: BackendSpec::portfolio(2),
-        ..Default::default()
-    };
-    let oracle = SimOracle::new(&original).unwrap();
-    let report = config.run(&locked, &oracle).unwrap();
-    assert!(report.outcome.is_broken(), "{:?}", report.outcome);
-    assert!(report.solver.decisions > 0);
 }
 
 #[test]

@@ -4,9 +4,8 @@
 //! simulation, a judge that shares no code with the attacks. SAT and
 //! Double-DIP must recover a key in that class; AppSAT must too whenever
 //! it reports an exact key. Every attack runs with CDCL inprocessing on
-//! and off, under the generic encoding, without cone reduction, and on a
-//! two-worker portfolio; under `FULLLOCK_CERTIFY=proof` every solver
-//! answer is certified as well.
+//! and off, under the generic encoding, and without cone reduction; under
+//! `FULLLOCK_CERTIFY=proof` every solver answer is certified as well.
 
 use std::time::Duration;
 
@@ -135,10 +134,7 @@ fn recovered_keys_are_functionally_correct() {
             "{name}: the enumeration misses the locking's own key"
         );
         let configured = |inprocess| SatAttackConfig {
-            backend: BackendSpec::Configured(SolverConfig {
-                inprocess,
-                ..SolverConfig::default()
-            }),
+            backend: BackendSpec::Configured(SolverConfig { inprocess }),
             ..SatAttackConfig::default()
         };
         let configs = [
@@ -150,10 +146,6 @@ fn recovered_keys_are_functionally_correct() {
             },
             SatAttackConfig {
                 cone_reduce: false,
-                ..SatAttackConfig::default()
-            },
-            SatAttackConfig {
-                backend: BackendSpec::portfolio(2),
                 ..SatAttackConfig::default()
             },
         ];

@@ -1,7 +1,6 @@
-//! Chaos tests at the attack level: kill portfolio workers underneath a
-//! running DIP loop and assert the attack still converges (or degrades to
-//! a clean budget outcome), with the faults recorded in the report's
-//! resilience block.
+//! Chaos tests at the attack level: a checkpoint save torn underneath a
+//! running DIP loop, and the attack run under the ambient fault plan. The
+//! attack must still converge (or degrade to a clean budget outcome).
 //!
 //! These tests require the `failpoints` feature:
 //!
@@ -20,35 +19,11 @@ use fulllock_attacks::{Attack, AttackOutcome, SatAttackConfig, SimOracle};
 use fulllock_locking::{LockingScheme, Rll};
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
 use fulllock_sat::faults::{self, site, Failpoint, FaultAction, FaultPlan};
-use fulllock_sat::BackendSpec;
 
 /// Serializes tests that install a global fault plan.
 fn chaos_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Silences the unwind traces of panics injected by failpoints, which
-/// would make a passing chaos run look alarming.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected failpoint"))
-                || info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|m| m.contains("injected failpoint"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
 }
 
 fn host(seed: u64) -> fulllock_netlist::Netlist {
@@ -60,71 +35,6 @@ fn host(seed: u64) -> fulllock_netlist::Netlist {
         seed,
     })
     .expect("valid circuit config")
-}
-
-fn portfolio_config() -> SatAttackConfig {
-    SatAttackConfig {
-        backend: BackendSpec::portfolio(4),
-        ..Default::default()
-    }
-}
-
-/// The headline chaos scenario: one of four portfolio workers is killed
-/// mid-attack; the DIP loop must still recover a verified key, and the
-/// report must record the absorbed panic.
-#[test]
-fn sat_attack_recovers_key_despite_worker_kill() {
-    let _guard = chaos_lock();
-    quiet_injected_panics();
-    faults::install(
-        FaultPlan::new()
-            .with(Failpoint::new(site::WORKER_CHUNK, Some(1), FaultAction::Panic).times(1)),
-    );
-
-    let original = host(11);
-    let locked = Rll::new(8, 2).lock(&original).expect("lock");
-    let oracle = SimOracle::new(&original).expect("oracle");
-    let report = portfolio_config().run(&locked, &oracle).expect("attack");
-
-    let AttackOutcome::KeyRecovered { verified, .. } = report.outcome else {
-        panic!(
-            "RLL must fall despite the worker kill, got {:?}",
-            report.outcome
-        );
-    };
-    assert!(verified);
-    assert_eq!(report.resilience.worker_panics, 1);
-    assert_eq!(report.resilience.worker_failures.len(), 1);
-    assert!(
-        report.resilience.worker_failures[0].contains("injected"),
-        "{:?}",
-        report.resilience.worker_failures
-    );
-    assert!(report.resilience.is_eventful());
-    faults::clear();
-}
-
-/// With every worker dying on every solve, the attack cannot converge —
-/// but it must end in a clean `Timeout`, never a panic or a hang, with
-/// all the drop-outs on record.
-#[test]
-fn sat_attack_degrades_cleanly_when_all_workers_die() {
-    let _guard = chaos_lock();
-    quiet_injected_panics();
-    faults::install(FaultPlan::new().with(Failpoint::new(
-        site::WORKER_CHUNK,
-        None,
-        FaultAction::Panic,
-    )));
-
-    let original = host(12);
-    let locked = Rll::new(6, 2).lock(&original).expect("lock");
-    let oracle = SimOracle::new(&original).expect("oracle");
-    let report = portfolio_config().run(&locked, &oracle).expect("attack");
-
-    assert_eq!(report.outcome, AttackOutcome::Timeout);
-    assert!(report.resilience.worker_panics >= 4);
-    faults::clear();
 }
 
 /// The crash the checkpoint layer exists for: a save is torn mid-write
@@ -209,13 +119,14 @@ fn torn_checkpoint_save_resumes_from_the_previous_generation() {
 #[test]
 fn env_plan_never_escapes_the_attack() {
     let _guard = chaos_lock();
-    quiet_injected_panics();
     faults::clear(); // fall back to the FULLLOCK_FAILPOINTS plan, if any
 
     let original = host(13);
     let locked = Rll::new(6, 2).lock(&original).expect("lock");
     let oracle = SimOracle::new(&original).expect("oracle");
-    let report = portfolio_config().run(&locked, &oracle).expect("attack");
+    let report = SatAttackConfig::default()
+        .run(&locked, &oracle)
+        .expect("attack");
     match report.outcome {
         AttackOutcome::KeyRecovered { verified, .. } => assert!(verified),
         AttackOutcome::Timeout | AttackOutcome::IterationLimit => {}

@@ -158,6 +158,37 @@ fn flipped_responses_are_quarantined_and_the_exact_key_recovered() {
     );
 }
 
+/// AppSAT ends a converged DIP loop through the engine's settle step, as
+/// the SAT attack does: under the same flipped answers it must heal the
+/// poisoned ledger and recover the exact key instead of giving up with an
+/// empty key space.
+#[test]
+fn appsat_heals_flipped_responses_and_recovers_the_exact_key() {
+    let _guard = chaos_lock();
+    let original = host(42);
+    let locked = cln_locked(&original);
+    faults::install(two_percent_flip_plan());
+    let oracle = SimOracle::new(&original).expect("oracle");
+    let report = AppSatConfig::default()
+        .run(&locked, &oracle)
+        .expect("resilient AppSAT");
+    faults::clear();
+
+    let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
+        panic!(
+            "AppSAT must heal and break the lock, got {:?}",
+            report.outcome
+        );
+    };
+    assert!(verified, "the recovered key must pass trusted verification");
+    assert_key_correct(&original, &locked, key);
+    assert!(
+        report.resilience.oracle_requeries > 0,
+        "no suspect re-queries recorded: {:?}",
+        report.resilience
+    );
+}
+
 /// The persistence half of the threat model: a run is killed after a
 /// poisoned pair entered the checkpoint, resumed (healing quarantines the
 /// poison mid-flight), and then resumed once more from the post-heal

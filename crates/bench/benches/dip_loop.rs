@@ -57,10 +57,7 @@ const MIN_SPEEDUP: f64 = 2.0;
 fn legacy_config() -> SatAttackConfig {
     SatAttackConfig {
         max_iterations: Some(DIP_BUDGET),
-        backend: BackendSpec::Configured(SolverConfig {
-            inprocess: false,
-            ..SolverConfig::default()
-        }),
+        backend: BackendSpec::Configured(SolverConfig { inprocess: false }),
         cone_reduce: false,
         encode_style: EncodeStyle::Generic,
         ..SatAttackConfig::default()

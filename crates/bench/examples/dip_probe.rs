@@ -16,10 +16,7 @@ use fulllock_sat::BackendSpec;
 fn config(cone: bool, style: EncodeStyle, inprocess: bool, budget: u64) -> SatAttackConfig {
     SatAttackConfig {
         max_iterations: Some(budget),
-        backend: BackendSpec::Configured(SolverConfig {
-            inprocess,
-            ..SolverConfig::default()
-        }),
+        backend: BackendSpec::Configured(SolverConfig { inprocess }),
         cone_reduce: cone,
         encode_style: style,
         ..SatAttackConfig::default()

@@ -101,7 +101,6 @@ fn main() {
         let oracle = SimOracle::new(&original).expect("originals are acyclic");
         let report = SatAttackConfig {
             timeout: Some(scale.timeout),
-            backend: scale.backend(),
             ..Default::default()
         }
         .run(&locked, &oracle)

@@ -42,7 +42,6 @@ fn main() {
         let report = AppSatConfig {
             base: SatAttackConfig {
                 timeout: Some(scale.timeout),
-                backend: scale.backend(),
                 ..Default::default()
             },
             ..Default::default()

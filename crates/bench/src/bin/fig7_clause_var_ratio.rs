@@ -88,7 +88,6 @@ fn main() {
                 scale.timeout.as_secs_f64().max(20.0),
             )),
             max_iterations: Some(iteration_budget),
-            backend: scale.backend(),
             ..Default::default()
         }
         .run(&locked, &oracle)

@@ -39,7 +39,6 @@ fn main() {
             let oracle = SimOracle::new(&host).expect("identity host is acyclic");
             let report = SatAttackConfig {
                 timeout: Some(scale.timeout),
-                backend: scale.backend(),
                 ..Default::default()
             }
             .run(&locked, &oracle)

@@ -89,7 +89,6 @@ fn main() {
             let oracle = SimOracle::new(&host).expect("acyclic host");
             let report = SatAttackConfig {
                 timeout: Some(scale.timeout),
-                backend: scale.backend(),
                 ..Default::default()
             }
             .run(&locked, &oracle)

@@ -24,7 +24,6 @@ use fulllock_sat::cdcl::SolverStats;
 fn run_config(
     name: &str,
     sizes: &[usize],
-    scale: &Scale,
     timeout: Duration,
 ) -> (String, Option<Duration>, SolverStats) {
     let original = benchmarks::load(name).expect("suite benchmark");
@@ -41,7 +40,6 @@ fn run_config(
     let oracle = SimOracle::new(&original).expect("originals are acyclic");
     let report = SatAttackConfig {
         timeout: Some(timeout),
-        backend: scale.backend(),
         ..Default::default()
     }
     .run(&locked, &oracle)
@@ -96,7 +94,7 @@ fn main() {
                 cells.push("TO".into());
                 continue;
             }
-            let (cell, elapsed, solver) = run_config(name, sizes, &scale, scale.timeout);
+            let (cell, elapsed, solver) = run_config(name, sizes, scale.timeout);
             totals.merge(&solver);
             previous_to = elapsed.is_none() && cell == "TO";
             cells.push(cell);

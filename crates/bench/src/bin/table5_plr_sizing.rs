@@ -26,13 +26,11 @@ use fulllock_netlist::{benchmarks, Netlist};
 fn survives(
     original: &Netlist,
     locked: &fulllock_locking::LockedCircuit,
-    backend: fulllock_sat::BackendSpec,
     timeout: Duration,
 ) -> bool {
     let oracle = SimOracle::new(original).expect("originals are acyclic");
     let report = SatAttackConfig {
         timeout: Some(timeout),
-        backend,
         ..Default::default()
     }
     .run(locked, &oracle)
@@ -90,7 +88,7 @@ fn main() {
                 Ok(l) => l,
                 Err(_) => continue, // host too small for this rung
             };
-            if survives(&original, &locked, scale.backend(), scale.timeout) {
+            if survives(&original, &locked, scale.timeout) {
                 fl_result = label;
                 break;
             }
@@ -104,7 +102,7 @@ fn main() {
                 Ok(l) => l,
                 Err(_) => break, // not enough independent wires left
             };
-            if survives(&original, &locked, scale.backend(), scale.timeout) {
+            if survives(&original, &locked, scale.timeout) {
                 cl_result = format!("{count}x16x16");
                 break;
             }

@@ -38,9 +38,6 @@ pub struct Scale {
     pub timeout: Duration,
     /// Whether to run the extended (closer-to-paper) sweeps.
     pub full: bool,
-    /// SAT worker threads per attack (1 = sequential solver, >1 = racing
-    /// portfolio).
-    pub threads: usize,
 }
 
 /// Every `FULLLOCK_*` variable with a meaning somewhere in the
@@ -79,8 +76,8 @@ impl Scale {
     ///   10; must be a positive finite number, clamped to ≥ 0.1).
     /// * `FULLLOCK_FULL`: extended sweeps (default off; accepts
     ///   `1`/`true`/`yes` and `0`/`false`/`no`/empty).
-    /// * `FULLLOCK_THREADS`: SAT worker threads per attack (default 1;
-    ///   must be ≥ 1).
+    /// * `FULLLOCK_THREADS`: accepted as 1 only (every attack solves on
+    ///   the one sequential solver).
     ///
     /// Everything except `FULLLOCK_FULL` (the one bench-only knob)
     /// delegates to [`AmbientConfig::parse`], so the experiment binaries
@@ -118,15 +115,8 @@ impl Scale {
                 .unwrap_or(Duration::from_secs(10))
                 .max(Duration::from_millis(100)),
             full,
-            threads: ambient.threads,
         };
         Ok((scale, warnings))
-    }
-
-    /// The solving backend the thread knob selects: the sequential solver
-    /// for 1 thread, a racing portfolio otherwise.
-    pub fn backend(&self) -> fulllock_sat::BackendSpec {
-        fulllock_sat::BackendSpec::for_threads(self.threads)
     }
 }
 
@@ -321,7 +311,7 @@ pub fn cln_locked_host(
 }
 
 /// Builds the fixed locked-miter workload of the solver benchmarks
-/// (`BENCH_cdcl.json`, `BENCH_portfolio.json`): an `n`-wire identity host
+/// (`BENCH_cdcl.json`): an `n`-wire identity host
 /// locked with an almost non-blocking CLN (the paper's hard topology), two
 /// key copies sharing data inputs, outputs forced to differ, plus
 /// `io_pairs` asserted oracle I/O pairs. The I/O pairs replicate a
@@ -430,13 +420,12 @@ mod tests {
         let (scale, warnings) = Scale::parse(env(&[
             ("FULLLOCK_TIMEOUT_SECS", "2.5"),
             ("FULLLOCK_FULL", "1"),
-            ("FULLLOCK_THREADS", "4"),
+            ("FULLLOCK_THREADS", "1"),
             ("PATH", "/usr/bin"),
         ]))
         .expect("valid knobs parse");
         assert_eq!(scale.timeout, Duration::from_secs_f64(2.5));
         assert!(scale.full);
-        assert_eq!(scale.threads, 4);
         assert!(warnings.is_empty(), "{warnings:?}");
     }
 
@@ -448,6 +437,7 @@ mod tests {
             ("FULLLOCK_TIMEOUT_SECS", "inf"),
             ("FULLLOCK_THREADS", "many"),
             ("FULLLOCK_THREADS", "0"),
+            ("FULLLOCK_THREADS", "4"),
             ("FULLLOCK_FULL", "maybe"),
         ] {
             let err = Scale::parse(env(&[(var, value)]))

@@ -1,8 +1,8 @@
 //! One schema and one writer for the `BENCH_*.json` guard records.
 //!
-//! Seven guards record the layers under time-to-break: CDCL propagation
-//! (`BENCH_cdcl.json`), the portfolio race, the DIP loop, the oracle
-//! layer, the `serve` daemon, its chaos soak and the sweep executor.
+//! Six guards record the layers under time-to-break: CDCL propagation
+//! (`BENCH_cdcl.json`), the DIP loop, the oracle layer, the `serve`
+//! daemon, its chaos soak and the sweep executor.
 //! Each builds one [`BenchRecord`] of named metrics and the bars they
 //! must clear. [`BenchRecord::finish`] judges every bar, writes the
 //! record as one line of JSON, and only then exits non-zero if a bar

@@ -1,9 +1,10 @@
-//! Error type of the campaign harness.
+//! Error type of the harness: campaigns, sweeps and the serve queue.
 
 use std::fmt;
 use std::path::PathBuf;
 
-/// Anything that can go wrong while planning or supervising a campaign.
+/// Anything that can go wrong while planning or supervising a campaign,
+/// a sweep or the serve queue.
 ///
 /// Job *failures* are not errors — they are recorded in the manifest and
 /// the campaign continues. `HarnessError` covers supervisor-level
@@ -11,8 +12,11 @@ use std::path::PathBuf;
 /// failure on the output directory.
 #[derive(Debug)]
 pub enum HarnessError {
-    /// A campaign plan failed validation or parsing.
+    /// A plan or submitted job failed validation or parsing.
     PlanFormat {
+        /// What was being planned (`"campaign plan"`, `"sweep grid"`,
+        /// `"sweep plan"`, `"serve job"`).
+        kind: &'static str,
         /// Offending file, if the plan came from disk.
         path: Option<PathBuf>,
         /// What was wrong.
@@ -41,7 +45,7 @@ pub enum HarnessError {
         evidence: String,
     },
     /// A filesystem operation failed (logs directory, manifest write,
-    /// plan read).
+    /// plan read, queue shard, sweep directory, serve socket).
     Io {
         /// The path being touched.
         path: PathBuf,
@@ -54,16 +58,18 @@ impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HarnessError::PlanFormat {
+                kind,
                 path: Some(p),
                 message,
             } => {
-                write!(f, "invalid campaign plan {}: {message}", p.display())
+                write!(f, "invalid {kind} {}: {message}", p.display())
             }
             HarnessError::PlanFormat {
+                kind,
                 path: None,
                 message,
             } => {
-                write!(f, "invalid campaign plan: {message}")
+                write!(f, "invalid {kind}: {message}")
             }
             HarnessError::ManifestFormat {
                 kind,
@@ -85,7 +91,7 @@ impl fmt::Display for HarnessError {
                 )
             }
             HarnessError::Io { path, message } => {
-                write!(f, "campaign io error at {}: {message}", path.display())
+                write!(f, "io error at {}: {message}", path.display())
             }
         }
     }

@@ -323,6 +323,7 @@ impl CampaignPlan {
     pub fn validate(&self) -> Result<()> {
         let complain = |message: String| {
             Err(HarnessError::PlanFormat {
+                kind: "campaign plan",
                 path: None,
                 message,
             })
@@ -360,6 +361,7 @@ impl CampaignPlan {
     /// unsupported version, or an invalid job set.
     pub fn from_json(text: &str) -> Result<CampaignPlan> {
         let plan = parse_plan(text).map_err(|message| HarnessError::PlanFormat {
+            kind: "campaign plan",
             path: None,
             message,
         })?;
@@ -380,7 +382,8 @@ impl CampaignPlan {
             message: format!("read: {e}"),
         })?;
         CampaignPlan::from_json(&text).map_err(|e| match e {
-            HarnessError::PlanFormat { message, .. } => HarnessError::PlanFormat {
+            HarnessError::PlanFormat { kind, message, .. } => HarnessError::PlanFormat {
+                kind,
                 path: Some(path.to_path_buf()),
                 message,
             },

@@ -305,6 +305,7 @@ impl ShardedQueue {
     pub fn submit(&mut self, tenant: &str, spec: JobSpec) -> Result<&ServiceJob> {
         if self.jobs.iter().any(|j| j.id == spec.id) {
             return Err(HarnessError::PlanFormat {
+                kind: "serve job",
                 path: None,
                 message: format!("duplicate job id {:?}", spec.id),
             });
@@ -425,7 +426,7 @@ impl ShardedQueue {
                 self.quarantined.insert(shard);
                 return Err(HarnessError::Io {
                     path,
-                    message: format!("save shard: injected {action} (queue.seal failpoint)"),
+                    message: format!("save queue shard: injected {action} (queue.seal failpoint)"),
                 });
             }
             Some(FaultAction::Torn) => torn = true,
@@ -462,7 +463,7 @@ impl ShardedQueue {
                 self.quarantined.insert(shard);
                 Err(HarnessError::Io {
                     path,
-                    message: format!("save shard: {e}"),
+                    message: format!("save queue shard: {e}"),
                 })
             }
         }

@@ -269,6 +269,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
     plan.validate()?;
     if config.workers == 0 {
         return Err(HarnessError::PlanFormat {
+            kind: "sweep plan",
             path: None,
             message: "sweep needs at least one worker".to_string(),
         });
@@ -284,6 +285,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
     if plan_path.exists() {
         if !config.resume {
             return Err(HarnessError::PlanFormat {
+                kind: "sweep plan",
                 path: Some(plan_path),
                 message: "sweep directory already holds a plan; pass resume to continue it"
                     .to_string(),
@@ -298,6 +300,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
                 "the FULLLOCK_* environment drifted since the sweep started"
             };
             return Err(HarnessError::PlanFormat {
+                kind: "sweep plan",
                 path: Some(plan_path),
                 message: format!(
                     "refusing to resume: {drift} (stored config hash {stored_hash:016x}, \

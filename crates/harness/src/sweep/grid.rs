@@ -95,6 +95,7 @@ impl SweepGrid {
             let (axis, values) = raw
                 .split_once('=')
                 .ok_or_else(|| HarnessError::PlanFormat {
+                    kind: "sweep grid",
                     path: None,
                     message: format!("grid axis {raw:?}: expected name=v1,v2,..."),
                 })?;
@@ -139,6 +140,7 @@ impl SweepGrid {
     pub fn validate(&self) -> Result<()> {
         let complain = |message: String| {
             Err(HarnessError::PlanFormat {
+                kind: "sweep grid",
                 path: None,
                 message,
             })
@@ -206,12 +208,14 @@ impl SweepPlan {
         self.grid.validate()?;
         if self.executor.is_empty() {
             return Err(HarnessError::PlanFormat {
+                kind: "sweep plan",
                 path: None,
                 message: "sweep plan has an empty executor name".to_string(),
             });
         }
         if !self.unit_timeout_secs.is_finite() || self.unit_timeout_secs <= 0.0 {
             return Err(HarnessError::PlanFormat {
+                kind: "sweep plan",
                 path: None,
                 message: format!("invalid unit_timeout_secs {}", self.unit_timeout_secs),
             });
@@ -288,6 +292,7 @@ impl SweepPlan {
     /// version, or an invalid grid.
     pub fn from_json(text: &str) -> Result<(SweepPlan, u64)> {
         let parsed = parse_sweep_plan(text).map_err(|message| HarnessError::PlanFormat {
+            kind: "sweep plan",
             path: None,
             message,
         })?;

@@ -1,16 +1,13 @@
 //! One typed surface for the ambient `FULLLOCK_*` environment knobs.
 //!
 //! A handful of environment variables steer how this workspace solves:
-//! worker threads, answer certification, CDCL inprocessing, fault
-//! injection, the wall-clock budget, and the oracle-resilience knobs
-//! (vote count, retry budget, rate limit). Historically each layer re-read its own
-//! variable at its own call site with its own parsing rules; a serving
-//! daemon multiplexing many jobs cannot afford that — it must capture the
-//! environment *once* at startup into an explicit config struct and hand
-//! workers that struct (or forward it to child processes via
-//! [`AmbientConfig::to_env`]), so every job of a server run sees one
-//! coherent configuration no matter what the environment mutates to
-//! later.
+//! answer certification, CDCL inprocessing, fault injection, the
+//! wall-clock budget, and the oracle-resilience knobs (vote count, retry
+//! budget, rate limit). [`AmbientConfig::parse`] validates all of them
+//! at once and captures the ones its callers read (the `fulllock attack`
+//! CLI and the experiment binaries' `Scale`); the layers that honour
+//! `FULLLOCK_INPROCESS` and `FULLLOCK_FAILPOINTS` read those through
+//! [`env_value`] and the fault registry.
 //!
 //! [`AmbientConfig::parse`] is strict where it matters: garbage values
 //! are typed [`AmbientError`]s (a typo must not silently run a campaign
@@ -31,7 +28,8 @@ use crate::faults::FaultPlan;
 /// one naming convention).
 pub use crate::faults::ENV_VAR as FAILPOINTS_ENV;
 
-/// `FULLLOCK_THREADS`: SAT worker threads per attack.
+/// `FULLLOCK_THREADS`: SAT solver threads per attack. Only 1 is accepted:
+/// every attack solves on the one sequential solver.
 pub const THREADS_ENV: &str = "FULLLOCK_THREADS";
 /// `FULLLOCK_TIMEOUT_SECS`: per-attack wall-clock budget in seconds.
 pub const TIMEOUT_ENV: &str = "FULLLOCK_TIMEOUT_SECS";
@@ -81,19 +79,12 @@ impl fmt::Display for AmbientError {
 impl std::error::Error for AmbientError {}
 
 /// A captured, validated snapshot of the ambient `FULLLOCK_*` knobs.
-#[derive(Debug, Clone, PartialEq)]
+/// [`THREADS_ENV`], [`INPROCESS_ENV`] and [`FAILPOINTS_ENV`] are
+/// validated but not captured.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AmbientConfig {
-    /// [`THREADS_ENV`]: SAT worker threads per attack (default 1, must be
-    /// ≥ 1; 1 selects the sequential solver, more a racing portfolio).
-    pub threads: usize,
     /// [`CERTIFY_ENV`]: how much verification solver answers receive.
     pub certify: CertifyLevel,
-    /// [`INPROCESS_ENV`]: whether CDCL inprocessing runs (default on).
-    pub inprocess: bool,
-    /// [`FAILPOINTS_ENV`]: the raw fault-injection spec, kept verbatim
-    /// (grammar-validated) so it can be forwarded to children; `None`
-    /// when unset or empty.
-    pub failpoints: Option<String>,
     /// [`TIMEOUT_ENV`]: wall-clock budget; `None` when unset (callers
     /// apply their own default).
     pub timeout: Option<Duration>,
@@ -106,21 +97,6 @@ pub struct AmbientConfig {
     /// [`ORACLE_QPS_ENV`]: oracle rate limit in queries per second (must
     /// be positive and finite); `None` when unset (unlimited).
     pub oracle_qps: Option<f64>,
-}
-
-impl Default for AmbientConfig {
-    fn default() -> AmbientConfig {
-        AmbientConfig {
-            threads: 1,
-            certify: CertifyLevel::Off,
-            inprocess: true,
-            failpoints: None,
-            timeout: None,
-            oracle_votes: None,
-            oracle_retries: None,
-            oracle_qps: None,
-        }
-    }
 }
 
 impl AmbientConfig {
@@ -145,9 +121,11 @@ impl AmbientConfig {
             };
             match name.as_str() {
                 TIMEOUT_ENV => config.timeout = Some(parse_timeout(&value).map_err(err)?),
-                THREADS_ENV => config.threads = parse_threads(&value).map_err(err)?,
+                THREADS_ENV => parse_threads(&value).map_err(err)?,
                 CERTIFY_ENV => config.certify = value.parse::<CertifyLevel>().map_err(err)?,
-                INPROCESS_ENV => config.inprocess = parse_inprocess(&value).map_err(err)?,
+                INPROCESS_ENV => {
+                    parse_inprocess(&value).map_err(err)?;
+                }
                 ORACLE_VOTES_ENV => {
                     config.oracle_votes = Some(parse_oracle_votes(&value).map_err(err)?);
                 }
@@ -156,14 +134,10 @@ impl AmbientConfig {
                 }
                 ORACLE_QPS_ENV => config.oracle_qps = Some(parse_oracle_qps(&value).map_err(err)?),
                 FAILPOINTS_ENV => {
-                    let spec = value.trim();
-                    if spec.is_empty() {
-                        config.failpoints = None;
-                    } else {
-                        spec.parse::<FaultPlan>()
-                            .map_err(|e| err(format!("invalid failpoint spec: {e}")))?;
-                        config.failpoints = Some(spec.to_string());
-                    }
+                    value
+                        .trim()
+                        .parse::<FaultPlan>()
+                        .map_err(|e| err(format!("invalid failpoint spec: {e}")))?;
                 }
                 other
                     if other.starts_with("FULLLOCK_") && !KNOWN_FULLLOCK_VARS.contains(&other) =>
@@ -191,39 +165,6 @@ impl AmbientConfig {
     pub fn from_env() -> Result<(AmbientConfig, Vec<String>), AmbientError> {
         AmbientConfig::parse(std::env::vars())
     }
-
-    /// Renders the snapshot back into explicit `(variable, value)` pairs
-    /// for a child process's environment, so serve-mode workers inherit
-    /// the *captured* configuration rather than whatever the server's
-    /// environment happens to contain at spawn time. Knobs at their
-    /// defaults are emitted too — an explicit default beats an ambient
-    /// surprise.
-    pub fn to_env(&self) -> Vec<(String, String)> {
-        let mut pairs = vec![
-            (THREADS_ENV.to_string(), self.threads.to_string()),
-            (CERTIFY_ENV.to_string(), self.certify.as_str().to_string()),
-            (
-                INPROCESS_ENV.to_string(),
-                if self.inprocess { "on" } else { "off" }.to_string(),
-            ),
-        ];
-        if let Some(spec) = &self.failpoints {
-            pairs.push((FAILPOINTS_ENV.to_string(), spec.clone()));
-        }
-        if let Some(timeout) = self.timeout {
-            pairs.push((TIMEOUT_ENV.to_string(), timeout.as_secs_f64().to_string()));
-        }
-        if let Some(votes) = self.oracle_votes {
-            pairs.push((ORACLE_VOTES_ENV.to_string(), votes.to_string()));
-        }
-        if let Some(retries) = self.oracle_retries {
-            pairs.push((ORACLE_RETRIES_ENV.to_string(), retries.to_string()));
-        }
-        if let Some(qps) = self.oracle_qps {
-            pairs.push((ORACLE_QPS_ENV.to_string(), qps.to_string()));
-        }
-        pairs
-    }
 }
 
 /// `var` from the process environment under its grammar `parse`; `None`
@@ -247,10 +188,11 @@ fn parse_timeout(value: &str) -> Result<Duration, String> {
     Ok(Duration::from_secs_f64(secs))
 }
 
-fn parse_threads(value: &str) -> Result<usize, String> {
-    match value.trim().parse() {
+fn parse_threads(value: &str) -> Result<(), String> {
+    match value.trim().parse::<usize>() {
         Ok(0) => Err("thread count must be at least 1".to_string()),
-        Ok(threads) => Ok(threads),
+        Ok(1) => Ok(()),
+        Ok(_) => Err("only the sequential solver remains; the thread count must be 1".to_string()),
         Err(_) => Err("expected a thread count".to_string()),
     }
 }
@@ -324,7 +266,6 @@ pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendSpec;
 
     fn parse(vars: &[(&str, &str)]) -> Result<(AmbientConfig, Vec<String>), AmbientError> {
         AmbientConfig::parse(
@@ -336,7 +277,9 @@ mod tests {
 
     #[test]
     fn defaults_without_any_variables() {
-        let (config, warnings) = parse(&[("PATH", "/bin"), ("HOME", "/root")]).expect("parses");
+        // An all-blank failpoint spec is an empty plan, not an error.
+        let (config, warnings) =
+            parse(&[("PATH", "/bin"), ("HOME", "/root"), (FAILPOINTS_ENV, "  ")]).expect("parses");
         assert_eq!(config, AmbientConfig::default());
         assert!(warnings.is_empty());
     }
@@ -345,31 +288,21 @@ mod tests {
     fn all_knobs_parse() {
         let (config, warnings) = parse(&[
             (TIMEOUT_ENV, "2.5"),
-            (THREADS_ENV, "4"),
+            (THREADS_ENV, "1"),
             (CERTIFY_ENV, "proof"),
             (INPROCESS_ENV, "off"),
-            (FAILPOINTS_ENV, "portfolio.worker.panic#1=panicx1"),
+            (FAILPOINTS_ENV, "service.worker#1=panicx1"),
             (ORACLE_VOTES_ENV, "3"),
             (ORACLE_RETRIES_ENV, "5"),
             (ORACLE_QPS_ENV, "250"),
         ])
         .expect("parses");
         assert_eq!(config.timeout, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(config.threads, 4);
         assert_eq!(config.certify, CertifyLevel::Proof);
-        assert!(!config.inprocess);
         assert_eq!(config.oracle_votes, Some(3));
         assert_eq!(config.oracle_retries, Some(5));
         assert_eq!(config.oracle_qps, Some(250.0));
-        assert_eq!(
-            config.failpoints.as_deref(),
-            Some("portfolio.worker.panic#1=panicx1")
-        );
         assert!(warnings.is_empty());
-        assert!(matches!(
-            BackendSpec::for_threads(config.threads),
-            BackendSpec::Portfolio(_)
-        ));
     }
 
     #[test]
@@ -379,6 +312,7 @@ mod tests {
             (TIMEOUT_ENV, "-3"),
             (TIMEOUT_ENV, "inf"),
             (THREADS_ENV, "0"),
+            (THREADS_ENV, "2"),
             (THREADS_ENV, "many"),
             (CERTIFY_ENV, "paranoid"),
             (INPROCESS_ENV, "maybe"),
@@ -400,28 +334,5 @@ mod tests {
         let (_, warnings) = parse(&[("FULLLOCK_TIMEOUT_SEC", "3600")]).expect("parses");
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("did you mean FULLLOCK_TIMEOUT_SECS"));
-    }
-
-    #[test]
-    fn to_env_round_trips() {
-        let config = AmbientConfig {
-            threads: 3,
-            certify: CertifyLevel::Model,
-            inprocess: false,
-            failpoints: Some("portfolio.budget.exhausted=trigger@5".to_string()),
-            timeout: Some(Duration::from_secs(7)),
-            oracle_votes: Some(5),
-            oracle_retries: Some(2),
-            oracle_qps: Some(12.5),
-        };
-        let (back, warnings) = AmbientConfig::parse(config.to_env()).expect("own output parses");
-        assert_eq!(back, config);
-        assert!(warnings.is_empty());
-    }
-
-    #[test]
-    fn empty_failpoints_clears() {
-        let (config, _) = parse(&[(FAILPOINTS_ENV, "  ")]).expect("parses");
-        assert_eq!(config.failpoints, None);
     }
 }

@@ -1,22 +1,21 @@
-//! The [`SolveBackend`] abstraction: one interface over the sequential
-//! [`Solver`] and the racing [`PortfolioSolver`].
+//! The [`SolveBackend`] abstraction: the interface attack engines solve
+//! through.
 //!
 //! Attack engines (the DIP loop in `fulllock-attacks`) talk to a
-//! `Box<dyn SolveBackend>` and never care whether one CDCL instance or a
-//! diversified portfolio answers each query. Callers pick the engine with
-//! a [`BackendSpec`], which is `Copy` and serialises naturally into
-//! configuration structs.
+//! `Box<dyn SolveBackend>`: the sequential [`Solver`], or that solver
+//! behind a [`CertifyingBackend`] that checks its answers. The trait
+//! also lets tests substitute a fake solver. Callers pick the solver's
+//! parameters with a [`BackendSpec`], which is `Copy` and serialises
+//! naturally into configuration structs.
 //!
 //! # Example
 //!
 //! ```
 //! use fulllock_sat::backend::{BackendSpec, SolveBackend};
 //! use fulllock_sat::cdcl::SolveResult;
-//! use fulllock_sat::portfolio::PortfolioConfig;
 //! use fulllock_sat::Lit;
 //!
-//! let spec = BackendSpec::Portfolio(PortfolioConfig::with_threads(2));
-//! let mut backend = spec.create();
+//! let mut backend = BackendSpec::Single.create();
 //! backend.ensure_vars(2);
 //! let a = Lit::from_dimacs(1);
 //! let b = Lit::from_dimacs(2);
@@ -28,12 +27,11 @@
 
 use crate::cdcl::{SolveLimits, SolveResult, Solver, SolverConfig, SolverStats};
 use crate::certify::{CertifyError, CertifyLevel, CertifyingBackend, DratTrace};
-use crate::portfolio::{PortfolioConfig, PortfolioSolver};
 use crate::{Lit, Var};
 
-/// An incremental SAT engine: the sequential [`Solver`], the racing
-/// [`PortfolioSolver`], or anything else that can answer clause/assume
-/// queries.
+/// An incremental SAT engine: the sequential [`Solver`], a
+/// [`CertifyingBackend`] around one, or anything else that can answer
+/// clause/assume queries.
 ///
 /// Object-safe by design — attack engines hold a `Box<dyn SolveBackend>`.
 pub trait SolveBackend: std::fmt::Debug + Send {
@@ -74,35 +72,19 @@ pub trait SolveBackend: std::fmt::Debug + Send {
         Vec::new()
     }
 
-    /// Lifetime statistics — for a portfolio, the counters are
-    /// [`merge`](SolverStats::merge)d across workers (rates must be
-    /// derived *after* merging, see
-    /// [`props_per_cpu_sec`](SolverStats::props_per_cpu_sec)).
+    /// Lifetime statistics.
     fn stats(&self) -> SolverStats;
 
-    /// How many solver instances work on each query (1 unless this is a
-    /// portfolio).
-    fn num_threads(&self) -> usize {
-        1
-    }
-
-    /// Human-readable records of workers that dropped out of solves
-    /// (panicked, stalled, retired on a memory cap). Empty for a
-    /// sequential solver and for an undisturbed portfolio.
-    fn worker_failures(&self) -> Vec<String> {
-        Vec::new()
-    }
-
     /// Why the most recent answer failed certification, if it did — set by
-    /// a [`CertifyingBackend`] wrapper (failed model/proof check) or by a
-    /// portfolio that caught its workers disagreeing.
+    /// a [`CertifyingBackend`] wrapper (failed model/proof check).
     fn certify_failure(&self) -> Option<CertifyError> {
         None
     }
 
     /// Asks the backend to record a DRAT trace of its derivation. Returns
-    /// `false` if it cannot (portfolio, or clauses already added) — the
-    /// caller should degrade to model-level checking.
+    /// `false` if it cannot (clauses already added, or a backend that
+    /// keeps no trace) — the caller should degrade to model-level
+    /// checking.
     fn enable_certify_proof(&mut self) -> bool {
         false
     }
@@ -157,97 +139,25 @@ impl SolveBackend for Solver {
     }
 }
 
-impl SolveBackend for PortfolioSolver {
-    fn ensure_vars(&mut self, n: usize) {
-        PortfolioSolver::ensure_vars(self, n);
-    }
-
-    fn num_vars(&self) -> usize {
-        PortfolioSolver::num_vars(self)
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        PortfolioSolver::add_clause(self, lits.iter().copied())
-    }
-
-    fn freeze_var(&mut self, var: Var) {
-        PortfolioSolver::freeze_var(self, var);
-    }
-
-    fn solve_limited(&mut self, assumptions: &[Lit], limits: SolveLimits) -> SolveResult {
-        PortfolioSolver::solve_limited(self, assumptions, limits)
-    }
-
-    fn model_value(&self, var: Var) -> Option<bool> {
-        PortfolioSolver::model_value(self, var)
-    }
-
-    fn final_assumption_core(&self) -> Vec<Lit> {
-        PortfolioSolver::final_assumption_core(self)
-    }
-
-    fn stats(&self) -> SolverStats {
-        PortfolioSolver::stats(self)
-    }
-
-    fn num_threads(&self) -> usize {
-        self.num_workers()
-    }
-
-    fn worker_failures(&self) -> Vec<String> {
-        self.failures()
-            .iter()
-            .map(|f| format!("worker {} {}", f.worker, f.reason))
-            .collect()
-    }
-
-    fn certify_failure(&self) -> Option<CertifyError> {
-        self.disagreement().map(
-            |(sat_worker, unsat_worker)| CertifyError::SolverDisagreement {
-                sat_worker,
-                unsat_worker,
-            },
-        )
-    }
-}
-
-/// Which solving engine to instantiate — the `Copy` handle that attack and
-/// bench configuration structs carry.
+/// Which solver configuration to instantiate — the `Copy` handle that
+/// attack and bench configuration structs carry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BackendSpec {
     /// One sequential CDCL [`Solver`] with the default configuration.
     #[default]
     Single,
     /// One sequential CDCL [`Solver`] with explicit search parameters —
-    /// how benches and experiments toggle e.g.
+    /// how benches and experiments toggle
     /// [`SolverConfig::inprocess`](crate::cdcl::SolverConfig::inprocess).
     Configured(SolverConfig),
-    /// A racing [`PortfolioSolver`].
-    Portfolio(PortfolioConfig),
 }
 
 impl BackendSpec {
-    /// A portfolio spec with `threads` workers and default dynamics.
-    pub fn portfolio(threads: usize) -> BackendSpec {
-        BackendSpec::Portfolio(PortfolioConfig::with_threads(threads))
-    }
-
-    /// The backend a thread count selects: the sequential solver for at
-    /// most one thread, a racing portfolio of `threads` workers otherwise.
-    pub fn for_threads(threads: usize) -> BackendSpec {
-        if threads <= 1 {
-            BackendSpec::Single
-        } else {
-            BackendSpec::portfolio(threads)
-        }
-    }
-
     /// Instantiates an empty backend.
     pub fn create(self) -> Box<dyn SolveBackend> {
         match self {
             BackendSpec::Single => Box::new(Solver::new()),
             BackendSpec::Configured(config) => Box::new(Solver::with_config(config)),
-            BackendSpec::Portfolio(config) => Box::new(PortfolioSolver::new(config)),
         }
     }
 
@@ -261,49 +171,14 @@ impl BackendSpec {
             Box::new(CertifyingBackend::new(self.create(), level))
         }
     }
-
-    /// How many solver instances the backend will race.
-    pub fn num_threads(self) -> usize {
-        match self {
-            BackendSpec::Single | BackendSpec::Configured(_) => 1,
-            BackendSpec::Portfolio(config) => config.threads.max(1),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random_sat::{generate, RandomSatConfig};
-
-    fn solve_via(spec: BackendSpec, seed: u64) -> (SolveResult, SolverStats) {
-        let cnf = generate(RandomSatConfig::from_ratio(30, 4.2, 3, seed)).unwrap();
-        let mut backend = spec.create();
-        backend.ensure_vars(cnf.num_vars());
-        for clause in cnf.clauses() {
-            backend.add_clause(clause);
-        }
-        (backend.solve(&[]), backend.stats())
-    }
 
     #[test]
-    fn single_and_portfolio_backends_agree() {
-        for seed in 0..6 {
-            let (single, _) = solve_via(BackendSpec::Single, seed);
-            let (portfolio, stats) = solve_via(BackendSpec::portfolio(2), seed);
-            assert_eq!(single, portfolio, "seed {seed}");
-            // Inprocessing can decide small instances with zero search
-            // decisions, so count solve calls instead.
-            assert!(stats.solves > 0);
-        }
-    }
-
-    #[test]
-    fn spec_reports_thread_counts() {
-        assert_eq!(BackendSpec::Single.num_threads(), 1);
-        assert_eq!(BackendSpec::portfolio(4).num_threads(), 4);
+    fn default_spec_is_single() {
         assert_eq!(BackendSpec::default(), BackendSpec::Single);
-        assert_eq!(BackendSpec::Single.create().num_threads(), 1);
-        assert_eq!(BackendSpec::portfolio(3).create().num_threads(), 3);
     }
 }

@@ -31,8 +31,6 @@ mod clause_db;
 mod heap;
 mod simplify;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::certify::DratTrace;
@@ -58,9 +56,7 @@ pub enum SolveResult {
 ///
 /// Besides the conflict cap and wall-clock deadline, a limit set can carry
 /// a learnt-arena memory cap (the solver force-reduces its learnt database
-/// and gives up if it still exceeds the cap) and a shared interrupt flag —
-/// the cooperative-cancellation hook the portfolio racer uses to stop the
-/// losing workers as soon as one finishes.
+/// and gives up if it still exceeds the cap).
 ///
 /// ```
 /// use std::time::{Duration, Instant};
@@ -78,7 +74,6 @@ pub struct SolveLimits {
     max_conflicts: Option<u64>,
     deadline: Option<Instant>,
     max_learnt_bytes: Option<usize>,
-    interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl SolveLimits {
@@ -104,18 +99,6 @@ impl SolveLimits {
     /// The learnt-arena memory cap in bytes, if any.
     pub fn max_learnt_bytes(&self) -> Option<usize> {
         self.max_learnt_bytes
-    }
-
-    /// The shared cooperative-interrupt flag, if any.
-    pub fn interrupt_flag(&self) -> Option<&Arc<AtomicBool>> {
-        self.interrupt.as_ref()
-    }
-
-    /// Whether the interrupt flag (if any) has been raised.
-    pub fn interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
 
@@ -150,44 +133,25 @@ impl SolveLimitsBuilder {
         self
     }
 
-    /// Stop as soon as this shared flag is raised (polled at the same
-    /// cadence as the deadline). Lets an external controller — e.g. the
-    /// portfolio's first finisher — cancel an in-flight solve.
-    pub fn interrupt(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.inner.interrupt = Some(flag);
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> SolveLimits {
         self.inner
     }
 }
 
+/// VSIDS variable-activity decay (the activity increment grows by
+/// `1/VAR_DECAY` per conflict).
+const VAR_DECAY: f64 = 0.95;
+/// Learnt-clause activity decay.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Base of the Luby restart schedule, in conflicts.
+const RESTART_BASE: f64 = 100.0;
+/// Growth factor of the Luby restart schedule.
+const RESTART_FACTOR: f64 = 2.0;
+
 /// Tunable search parameters of one [`Solver`] instance.
-///
-/// The defaults reproduce the solver's historical behaviour; the other
-/// constructors exist to *diversify* a portfolio — workers with different
-/// decay rates, restart schedules, and initial polarities explore the
-/// search space differently, and the first to finish wins.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
-    /// VSIDS variable-activity decay (activity increment grows by
-    /// `1/var_decay` per conflict).
-    pub var_decay: f64,
-    /// Learnt-clause activity decay.
-    pub clause_decay: f64,
-    /// Base of the Luby restart schedule, in conflicts.
-    pub restart_base: f64,
-    /// Growth factor of the Luby restart schedule.
-    pub restart_factor: f64,
-    /// Seed for randomized initial branching polarities; `None` keeps the
-    /// classic all-false initial phase. Phase saving overrides the initial
-    /// polarity once a variable has been assigned.
-    pub polarity_seed: Option<u64>,
-    /// Collect glue (LBD ≤ 2) learnt clauses and learnt units into an
-    /// outbox for portfolio clause sharing ([`Solver::take_shared_clauses`]).
-    pub share_glue: bool,
     /// Run bounded inprocessing (subsumption, variable elimination, clause
     /// vivification) between restarts and incremental solve calls; see
     /// [the `simplify` module](Solver::freeze_var). On by default; the
@@ -211,59 +175,7 @@ fn inprocess_from_env() -> bool {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 100.0,
-            restart_factor: 2.0,
-            polarity_seed: None,
-            share_glue: false,
             inprocess: inprocess_from_env(),
-        }
-    }
-}
-
-impl SolverConfig {
-    /// A diversified configuration for portfolio worker `index`. Worker 0
-    /// is exactly the default configuration (so a 1-thread portfolio
-    /// reproduces the sequential solver); higher indices vary the decay
-    /// rates, restart schedule, and initial polarities.
-    pub fn diversified(index: usize, seed: u64) -> SolverConfig {
-        let base = SolverConfig::default();
-        if index == 0 {
-            return base;
-        }
-        // Small deterministic per-worker variations around the default.
-        let mix = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index as u64);
-        match index % 4 {
-            // Aggressive: fast decay, rapid restarts, random polarities.
-            1 => SolverConfig {
-                var_decay: 0.85,
-                restart_base: 50.0,
-                polarity_seed: Some(mix | 1),
-                ..base
-            },
-            // Conservative: slow decay, long Luby arms.
-            2 => SolverConfig {
-                var_decay: 0.99,
-                restart_base: 300.0,
-                polarity_seed: Some(mix | 1),
-                ..base
-            },
-            // Default dynamics with randomized polarities and a gentler
-            // restart growth.
-            3 => SolverConfig {
-                restart_factor: 1.5,
-                restart_base: 150.0,
-                polarity_seed: Some(mix | 1),
-                ..base
-            },
-            // index % 4 == 0 (index ≥ 4): default dynamics, fresh seed.
-            _ => SolverConfig {
-                polarity_seed: Some(mix | 1),
-                ..base
-            },
         }
     }
 }
@@ -294,13 +206,11 @@ pub struct SolverStats {
     pub propagate_ns: u64,
     /// Wall-clock nanoseconds spent inside conflict analysis.
     pub analyze_ns: u64,
-    /// Portfolio workers that panicked and were isolated during solves
-    /// contributing to these stats. Always 0 for a sequential solver; set
-    /// by [`PortfolioSolver::stats`](crate::portfolio::PortfolioSolver::stats).
+    /// Always 0: the solver runs no worker threads. Kept so the
+    /// checkpoint and wire formats stay unchanged.
     pub worker_panics: u64,
-    /// Exchanged clauses rejected at import because they failed validation
-    /// (out-of-range variable, duplicate literal, or tautology). Always 0
-    /// for a sequential solver.
+    /// Always 0: the solver imports no clauses from other solvers. Kept so
+    /// the checkpoint and wire formats stay unchanged.
     pub exchange_rejects: u64,
     /// `Sat` answers whose model was re-checked against the original
     /// clauses and passed (see
@@ -349,14 +259,14 @@ impl SolverStats {
         weighted as f64 / total as f64
     }
 
-    /// Propagations per second of cumulative in-propagation *thread* time
+    /// Propagations per second of cumulative in-propagation time
     /// (`propagate_ns`), not wall-clock; 0 before any propagation.
     ///
     /// Because both numerator and denominator are additive counters, stats
-    /// [`merge`](Self::merge)d across portfolio workers yield the correct
-    /// aggregate per-CPU-second rate. On a single solver thread the two
-    /// notions coincide. Never average or sum the *rates* of several
-    /// workers — merge the counters, then derive.
+    /// [`merge`](Self::merge)d across solvers (an attack that rebuilt its
+    /// solver, a batch of attacks) yield the correct aggregate rate. Never
+    /// average or sum the *rates* of several solvers — merge the counters,
+    /// then derive.
     pub fn props_per_cpu_sec(&self) -> f64 {
         if self.propagate_ns == 0 {
             0.0
@@ -366,10 +276,9 @@ impl SolverStats {
     }
 
     /// Accumulates another stats block into this one, field by field. All
-    /// fields are additive counters (including the timing counters, which
-    /// are per-thread nanoseconds), so merging portfolio worker stats and
-    /// then deriving rates gives the true aggregate — unlike summing or
-    /// averaging per-worker rates.
+    /// fields are additive counters (including the timing counters), so
+    /// merging the stats of several solvers and then deriving rates gives
+    /// the true aggregate — unlike summing or averaging per-solver rates.
     pub fn merge(&mut self, other: &SolverStats) {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
@@ -439,12 +348,6 @@ pub struct Solver {
     stats: SolverStats,
 
     config: SolverConfig,
-    /// xorshift state for randomized initial polarities (None ⇒ all-false).
-    polarity_rng: Option<u64>,
-    /// Glue clauses and learnt units collected for portfolio sharing
-    /// (only when `config.share_glue`); drained by
-    /// [`Solver::take_shared_clauses`].
-    outbox: Vec<Vec<Lit>>,
 
     /// Assumptions proven jointly unsatisfiable by the last failing
     /// `solve*` call (MiniSAT's `analyzeFinal` conflict, kept in
@@ -503,8 +406,6 @@ impl Solver {
             model: Vec::new(),
             stats: SolverStats::default(),
             config,
-            polarity_rng: config.polarity_seed.map(|s| s | 1),
-            outbox: Vec::new(),
             assumption_core: Vec::new(),
             seen: Vec::new(),
             level_seen: vec![0],
@@ -538,21 +439,12 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.level.len());
-        let init_polarity = match &mut self.polarity_rng {
-            None => false,
-            Some(state) => {
-                *state ^= *state << 13;
-                *state ^= *state >> 7;
-                *state ^= *state << 17;
-                *state & 1 == 1
-            }
-        };
         self.assigns.push(VAL_UNDEF);
         self.assigns.push(VAL_UNDEF);
         self.level.push(0);
         self.reason.push(CREF_UNDEF);
         self.activity.push(0.0);
-        self.polarity.push(init_polarity);
+        self.polarity.push(false);
         self.seen.push(false);
         self.level_seen.push(0);
         self.watches.push(Vec::new());
@@ -586,12 +478,6 @@ impl Solver {
         &self.stats
     }
 
-    /// Bumps the imported-clause rejection counter (portfolio exchange
-    /// validation).
-    pub(crate) fn bump_exchange_rejects(&mut self) {
-        self.stats.exchange_rejects += 1;
-    }
-
     /// Turns on DRAT proof logging. Must be called on a pristine solver —
     /// before any clause is added — so the trace covers the whole
     /// derivation; returns `false` (and logs nothing) otherwise.
@@ -622,8 +508,8 @@ impl Solver {
             self.ensure_vars(l.var().index() + 1);
         }
         // A clause over an eliminated variable restores it first (rare:
-        // interface variables are frozen, so only an exchange import or an
-        // unusual caller lands here).
+        // interface variables are frozen, so only an unusual caller lands
+        // here).
         if self.mentions_eliminated(&clause) {
             self.restore_all_eliminated();
             if !self.ok {
@@ -692,19 +578,6 @@ impl Solver {
         }
     }
 
-    /// Bytes currently occupied by learnt clauses in the arena (the
-    /// quantity [`SolveLimitsBuilder::max_learnt_bytes`] caps).
-    pub fn learnt_arena_bytes(&self) -> usize {
-        self.db.learnt_words() * std::mem::size_of::<u32>()
-    }
-
-    /// Drains the shared-clause outbox: glue (LBD ≤ 2) learnt clauses and
-    /// learnt units collected since the last drain. Empty unless the
-    /// solver was configured with [`SolverConfig::share_glue`].
-    pub fn take_shared_clauses(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.outbox)
-    }
-
     /// Solves under assumption literals with no resource limits.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solve_limited(assumptions, SolveLimits::default())
@@ -712,7 +585,7 @@ impl Solver {
 
     /// Solves under assumption literals and resource limits. Returns
     /// [`SolveResult::Unknown`] as soon as any limit — conflict cap,
-    /// deadline, learnt-memory cap, or cooperative interrupt — is hit;
+    /// deadline, or learnt-memory cap — is hit;
     /// partial statistics remain readable via [`Solver::stats`].
     pub fn solve_limited(&mut self, assumptions: &[Lit], limits: SolveLimits) -> SolveResult {
         self.cancel_until(0);
@@ -722,7 +595,7 @@ impl Solver {
         }
         self.stats.solves += 1;
         self.stats.learnts_carried += self.db.num_learnts() as u64;
-        if self.deadline_or_interrupt_hit(&limits) {
+        if self.deadline_hit(&limits) {
             return SolveResult::Unknown;
         }
         for &a in assumptions {
@@ -743,7 +616,7 @@ impl Solver {
         let conflict_start = self.stats.conflicts;
         let mut restart_round = 0u64;
         loop {
-            let budget = self.config.restart_base * luby(self.config.restart_factor, restart_round);
+            let budget = RESTART_BASE * luby(RESTART_FACTOR, restart_round);
             restart_round += 1;
             match self.search(assumptions, budget as u64, &limits, conflict_start) {
                 SearchOutcome::Sat => {
@@ -1055,18 +928,11 @@ impl Solver {
         }
     }
 
-    /// Polled every ~1k conflicts / ~4k decisions: wall-clock deadline and
-    /// the cooperative interrupt flag.
-    fn deadline_or_interrupt_hit(&self, limits: &SolveLimits) -> bool {
-        if limits.interrupted() {
-            return true;
-        }
-        if let Some(deadline) = limits.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
+    /// Polled every ~1k conflicts / ~4k decisions: the wall-clock deadline.
+    fn deadline_hit(&self, limits: &SolveLimits) -> bool {
+        limits
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     /// MiniSAT's `analyzeFinal`: the assumption `failed` was found falsified
@@ -1133,13 +999,6 @@ impl Solver {
                 self.log_proof_add(&learnt);
                 self.stats.lbd_histogram[lbd.clamp(1, 8) as usize - 1] += 1;
                 self.cancel_until(bt_level);
-                if self.config.share_glue && (learnt.len() == 1 || lbd <= 2) {
-                    // Units and glue clauses are cheap to import and prune
-                    // the most; cap the outbox in case nobody drains it.
-                    if self.outbox.len() < 4096 {
-                        self.outbox.push(learnt.clone());
-                    }
-                }
                 if learnt.len() == 1 {
                     let ok = self.enqueue(learnt[0], CREF_UNDEF);
                     debug_assert!(ok, "asserting literal must be undef after backjump");
@@ -1152,14 +1011,14 @@ impl Solver {
                     let ok = self.enqueue(asserting, cref);
                     debug_assert!(ok, "asserting literal must be undef after backjump");
                 }
-                self.var_inc /= self.config.var_decay;
-                self.cla_inc /= self.config.clause_decay as f32;
+                self.var_inc /= VAR_DECAY;
+                self.cla_inc /= CLAUSE_DECAY as f32;
                 if self.db.num_learnts() as f64 > self.max_learnts + self.trail.len() as f64 {
                     self.reduce_db();
                     self.max_learnts *= 1.1;
                 }
                 if conflicts_this_round.is_multiple_of(1024) {
-                    if self.deadline_or_interrupt_hit(limits) {
+                    if self.deadline_hit(limits) {
                         return SearchOutcome::LimitHit;
                     }
                     // Learnt-arena memory cap: force a reduction; if the
@@ -1184,11 +1043,9 @@ impl Solver {
                     return SearchOutcome::Restart;
                 }
             } else {
-                // Deadline/interrupt check between decisions too
+                // Deadline check between decisions too
                 // (propagation-heavy instances may rarely conflict).
-                if self.stats.decisions.is_multiple_of(4096)
-                    && self.deadline_or_interrupt_hit(limits)
-                {
+                if self.stats.decisions.is_multiple_of(4096) && self.deadline_hit(limits) {
                     return SearchOutcome::LimitHit;
                 }
                 // Assumption handling, then VSIDS decision.
@@ -1608,6 +1465,21 @@ mod tests {
         assert!(stats.propagate_ns > 0);
         assert!(stats.analyze_ns > 0);
         assert!(stats.props_per_cpu_sec() > 0.0);
+    }
+
+    #[test]
+    fn merged_stats_sum_every_counter() {
+        let cnf = random_sat::generate(RandomSatConfig::from_ratio(60, 4.3, 3, 5)).unwrap();
+        let mut s = Solver::from_cnf(&cnf);
+        let _ = s.solve(&[]);
+        let one = *s.stats();
+        let mut merged = one;
+        merged.merge(&one);
+        assert!(one.conflicts > 0);
+        assert_eq!(merged.conflicts, 2 * one.conflicts);
+        assert_eq!(merged.propagate_ns, 2 * one.propagate_ns);
+        assert_eq!(merged.lbd_histogram, one.lbd_histogram.map(|n| 2 * n));
+        assert_eq!(merged.solves, 2 * one.solves);
     }
 
     #[test]

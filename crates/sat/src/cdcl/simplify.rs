@@ -67,7 +67,7 @@ const VIVIFY_SIZE: std::ops::RangeInclusive<usize> = 3..=12;
 const VIVIFY_BUDGET: u64 = 200_000;
 /// Conflicts between conflict-triggered inprocessing rounds.
 const INPROCESS_CONFLICT_GAP: u64 = 20_000;
-/// How many pass iterations run between deadline/interrupt polls — each
+/// How many pass iterations run between deadline polls — each
 /// pass stays abortable so inprocessing never overshoots a wall-clock
 /// budget by more than one bounded operation.
 const LIMIT_POLL_INTERVAL: usize = 64;
@@ -115,13 +115,13 @@ impl Solver {
 
     /// Runs an inprocessing round if the triggers say it is worth it.
     /// Must be called at decision level 0. The limits bound the round
-    /// itself: every pass polls the deadline/interrupt and aborts early
+    /// itself: every pass polls the deadline and aborts early
     /// (soundly — each operation is individually complete).
     pub(super) fn maybe_inprocess(&mut self, assumptions: &[Lit], limits: &SolveLimits) {
         if !self.config.inprocess || !self.ok {
             return;
         }
-        if self.deadline_or_interrupt_hit(limits) {
+        if self.deadline_hit(limits) {
             return;
         }
         let problem = self.db.num_problem();
@@ -296,7 +296,7 @@ impl Solver {
             if !self.ok {
                 return;
             }
-            if i % LIMIT_POLL_INTERVAL == 0 && self.deadline_or_interrupt_hit(limits) {
+            if i % LIMIT_POLL_INTERVAL == 0 && self.deadline_hit(limits) {
                 return;
             }
             if self.db.is_deleted(c) {
@@ -391,7 +391,7 @@ impl Solver {
             if !self.ok {
                 return;
             }
-            if i % LIMIT_POLL_INTERVAL == 0 && self.deadline_or_interrupt_hit(limits) {
+            if i % LIMIT_POLL_INTERVAL == 0 && self.deadline_hit(limits) {
                 return;
             }
             if self.db.is_deleted(c) || self.db.size(c) > SUBSUME_MAX_SIZE {
@@ -472,7 +472,7 @@ impl Solver {
             if !self.ok {
                 return;
             }
-            if v % LIMIT_POLL_INTERVAL == 0 && self.deadline_or_interrupt_hit(limits) {
+            if v % LIMIT_POLL_INTERVAL == 0 && self.deadline_hit(limits) {
                 break;
             }
             if !candidate[v]
@@ -618,7 +618,7 @@ impl Solver {
             }
             // Vivification propagates per candidate: poll every clause so
             // a tight wall-clock budget cuts the pass short.
-            if self.deadline_or_interrupt_hit(limits) {
+            if self.deadline_hit(limits) {
                 break;
             }
             if self.db.is_deleted(c) {

@@ -57,8 +57,7 @@ pub enum CertifyLevel {
     /// Check every `Sat` model against the original clauses.
     Model,
     /// `Model`, plus DRAT proof logging and forward-checking of
-    /// assumption-free `Unsat` answers (sequential solver only — a
-    /// portfolio degrades to `Model`-strength checking).
+    /// assumption-free `Unsat` answers.
     Proof,
 }
 
@@ -131,14 +130,6 @@ pub enum CertifyError {
     /// An `Unsat` answer whose trace never derives the empty clause, so
     /// nothing certifies the refutation.
     IncompleteProof,
-    /// Two portfolio workers returned contradictory verdicts on the same
-    /// query — at least one of them is wrong, so neither is believed.
-    SolverDisagreement {
-        /// Worker index that answered `Sat`.
-        sat_worker: usize,
-        /// Worker index that answered `Unsat`.
-        unsat_worker: usize,
-    },
 }
 
 impl fmt::Display for CertifyError {
@@ -165,16 +156,6 @@ impl fmt::Display for CertifyError {
                 write!(
                     f,
                     "UNSAT answer but the proof never derives the empty clause"
-                )
-            }
-            CertifyError::SolverDisagreement {
-                sat_worker,
-                unsat_worker,
-            } => {
-                write!(
-                    f,
-                    "portfolio disagreement: worker {sat_worker} says SAT, \
-                     worker {unsat_worker} says UNSAT"
                 )
             }
         }
@@ -428,12 +409,9 @@ impl RupChecker {
 /// * On `Sat` (level ≥ `Model`): the model must satisfy the mirror and
 ///   every assumption, else the answer becomes `Unknown` and
 ///   [`CertifyingBackend::certify_failure`] reports why.
-/// * On assumption-free `Unsat` (level `Proof`, sequential inner solver):
-///   the DRAT trace is forward-checked; a rejected or incomplete proof
-///   likewise degrades the answer to `Unknown`.
-/// * A portfolio inner backend cannot log a single coherent proof, so
-///   `Proof` degrades to model checking there; worker disagreement
-///   surfaced by the portfolio is propagated as a certify failure.
+/// * On assumption-free `Unsat` (level `Proof`): the DRAT trace is
+///   forward-checked; a rejected or incomplete proof likewise degrades
+///   the answer to `Unknown`.
 pub struct CertifyingBackend {
     inner: Box<dyn SolveBackend>,
     level: CertifyLevel,
@@ -477,8 +455,8 @@ impl CertifyingBackend {
         self.level
     }
 
-    /// Whether the inner backend records a DRAT trace (true only for a
-    /// sequential solver at [`CertifyLevel::Proof`]).
+    /// Whether the inner backend records a DRAT trace (true for the
+    /// solver at [`CertifyLevel::Proof`]).
     pub fn proof_active(&self) -> bool {
         self.proof_active
     }
@@ -530,12 +508,6 @@ impl SolveBackend for CertifyingBackend {
 
     fn solve_limited(&mut self, assumptions: &[Lit], limits: SolveLimits) -> SolveResult {
         let result = self.inner.solve_limited(assumptions, limits);
-        if let Some(err) = self.inner.certify_failure() {
-            // e.g. portfolio worker disagreement — already degraded to
-            // Unknown by the inner backend; keep the typed reason.
-            self.failure = Some(err);
-            return SolveResult::Unknown;
-        }
         if self.level == CertifyLevel::Off {
             return result;
         }
@@ -579,14 +551,6 @@ impl SolveBackend for CertifyingBackend {
         let mut stats = self.inner.stats();
         stats.certified_models += self.certified_models;
         stats
-    }
-
-    fn num_threads(&self) -> usize {
-        self.inner.num_threads()
-    }
-
-    fn worker_failures(&self) -> Vec<String> {
-        self.inner.worker_failures()
     }
 
     fn certify_failure(&self) -> Option<CertifyError> {
@@ -787,13 +751,13 @@ mod tests {
 
     #[test]
     fn certify_errors_display_useful_text() {
-        let err = CertifyError::SolverDisagreement {
-            sat_worker: 0,
-            unsat_worker: 3,
+        let err = CertifyError::ProofRejected {
+            step: 7,
+            reason: "not RUP".to_string(),
         };
         let text = err.to_string();
-        assert!(text.contains("worker 0"), "{text}");
-        assert!(text.contains("worker 3"), "{text}");
+        assert!(text.contains("step 7"), "{text}");
+        assert!(text.contains("not RUP"), "{text}");
         assert!(CertifyError::IncompleteProof
             .to_string()
             .contains("empty clause"));

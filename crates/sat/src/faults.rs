@@ -1,9 +1,9 @@
 //! Deterministic fault injection ("failpoints") for chaos testing.
 //!
-//! A production attack run is a long-lived multi-threaded job: portfolio
-//! workers race for hours, exchange learnt clauses, and share one budget.
-//! The only way to *test* that a worker panic, a lost mailbox delivery, or
-//! a spurious budget trip degrades the run gracefully — instead of taking
+//! A production attack run is a long-lived job behind a flaky activated
+//! chip, a daemon's worker pool and a disk that can fill up or tear a
+//! write. The only way to *test* that a flipped oracle answer, a worker
+//! panic, or a failed save degrades the run gracefully — instead of taking
 //! the whole attack down — is to inject those faults on purpose, at named
 //! program points, deterministically.
 //!
@@ -12,9 +12,9 @@
 //! * a [`FaultPlan`] — an ordered set of [`Failpoint`]s, built
 //!   programmatically or parsed from the `FULLLOCK_FAILPOINTS` environment
 //!   variable;
-//! * named fault *sites* compiled into the portfolio runtime (see the
-//!   [`site`] constants) that call [`evaluate`] with a context index
-//!   (usually the worker id);
+//! * named fault *sites* in the oracle, serve, persistence and sweep
+//!   layers (see the [`site`] constants) that call [`evaluate`] with a
+//!   context index (a worker, shard, unit or query index);
 //! * a process-global plan registry: [`install`] / [`clear`] for tests,
 //!   with the environment plan as the fallback.
 //!
@@ -53,8 +53,8 @@
 //! most `limit` times. Example:
 //!
 //! ```text
-//! FULLLOCK_FAILPOINTS="portfolio.worker.panic#1=panic x1"   # (spaces not allowed)
-//! FULLLOCK_FAILPOINTS="portfolio.worker.panic#1=panicx1;portfolio.exchange.publish=corrupt@2"
+//! FULLLOCK_FAILPOINTS="service.worker#1=panic x1"   # (spaces not allowed)
+//! FULLLOCK_FAILPOINTS="service.worker#1=panicx1;oracle.query=flip@2"
 //! ```
 //!
 //! # Example
@@ -62,7 +62,7 @@
 //! ```
 //! use fulllock_sat::faults::{FaultAction, FaultPlan};
 //!
-//! let plan: FaultPlan = "portfolio.worker.panic#1=panicx1".parse().unwrap();
+//! let plan: FaultPlan = "service.worker#1=panicx1".parse().unwrap();
 //! assert_eq!(plan.points().len(), 1);
 //! assert_eq!(plan.points()[0].action, FaultAction::Panic);
 //! assert_eq!(plan.points()[0].index, Some(1));
@@ -79,26 +79,8 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::SatError;
 
-/// The named fault sites compiled into the solver runtime.
+/// The named fault sites of the workspace.
 pub mod site {
-    /// Evaluated at the top of every portfolio worker chunk with the
-    /// worker index. `panic` kills the worker; `trigger` makes it stall
-    /// (return without a verdict).
-    pub const WORKER_CHUNK: &str = "portfolio.worker.panic";
-    /// Evaluated when a worker publishes learnt clauses, with the producer
-    /// index. `drop` loses the batch, `delay:<ms>` delays it, `corrupt`
-    /// mangles every clause (duplicated literals + a tautological pair).
-    pub const EXCHANGE_PUBLISH: &str = "portfolio.exchange.publish";
-    /// Evaluated when a worker imports foreign clauses, with the reader
-    /// index. `drop` discards the delivery (the clauses are lost for this
-    /// reader, not retried); `corrupt` mangles it on the import side
-    /// (duplicated literals + a tautological pair) so only this reader
-    /// sees garbage — import validation must reject it.
-    pub const EXCHANGE_IMPORT: &str = "portfolio.exchange.import";
-    /// Evaluated inside the shared budget's exhaustion check (context
-    /// index 0). `trigger` reports the budget spuriously exhausted, so the
-    /// whole race degrades to `Unknown` with partial stats.
-    pub const BUDGET_EXHAUSTED: &str = "portfolio.budget.exhausted";
     /// Evaluated by a `fulllock serve` worker just before it launches a
     /// job's child process, with the worker index. `panic` kills the
     /// worker thread (the server must catch it and retry the job on
@@ -154,15 +136,15 @@ pub mod site {
 /// What happens when a failpoint fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic at the site (worker sites only — the portfolio must contain
-    /// it).
+    /// Panic at the site (the caller must contain it: a serve worker, a
+    /// sweep worker, a chaos child).
     Panic,
-    /// Drop the payload (a clause batch, a delivery).
+    /// Drop the payload (an oracle response).
     Drop,
-    /// Corrupt the payload (tautological / duplicated glue clauses).
+    /// Corrupt the payload (a chaos child's output).
     Corrupt,
-    /// Trip the site's condition spuriously (budget exhaustion, worker
-    /// stall).
+    /// Trip the site's condition spuriously (a failed job launch, a failed
+    /// sweep unit).
     Trigger,
     /// Sleep this many milliseconds before proceeding.
     DelayMs(u64),
@@ -204,7 +186,8 @@ impl fmt::Display for FaultAction {
 pub struct Failpoint {
     /// Site name (one of the [`site`] constants, or any custom name).
     pub name: String,
-    /// Restrict to one context index (worker id); `None` matches all.
+    /// Restrict to one context index (e.g. a worker id); `None` matches
+    /// all.
     pub index: Option<usize>,
     /// What to do when the point fires.
     pub action: FaultAction,
@@ -510,21 +493,24 @@ mod tests {
 
     #[test]
     fn parses_full_grammar() {
-        let plan: FaultPlan =
-            "portfolio.worker.panic#1=panic;portfolio.exchange.publish=corrupt@2x3;\
-             portfolio.budget.exhausted=trigger;portfolio.exchange.import#0=delay:250"
-                .parse()
-                .expect("valid spec");
+        let plan: FaultPlan = "service.worker#1=panic;campaign.child.run=corrupt@2x3;\
+             sweep.unit=trigger;oracle.query#0=drop;service.worker#0=delay:250"
+            .parse()
+            .expect("valid spec");
         let pts = plan.points();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].name, site::WORKER_CHUNK);
+        assert_eq!(pts.len(), 5);
+        assert_eq!(pts[0].name, site::SERVICE_WORKER);
         assert_eq!(pts[0].index, Some(1));
         assert_eq!(pts[0].action, FaultAction::Panic);
         assert_eq!(pts[1].skip, 2);
         assert_eq!(pts[1].limit, Some(3));
         assert_eq!(pts[1].action, FaultAction::Corrupt);
+        assert_eq!(pts[2].name, site::SWEEP_UNIT);
         assert_eq!(pts[2].index, None);
-        assert_eq!(pts[3].action, FaultAction::DelayMs(250));
+        assert_eq!(pts[2].action, FaultAction::Trigger);
+        assert_eq!(pts[3].name, site::ORACLE_QUERY);
+        assert_eq!(pts[3].action, FaultAction::Drop);
+        assert_eq!(pts[4].action, FaultAction::DelayMs(250));
     }
 
     #[test]

@@ -15,13 +15,10 @@
 //! * [`dpll`] — the instrumented, textbook DPLL of Algorithm 1, counting
 //!   recursive calls;
 //! * [`cdcl`] — a MiniSAT-class CDCL solver (watched literals, 1UIP
-//!   learning, VSIDS, Luby restarts, incremental solving) that powers the
-//!   attacks;
-//! * [`portfolio`] — N diversified CDCL solvers racing on threads with
-//!   glue-clause exchange and first-finisher-wins cancellation;
-//! * [`backend`] — the [`SolveBackend`] trait + [`BackendSpec`] selector
-//!   that lets attack engines swap between the sequential solver and the
-//!   portfolio;
+//!   learning, VSIDS, Luby restarts, incremental solving) that powers
+//!   every attack;
+//! * [`backend`] — the [`SolveBackend`] trait the attack engines solve
+//!   through, and the [`BackendSpec`] handle that builds one;
 //! * [`certify`] — result certification ([`CertifyLevel`]): model
 //!   re-checking of every SAT answer, DRAT proof logging + forward
 //!   checking of UNSAT answers, and typed [`CertifyError`]s so no wrong
@@ -62,7 +59,6 @@ pub mod equiv;
 mod error;
 pub mod faults;
 mod lit;
-pub mod portfolio;
 pub mod quota;
 pub mod random_sat;
 pub mod tseytin;
@@ -73,7 +69,6 @@ pub use certify::{CertifyError, CertifyLevel};
 pub use cnf::Cnf;
 pub use error::SatError;
 pub use lit::{Lit, Var};
-pub use portfolio::{PortfolioConfig, PortfolioSolver};
 pub use quota::{QuotaError, QuotaSpec, QuotaUsage, TenantQuota};
 
 /// Crate-wide result alias.

@@ -1,12 +1,11 @@
-//! Multi-tenant resource quotas built on the same lock-free atomics as
-//! the portfolio [`Budget`](crate::portfolio::Budget).
+//! Multi-tenant resource quotas on lock-free atomics.
 //!
-//! A [`Budget`](crate::portfolio::Budget) bounds one *race*: a deadline, a
-//! summed conflict cap, and a cancel flag shared by the workers of a
-//! single solve. A serving deployment needs the layer above that — one
-//! ledger per *tenant*, accumulated across every job the tenant ever
-//! submitted, consulted at admission time so a tenant who has spent their
-//! allowance is refused new work instead of starving everyone else.
+//! A [`SolveLimits`](crate::cdcl::SolveLimits) bounds one *solve*: a
+//! deadline, a conflict cap and a learnt-memory cap. A serving deployment
+//! needs the layer above that — one ledger per *tenant*, accumulated
+//! across every job the tenant ever submitted, consulted at admission
+//! time so a tenant who has spent their allowance is refused new work
+//! instead of starving everyone else.
 //!
 //! [`TenantQuota`] is that ledger: an immutable [`QuotaSpec`] (the caps)
 //! plus three atomic counters (jobs in flight, cumulative solver

@@ -178,7 +178,7 @@ proptest! {
             .expect("valid config");
         let mut solver = Solver::from_cnf_with_config(
             &base,
-            SolverConfig { inprocess: true, ..SolverConfig::default() },
+            SolverConfig { inprocess: true },
         );
         let mut selectors: Vec<Lit> = Vec::new();
         for round in 0..3u64 {
@@ -310,11 +310,11 @@ proptest! {
             .expect("valid config");
         let mut plain = Solver::from_cnf_with_config(
             &base,
-            SolverConfig { inprocess: false, ..SolverConfig::default() },
+            SolverConfig { inprocess: false },
         );
         let mut simplifying = Solver::from_cnf_with_config(
             &base,
-            SolverConfig { inprocess: true, ..SolverConfig::default() },
+            SolverConfig { inprocess: true },
         );
         let mut all_clauses = base.clone();
         for round in 0..3u32 {
@@ -444,7 +444,7 @@ proptest! {
         let mut cnf = random_sat::generate(RandomSatConfig::from_ratio(vars, ratio, 3, seed))
             .expect("valid config");
         let mut backend = BackendSpec::Configured(
-            SolverConfig { inprocess: true, ..SolverConfig::default() },
+            SolverConfig { inprocess: true },
         ).create_certified(CertifyLevel::Proof);
         backend.ensure_vars(cnf.num_vars());
         for clause in cnf.clauses() {

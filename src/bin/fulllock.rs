@@ -43,8 +43,8 @@ use full_lock::locking::{
 use full_lock::netlist::{bench_io, topo, verilog, Netlist};
 use full_lock::sat::ambient::{parse_oracle_qps, parse_oracle_retries, parse_oracle_votes};
 use full_lock::sat::tseytin;
+use full_lock::sat::CertifyLevel;
 use full_lock::sat::{AmbientConfig, QuotaSpec};
-use full_lock::sat::{BackendSpec, CertifyLevel};
 use full_lock::tech::Technology;
 
 type CliResult = Result<(), Box<dyn Error>>;
@@ -76,6 +76,8 @@ USAGE:
                  [--max-request-line BYTES] [--watchdog-secs S]
 
 ATTACK OPTIONS:
+  --threads <n>        0 or 1: every attack solves on one sequential
+                       CDCL solver; larger values are refused
   --checkpoint <file>  write a crash-safe snapshot after every DIP iteration
   --resume             restore the checkpoint file first (fresh start if absent)
   --certify <level>    check the solver's answers: off (trust it), model
@@ -90,9 +92,9 @@ ATTACK OPTIONS:
                        failures (dropped responses, timeouts)    (default 3)
   --oracle-qps <q>     token-bucket rate limit on oracle queries, in
                        queries per second             (default: unlimited)
-  Defaults for --threads/--timeout/--certify come from the FULLLOCK_*
-  environment (FULLLOCK_THREADS, FULLLOCK_TIMEOUT_SECS, FULLLOCK_CERTIFY);
-  the oracle knobs honor FULLLOCK_ORACLE_VOTES / _RETRIES / _QPS.
+  Defaults for --timeout/--certify come from the FULLLOCK_* environment
+  (FULLLOCK_TIMEOUT_SECS, FULLLOCK_CERTIFY; FULLLOCK_THREADS, if set, must
+  be 1); the oracle knobs honor FULLLOCK_ORACLE_VOTES / _RETRIES / _QPS.
 
 SERVE OPTIONS:
   --listen <ep>       unix:PATH, tcp:HOST:PORT, or a bare socket path
@@ -448,10 +450,15 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     let timeout = secs_flag(&args, "timeout")?
         .or(ambient.timeout)
         .unwrap_or(Duration::from_secs(60));
-    let threads: usize = match args.flag("threads") {
-        Some(t) => t.parse()?,
-        None => ambient.threads,
-    };
+    if let Some(threads) = args.flag("threads") {
+        if threads.parse::<usize>()? > 1 {
+            return Err(format!(
+                "attack: --threads {threads}: only the sequential solver remains; \
+                 pass 0 or 1"
+            )
+            .into());
+        }
+    }
     let checkpoint = args.flag("checkpoint").map(std::path::PathBuf::from);
     let resume = args.has("resume");
     if resume && checkpoint.is_none() {
@@ -496,12 +503,11 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     let quiet = json_out.as_deref() == Some("-");
     if !quiet {
         println!(
-            "attacking {} ({} key bits, cyclic: {}) with a {}s budget on {} thread(s)…",
+            "attacking {} ({} key bits, cyclic: {}) with a {}s budget…",
             locked.netlist.name(),
             locked.key_len(),
             topo::is_cyclic(&locked.netlist),
             timeout.as_secs_f64(),
-            threads.max(1),
         );
         if certify != CertifyLevel::Off {
             println!("certifying solver answers at level {certify}");
@@ -509,7 +515,6 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     }
     let config = SatAttackConfig {
         timeout: Some(timeout),
-        backend: BackendSpec::for_threads(threads),
         certify,
         resilience,
         ..Default::default()
@@ -583,13 +588,6 @@ fn cmd_attack(raw: &[String]) -> CliResult {
         println!(
             "checkpointing: {} snapshot(s) written, {} failed",
             res.checkpoints_written, res.checkpoint_failures
-        );
-    }
-    if res.worker_panics > 0 || !res.worker_failures.is_empty() {
-        println!(
-            "solver faults absorbed: {} worker panic(s) [{}]",
-            res.worker_panics,
-            res.worker_failures.join("; ")
         );
     }
     if res.oracle_retries > 0 || res.oracle_requeries > 0 || res.quarantined_pairs > 0 {

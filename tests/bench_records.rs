@@ -18,5 +18,5 @@ fn every_bench_json_is_a_judged_bench_record() {
         assert!(!record.bars.is_empty(), "{name} states no bar");
         records += 1;
     }
-    assert_eq!(records, 7, "one record per guard");
+    assert_eq!(records, 6, "one record per guard");
 }

@@ -188,6 +188,48 @@ fn inprocess_env_has_one_grammar() {
     assert!(inprocessed(None), "inprocessing is on by default");
 }
 
+/// Every attack solves on the one sequential solver: `--threads` runs at
+/// 0 and 1 and `FULLLOCK_THREADS` at 1, and each refuses a larger value
+/// with an `error:` line.
+#[test]
+fn thread_knobs_accept_only_the_sequential_solver() {
+    let dir = workdir("threads");
+    let original = dir.join("c17.bench");
+    let locked = dir.join("locked.bench");
+    fs::write(&original, C17).unwrap();
+    let (original, locked) = (original.to_str().unwrap(), locked.to_str().unwrap());
+    let out = run(&[
+        "lock", original, "-o", locked, "--scheme", "rll", "--bits", "4", "--seed", "7",
+    ]);
+    assert!(out.status.success());
+    let attack = |flag: Option<&str>, env: Option<&str>| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_fulllock"));
+        command.args(["attack", locked, "--oracle", original]);
+        if let Some(threads) = flag {
+            command.args(["--threads", threads]);
+        }
+        match env {
+            Some(threads) => command.env("FULLLOCK_THREADS", threads),
+            None => command.env_remove("FULLLOCK_THREADS"),
+        };
+        command.output().expect("binary runs")
+    };
+    for (flag, env) in [(Some("0"), None), (Some("1"), None), (None, Some("1"))] {
+        let out = attack(flag, env);
+        assert!(out.status.success(), "{flag:?} {env:?}: {}", stdout(&out));
+        assert!(stdout(&out).contains("BROKEN"), "{flag:?} {env:?}");
+    }
+    for (flag, env) in [(Some("2"), None), (None, Some("2"))] {
+        let out = attack(flag, env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag:?} {env:?}: {stderr}");
+        assert!(
+            stderr.contains("error: ") && stderr.contains("only the sequential solver remains"),
+            "{flag:?} {env:?}: {stderr}"
+        );
+    }
+}
+
 /// A seconds flag refuses a value no `Duration` holds (negative, NaN,
 /// infinite) with an `error:` line naming the flag, instead of
 /// panicking.

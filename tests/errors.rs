@@ -115,3 +115,43 @@ fn malformed_bench_is_a_typed_error() {
         assert_well_behaved(err);
     }
 }
+
+/// Harness errors name the subsystem that failed: a queue shard that
+/// cannot be written, and a sweep resumed under changed parameters, are
+/// not campaign errors.
+#[test]
+fn harness_errors_name_their_subsystem() {
+    use full_lock::harness::plan::JobSpec;
+    use full_lock::harness::service::ShardedQueue;
+    use full_lock::harness::{run_sweep, SweepConfig, SweepGrid, SweepPlan};
+
+    let dir = std::env::temp_dir().join(format!("fulllock_errors_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A directory where the shard's temporary file goes fails the save.
+    let queue_dir = dir.join("queue");
+    let mut queue = ShardedQueue::open(&queue_dir, 1).expect("open queue");
+    std::fs::create_dir_all(queue_dir.join("shard-00.json.tmp")).expect("block the shard");
+    let err = queue
+        .submit("acme", JobSpec::new("j1", "/bin/true"))
+        .expect_err("the shard write fails");
+    let message = err.to_string();
+    assert!(message.contains("queue shard"), "{message}");
+    assert!(!message.contains("campaign"), "{message}");
+    assert_well_behaved(err);
+
+    let sweep_dir = dir.join("sweep");
+    std::fs::create_dir_all(&sweep_dir).expect("sweep dir");
+    let plan = |vars: &str| SweepPlan::new(SweepGrid::new("drift").axis("vars", [vars]));
+    plan("20").save(&sweep_dir, 7).expect("save plan");
+    let mut config = SweepConfig::new(&sweep_dir, "/nonexistent-worker", vec![]);
+    config.resume = true;
+    config.ambient_hash = Some(7);
+    let err = run_sweep(&plan("30"), &config).expect_err("a drifted resume is refused");
+    let message = err.to_string();
+    assert!(message.contains("sweep plan"), "{message}");
+    assert!(!message.contains("campaign"), "{message}");
+    assert_well_behaved(err);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
