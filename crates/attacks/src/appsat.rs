@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use fulllock_locking::{Key, LockedCircuit};
 use fulllock_netlist::topo;
-use fulllock_sat::cdcl::SolverStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,37 +29,37 @@ const KEY_CHECK: KeyCheck = KeyCheck {
     vote_every_pattern: false,
 };
 
-/// Configuration of an AppSAT run.
+/// DIP iterations between settlement probes.
+const PROBE_INTERVAL: u64 = 4;
+/// Random patterns per probe.
+const PROBE_SAMPLES: usize = 64;
+/// Settle when the measured error rate is at most this.
+const ERROR_THRESHOLD: f64 = 0.01;
+/// RNG seed for probing.
+const PROBE_SEED: u64 = 0;
+
+/// Configuration of an AppSAT run: the base SAT attack it interleaves
+/// with probes. The probe schedule is fixed: a probe of 64 random
+/// patterns every 4 DIPs, settling below 1% error.
 #[derive(Debug, Clone, Copy)]
 pub struct AppSatConfig {
-    /// DIP iterations between settlement probes.
-    pub probe_interval: u64,
-    /// Random patterns per probe.
-    pub probe_samples: usize,
-    /// Settle when the measured error rate is ≤ this threshold.
-    pub error_threshold: f64,
     /// Base SAT attack limits (timeout / iteration cap).
     pub base: SatAttackConfig,
-    /// RNG seed for probing.
-    pub seed: u64,
 }
 
 impl Default for AppSatConfig {
     fn default() -> Self {
         AppSatConfig {
-            probe_interval: 4,
-            probe_samples: 64,
-            error_threshold: 0.01,
             base: SatAttackConfig {
                 timeout: Some(Duration::from_secs(60)),
                 ..Default::default()
             },
-            seed: 0,
         }
     }
 }
 
-/// Result of an AppSAT run.
+/// AppSAT's settlement data; the iteration count, time and solver
+/// counters are the envelope's.
 #[derive(Debug, Clone)]
 pub struct AppSatReport {
     /// The best (possibly approximate) key found, if any.
@@ -73,23 +72,6 @@ pub struct AppSatReport {
     pub settled: bool,
     /// Whether the DIP loop actually converged (exact success).
     pub exact: bool,
-    /// DIP iterations performed.
-    pub iterations: u64,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
-    /// SAT solver counters accumulated over the run.
-    pub solver: SolverStats,
-}
-
-#[cfg(test)]
-fn run_appsat(
-    locked: &LockedCircuit,
-    oracle: &dyn Oracle,
-    config: AppSatConfig,
-) -> Result<AppSatReport> {
-    let mut engine = SatAttack::new(locked, oracle, config.base)?;
-    engine.set_checkpoint_label("appsat");
-    drive_appsat(&mut engine, locked, config).map(|(_, report)| report)
 }
 
 /// The AppSAT loop over a pre-built engine (fresh or resumed from a
@@ -101,9 +83,8 @@ fn run_appsat(
 fn drive_appsat(
     engine: &mut SatAttack<'_>,
     locked: &LockedCircuit,
-    config: AppSatConfig,
 ) -> Result<(AttackOutcome, AppSatReport)> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(PROBE_SEED);
     let mut best: Option<(Key, f64)> = None;
     let mut healing_rounds = 0u32;
     // The iteration count of the last probe: a pass back from a healed
@@ -115,11 +96,10 @@ fn drive_appsat(
         // A settlement probe runs before the first DIP too: point-function
         // schemes are approximately broken by *any* consistent key.
         let iterations = engine.iterations();
-        if iterations.is_multiple_of(config.probe_interval) && probed_at != Some(iterations) {
+        if iterations.is_multiple_of(PROBE_INTERVAL) && probed_at != Some(iterations) {
             probed_at = Some(iterations);
             if let Some(key) = engine.extract_key()? {
-                let (error, mismatches) =
-                    probe_error(engine, locked, &key, config.probe_samples, &mut rng)?;
+                let (error, mismatches) = probe_error(engine, locked, &key, &mut rng)?;
                 // AppSAT reinforcement: failed probes become constraints.
                 let reinforced = !mismatches.is_empty();
                 for (x, y) in mismatches {
@@ -134,7 +114,7 @@ fn drive_appsat(
                     // oracle queries, same as DIPs.
                     engine.checkpoint_now();
                 }
-                if error <= config.error_threshold {
+                if error <= ERROR_THRESHOLD {
                     let outcome = AttackOutcome::ApproximateKey {
                         key: key.clone(),
                         measured_error: error,
@@ -144,9 +124,6 @@ fn drive_appsat(
                         measured_error: error,
                         settled: true,
                         exact: false,
-                        iterations: engine.iterations(),
-                        elapsed: engine.elapsed(),
-                        solver: engine.solver_stats(),
                     };
                     return Ok((outcome, report));
                 }
@@ -163,17 +140,14 @@ fn drive_appsat(
                     _ => None,
                 };
                 let (error, _) = match &key {
-                    Some(k) => probe_error(engine, locked, k, config.probe_samples, &mut rng)?,
+                    Some(k) => probe_error(engine, locked, k, &mut rng)?,
                     None => (1.0, Vec::new()),
                 };
                 let report = AppSatReport {
-                    settled: error <= config.error_threshold,
+                    settled: error <= ERROR_THRESHOLD,
                     exact: key.is_some(),
                     measured_error: error,
                     key,
-                    iterations: engine.iterations(),
-                    elapsed: engine.elapsed(),
-                    solver: engine.solver_stats(),
                 };
                 return Ok((outcome, report));
             }
@@ -190,9 +164,6 @@ fn drive_appsat(
                     measured_error: error,
                     settled: false,
                     exact: false,
-                    iterations: engine.iterations(),
-                    elapsed: engine.elapsed(),
-                    solver: engine.solver_stats(),
                 };
                 return Ok((AttackOutcome::Timeout, report));
             }
@@ -236,7 +207,7 @@ impl Attack for AppSatConfig {
     fn run(&self, locked: &LockedCircuit, oracle: &dyn Oracle) -> Result<AttackReport> {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
-        envelope(&mut engine, locked, *self)
+        envelope(&mut engine, locked)
     }
 
     fn run_checkpointed(
@@ -249,25 +220,21 @@ impl Attack for AppSatConfig {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
         engine.attach_checkpoint(checkpoint, resume)?;
-        envelope(&mut engine, locked, *self)
+        envelope(&mut engine, locked)
     }
 }
 
 /// Drives the AppSAT loop and folds its settlement data into the common
 /// envelope through [`SatAttack::seal`].
-fn envelope(
-    engine: &mut SatAttack<'_>,
-    locked: &LockedCircuit,
-    config: AppSatConfig,
-) -> Result<AttackReport> {
-    let (outcome, report) = drive_appsat(engine, locked, config)?;
+fn envelope(engine: &mut SatAttack<'_>, locked: &LockedCircuit) -> Result<AttackReport> {
+    let (outcome, report) = drive_appsat(engine, locked)?;
     engine.seal(outcome, AttackDetails::AppSat(report))
 }
 
-/// Measures a key's error rate on random patterns; returns the rate and
-/// the mismatching (input, oracle-output) pairs for reinforcement. The
-/// queries go through the engine's resilient layer, so a dropped answer
-/// is retried.
+/// Measures a key's error rate on [`PROBE_SAMPLES`] random patterns;
+/// returns the rate and the mismatching (input, oracle-output) pairs for
+/// reinforcement. The queries go through the engine's resilient layer, so
+/// a dropped answer is retried.
 ///
 /// # Errors
 ///
@@ -278,14 +245,13 @@ fn probe_error(
     engine: &SatAttack<'_>,
     locked: &LockedCircuit,
     key: &Key,
-    samples: usize,
     rng: &mut StdRng,
 ) -> Result<(f64, Vec<(Vec<bool>, Vec<bool>)>)> {
     let width = locked.data_inputs.len();
     let cyclic = topo::is_cyclic(&locked.netlist);
     let mut wrong = 0usize;
     let mut mismatches = Vec::new();
-    for _ in 0..samples {
+    for _ in 0..PROBE_SAMPLES {
         let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
         let want = engine.query(&x)?;
         if !reproduces(locked, cyclic, &x, key, &want) {
@@ -295,7 +261,7 @@ fn probe_error(
             }
         }
     }
-    Ok((wrong as f64 / samples.max(1) as f64, mismatches))
+    Ok((wrong as f64 / PROBE_SAMPLES as f64, mismatches))
 }
 
 #[cfg(test)]
@@ -304,6 +270,19 @@ mod tests {
     use crate::SimOracle;
     use fulllock_locking::{FullLock, FullLockConfig, LockingScheme, SarLock};
     use fulllock_netlist::random::{generate, RandomCircuitConfig};
+
+    /// Runs AppSAT through the envelope; returns it with its details.
+    fn run_appsat(
+        locked: &LockedCircuit,
+        oracle: &dyn Oracle,
+        config: AppSatConfig,
+    ) -> (AttackReport, AppSatReport) {
+        let report = config.run(locked, oracle).unwrap();
+        let AttackDetails::AppSat(details) = report.details.clone() else {
+            panic!("AppSAT reported {:?}", report.details);
+        };
+        (report, details)
+    }
 
     fn host(seed: u64) -> fulllock_netlist::Netlist {
         generate(RandomCircuitConfig {
@@ -323,12 +302,12 @@ mod tests {
         let original = host(1);
         let locked = SarLock::new(10, 2).lock(&original).unwrap();
         let oracle = SimOracle::new(&original).unwrap();
-        let report = run_appsat(&locked, &oracle, AppSatConfig::default()).unwrap();
+        let (envelope, report) = run_appsat(&locked, &oracle, AppSatConfig::default());
         assert!(report.settled, "AppSAT should settle on SARLock");
         assert!(
-            report.iterations < 100,
+            envelope.iterations < 100,
             "needed {} iterations",
-            report.iterations
+            envelope.iterations
         );
         assert!(report.measured_error <= 0.01);
     }
@@ -348,9 +327,8 @@ mod tests {
                 timeout: Some(Duration::from_millis(300)),
                 ..Default::default()
             },
-            ..Default::default()
         };
-        let report = run_appsat(&locked, &oracle, config).unwrap();
+        let (_, report) = run_appsat(&locked, &oracle, config);
         assert!(!report.settled);
         assert!(!report.exact);
         assert!(
@@ -365,7 +343,7 @@ mod tests {
         let original = host(3);
         let locked = fulllock_locking::Rll::new(8, 1).lock(&original).unwrap();
         let oracle = SimOracle::new(&original).unwrap();
-        let report = run_appsat(&locked, &oracle, AppSatConfig::default()).unwrap();
+        let (_, report) = run_appsat(&locked, &oracle, AppSatConfig::default());
         // Either settles early (error 0 measured) or converges exactly;
         // both count as breaking RLL.
         assert!(report.settled || report.exact);

@@ -359,7 +359,7 @@ mod tests {
         cp.oracle_queries = 9;
         cp.solver.conflicts = 123;
         cp.solver.lbd_histogram[2] = 45;
-        cp.solver.worker_panics = 1;
+        cp.solver.restarts = 1;
         cp.io_pairs = vec![
             IoPair {
                 inputs: vec![true, false, false, true],
@@ -449,11 +449,11 @@ mod tests {
         let cp = sample();
         let text = cp
             .to_json()
-            .replace(",\"exchange_rejects\":0", "")
+            .replace(",\"learnts_carried\":0", "")
             .replace(",\"certified_models\":0", "");
-        assert!(!text.contains("exchange_rejects"), "field really removed");
+        assert!(!text.contains("learnts_carried"), "field really removed");
         let back = AttackCheckpoint::from_json(&text).expect("old-format parse");
-        assert_eq!(back.solver.exchange_rejects, 0);
+        assert_eq!(back.solver.learnts_carried, 0);
         assert_eq!(back.solver.certified_models, 0);
     }
 

@@ -14,12 +14,13 @@
 //! This module therefore provides two layers:
 //!
 //! * [`Oracle::try_query`] — the fallible path with typed
-//!   [`OracleError`]s (transient, timeout, width mismatch) instead of the
+//!   [`OracleError`]s (transient, width mismatch) instead of the
 //!   historical panic;
 //! * [`ResilientOracle`] — a decorator adding bounded retry with backoff,
-//!   a per-query deadline, token-bucket rate limiting (real chips cap
-//!   stimulus frequency), and k-of-n majority voting, configured by an
-//!   [`OracleResilience`] policy.
+//!   token-bucket rate limiting (real chips cap stimulus frequency), and
+//!   k-of-n majority voting, configured by an [`OracleResilience`]
+//!   policy. A query is bounded by its retry budget; the attack's own
+//!   timeout bounds the run.
 //!
 //! Chaos builds inject oracle faults at
 //! [`faults::site::ORACLE_QUERY`](fulllock_sat::faults::site::ORACLE_QUERY)
@@ -45,11 +46,6 @@ pub enum OracleError {
     /// A transient failure (lost response, glitched harness); retrying the
     /// same stimulus may succeed.
     Transient(String),
-    /// The per-query deadline expired before a usable answer arrived.
-    Timeout {
-        /// How long the query (including retries) had been running.
-        elapsed: Duration,
-    },
     /// The stimulus width does not match the chip's declared input count.
     WidthMismatch {
         /// The chip's input count.
@@ -63,9 +59,6 @@ impl fmt::Display for OracleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OracleError::Transient(why) => write!(f, "transient oracle failure: {why}"),
-            OracleError::Timeout { elapsed } => {
-                write!(f, "oracle query deadline expired after {elapsed:?}")
-            }
             OracleError::WidthMismatch { expected, got } => {
                 write!(
                     f,
@@ -102,7 +95,7 @@ pub trait Oracle {
     ///
     /// [`OracleError::WidthMismatch`] when the stimulus width is wrong;
     /// implementations backed by real harnesses may also return
-    /// [`OracleError::Transient`] and [`OracleError::Timeout`].
+    /// [`OracleError::Transient`].
     fn try_query(&self, inputs: &[bool]) -> std::result::Result<Vec<bool>, OracleError> {
         if inputs.len() != self.num_inputs() {
             return Err(OracleError::WidthMismatch {
@@ -280,8 +273,6 @@ pub struct OracleResilience {
     pub retries: u32,
     /// Token-bucket rate limit in queries per second (`None` = unlimited).
     pub qps: Option<f64>,
-    /// Per-query deadline across retries (`None` = no deadline).
-    pub deadline: Option<Duration>,
 }
 
 impl Default for OracleResilience {
@@ -291,7 +282,6 @@ impl Default for OracleResilience {
             votes: 1,
             retries: 3,
             qps: None,
-            deadline: None,
         }
     }
 }
@@ -319,7 +309,6 @@ impl OracleResilience {
             votes: 1,
             retries: 0,
             qps: None,
-            deadline: None,
         }
     }
 }
@@ -366,9 +355,9 @@ impl TokenBucket {
 }
 
 /// An [`Oracle`] decorator that survives flaky chips: bounded retry with
-/// exponential backoff on [`OracleError::Transient`], a per-query deadline,
-/// token-bucket rate limiting, and k-of-n majority voting — all per the
-/// wrapped [`OracleResilience`] policy.
+/// exponential backoff on [`OracleError::Transient`], token-bucket rate
+/// limiting, and k-of-n majority voting — all per the wrapped
+/// [`OracleResilience`] policy.
 ///
 /// [`Oracle::queries`] still reports the *inner* oracle's query count, so
 /// the attack-cost metric keeps counting real chip stimuli (votes and
@@ -392,35 +381,15 @@ impl<O: Oracle> ResilientOracle<O> {
         }
     }
 
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// The active resilience policy.
-    pub fn policy(&self) -> &OracleResilience {
-        &self.policy
-    }
-
     /// Transient errors absorbed by retrying since construction.
     pub fn retries_absorbed(&self) -> u64 {
         self.retries_absorbed.get()
     }
 
-    /// One rate-limited, deadline-bounded, retried query (no voting).
-    fn query_once(
-        &self,
-        inputs: &[bool],
-        started: Instant,
-    ) -> std::result::Result<Vec<bool>, OracleError> {
+    /// One rate-limited, retried query (no voting).
+    fn query_once(&self, inputs: &[bool]) -> std::result::Result<Vec<bool>, OracleError> {
         let mut attempt = 0u32;
         loop {
-            if let Some(deadline) = self.policy.deadline {
-                let elapsed = started.elapsed();
-                if elapsed >= deadline {
-                    return Err(OracleError::Timeout { elapsed });
-                }
-            }
             if let Some(bucket) = self.bucket.borrow_mut().as_mut() {
                 bucket.acquire();
             }
@@ -453,14 +422,13 @@ impl<O: Oracle> ResilientOracle<O> {
         &self,
         inputs: &[bool],
     ) -> std::result::Result<(Vec<bool>, u32), OracleError> {
-        let started = Instant::now();
         let votes = self.policy.votes.max(1);
         if votes == 1 {
-            return self.query_once(inputs, started).map(|y| (y, 1));
+            return self.query_once(inputs).map(|y| (y, 1));
         }
         let mut responses: Vec<Vec<bool>> = Vec::with_capacity(votes as usize);
         for _ in 0..votes {
-            responses.push(self.query_once(inputs, started)?);
+            responses.push(self.query_once(inputs)?);
         }
         let width = responses[0].len();
         let mut consensus = Vec::with_capacity(width);
@@ -643,28 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_turns_persistent_transients_into_timeout() {
-        let flaky = FlakyOracle {
-            failures: Cell::new(u32::MAX),
-            count: Cell::new(0),
-        };
-        let resilient = ResilientOracle::new(
-            &flaky,
-            OracleResilience {
-                retries: u32::MAX,
-                deadline: Some(Duration::from_millis(20)),
-                ..OracleResilience::default()
-            },
-        );
-        match resilient.try_query(&[true, true]) {
-            Err(OracleError::Timeout { elapsed }) => {
-                assert!(elapsed >= Duration::from_millis(20));
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn rate_limit_paces_query_bursts() {
         let nl = fulllock_netlist::benchmarks::load("c17").unwrap();
         let oracle = SimOracle::new(&nl).unwrap();
@@ -701,97 +647,5 @@ mod tests {
         assert_eq!(policy.retries, 0);
         assert_eq!(policy.qps, None);
         assert!(OracleResilience::default().guard);
-    }
-
-    #[cfg(feature = "failpoints")]
-    mod chaos {
-        use super::*;
-        use fulllock_sat::faults::{Failpoint, FaultPlan};
-        use std::sync::{Mutex, OnceLock};
-
-        fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
-            static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-            LOCK.get_or_init(|| Mutex::new(()))
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        #[test]
-        fn injected_flip_is_transient_and_voted_away() {
-            let _guard = chaos_lock();
-            let nl = fulllock_netlist::benchmarks::load("c17").unwrap();
-            let oracle = SimOracle::new(&nl).unwrap();
-            let clean = oracle.try_query(&[true; 5]).unwrap();
-
-            // Flip exactly the next response: unguarded sees the poison…
-            faults::install(FaultPlan::new().with(Failpoint::new(
-                site::ORACLE_QUERY,
-                None,
-                FaultAction::Flip,
-            )));
-            let flipped = oracle.try_query(&[true; 5]).unwrap();
-            assert_ne!(flipped, clean, "the flip must corrupt one bit");
-            faults::clear();
-
-            // …while a 3-vote majority with one flip among the votes still
-            // answers correctly.
-            faults::install(
-                FaultPlan::new()
-                    .with(Failpoint::new(site::ORACLE_QUERY, None, FaultAction::Flip).times(1)),
-            );
-            let resilient = ResilientOracle::new(
-                &oracle,
-                OracleResilience {
-                    votes: 3,
-                    ..OracleResilience::default()
-                },
-            );
-            let (answer, agreeing) = resilient.query_voted(&[true; 5]).unwrap();
-            assert_eq!(answer, clean);
-            assert_eq!(agreeing, 2, "one of three votes was flipped");
-            faults::clear();
-        }
-
-        #[test]
-        fn injected_drop_is_retried() {
-            let _guard = chaos_lock();
-            let nl = fulllock_netlist::benchmarks::load("c17").unwrap();
-            let oracle = SimOracle::new(&nl).unwrap();
-            faults::install(
-                FaultPlan::new()
-                    .with(Failpoint::new(site::ORACLE_QUERY, None, FaultAction::Drop).times(2)),
-            );
-            let resilient = ResilientOracle::new(&oracle, OracleResilience::default());
-            assert_eq!(resilient.try_query(&[false; 5]).unwrap().len(), 2);
-            assert_eq!(resilient.retries_absorbed(), 2);
-            faults::clear();
-        }
-
-        #[test]
-        fn injected_stuck_survives_re_queries() {
-            let _guard = chaos_lock();
-            let nl = fulllock_netlist::benchmarks::load("c17").unwrap();
-            let oracle = SimOracle::new(&nl).unwrap();
-            // Find a stimulus whose true output bit 0 is false, so stuck-at-1
-            // is actually wrong.
-            let mut stimulus = None;
-            for row in 0..32u32 {
-                let x: Vec<bool> = (0..5).map(|i| row >> i & 1 == 1).collect();
-                if !oracle.try_query(&x).unwrap()[0] {
-                    stimulus = Some(x);
-                    break;
-                }
-            }
-            let x = stimulus.expect("c17 has a 0-output pattern");
-            faults::install(FaultPlan::new().with(Failpoint::new(
-                site::ORACLE_QUERY,
-                None,
-                FaultAction::Stuck,
-            )));
-            let first = oracle.try_query(&x).unwrap();
-            let second = oracle.try_query(&x).unwrap();
-            assert!(first[0] && second[0], "stuck-at-1 persists across queries");
-            faults::clear();
-        }
     }
 }

@@ -165,13 +165,6 @@ impl KeyCertificate {
 /// ([`Default`]) for an undisturbed, un-checkpointed run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunResilience {
-    /// Solver worker panics. The attacks run one sequential solver, so a
-    /// run reports 0; kept so the wire format stays unchanged.
-    pub worker_panics: u64,
-    /// Solver worker drop-out records. The attacks run one sequential
-    /// solver, so a run reports none; kept so the wire format stays
-    /// unchanged.
-    pub worker_failures: Vec<String>,
     /// Iteration count restored from a checkpoint, when the run resumed
     /// (`None` for a fresh run).
     pub resumed_from: Option<u64>,

@@ -596,8 +596,6 @@ impl<'a> SatAttack<'a> {
     /// oracle faults absorbed, and the resume origin.
     pub fn resilience(&self) -> RunResilience {
         RunResilience {
-            worker_panics: self.solver_stats().worker_panics,
-            worker_failures: Vec::new(),
             resumed_from: self.resumed_from,
             checkpoints_written: self.checkpoints_written,
             checkpoint_failures: self.checkpoint_failures,

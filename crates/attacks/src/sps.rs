@@ -165,26 +165,17 @@ pub fn scan_with_oracle(
     })
 }
 
-/// The SPS attack as an [`Attack`] object.
-#[derive(Debug, Clone, Copy)]
-pub struct Sps {
-    /// Minimum `|P(1) - 0.5|` skew for a wire to count as a suspect.
-    pub skew_threshold: f64,
-    /// Random patterns for the functional comparison.
-    pub samples: usize,
-    /// RNG seed for the key guess and those patterns.
-    pub seed: u64,
-}
+/// Minimum `|P(1) - 0.5|` skew for a wire to count as a suspect.
+const SKEW_THRESHOLD: f64 = 0.45;
+/// Random patterns for the functional comparison.
+const SAMPLES: usize = 200;
+/// RNG seed for the key guess and those patterns.
+const SEED: u64 = 0;
 
-impl Default for Sps {
-    fn default() -> Self {
-        Sps {
-            skew_threshold: 0.45,
-            samples: 200,
-            seed: 0,
-        }
-    }
-}
+/// The SPS attack as an [`Attack`] object: [`scan_with_oracle`] with a
+/// 0.45 skew threshold and 200 comparison patterns.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sps;
 
 impl Attack for Sps {
     fn name(&self) -> &'static str {
@@ -193,8 +184,7 @@ impl Attack for Sps {
 
     fn run(&self, locked: &LockedCircuit, oracle: &dyn Oracle) -> Result<AttackReport> {
         let start = std::time::Instant::now();
-        let report =
-            scan_with_oracle(locked, oracle, self.skew_threshold, self.samples, self.seed)?;
+        let report = scan_with_oracle(locked, oracle, SKEW_THRESHOLD, SAMPLES, SEED)?;
         let outcome = match report.error_rate {
             Some(error_rate) => AttackOutcome::Bypassed {
                 error_rate,
@@ -202,8 +192,8 @@ impl Attack for Sps {
             },
             None => AttackOutcome::Defeated {
                 reason: format!(
-                    "no key-dependent wire skewed above {} (best {:.3})",
-                    self.skew_threshold, report.skew
+                    "no key-dependent wire skewed above {SKEW_THRESHOLD} (best {:.3})",
+                    report.skew
                 ),
             },
         };

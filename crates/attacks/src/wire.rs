@@ -70,8 +70,6 @@ pub fn solver_stats_to_json(stats: &SolverStats) -> Json {
         ),
         ("propagate_ns".into(), Json::Int(stats.propagate_ns)),
         ("analyze_ns".into(), Json::Int(stats.analyze_ns)),
-        ("worker_panics".into(), Json::Int(stats.worker_panics)),
-        ("exchange_rejects".into(), Json::Int(stats.exchange_rejects)),
         ("certified_models".into(), Json::Int(stats.certified_models)),
         ("solves".into(), Json::Int(stats.solves)),
         ("learnts_carried".into(), Json::Int(stats.learnts_carried)),
@@ -113,8 +111,6 @@ pub fn solver_stats_from_json(json: &Json) -> std::result::Result<SolverStats, S
         lbd_histogram,
         propagate_ns: json.u64_field("propagate_ns")?,
         analyze_ns: json.u64_field("analyze_ns")?,
-        worker_panics: json.u64_field("worker_panics")?,
-        exchange_rejects: json.late_field("exchange_rejects", 0)?,
         certified_models: json.late_field("certified_models", 0)?,
         solves: json.late_field("solves", 0)?,
         learnts_carried: json.late_field("learnts_carried", 0)?,
@@ -202,16 +198,6 @@ pub fn outcome_from_json(json: &Json) -> std::result::Result<AttackOutcome, Stri
 /// Encodes the resilience record.
 pub fn resilience_to_json(r: &RunResilience) -> Json {
     Json::Object(vec![
-        ("worker_panics".into(), Json::Int(r.worker_panics)),
-        (
-            "worker_failures".into(),
-            Json::Array(
-                r.worker_failures
-                    .iter()
-                    .map(|s| Json::Str(s.clone()))
-                    .collect(),
-            ),
-        ),
         ("resumed_from".into(), r.resumed_from.into()),
         (
             "checkpoints_written".into(),
@@ -235,8 +221,6 @@ pub fn resilience_to_json(r: &RunResilience) -> Json {
 /// A description of the first malformed field.
 pub fn resilience_from_json(json: &Json) -> std::result::Result<RunResilience, String> {
     Ok(RunResilience {
-        worker_panics: json.u64_field("worker_panics")?,
-        worker_failures: json.field_as("worker_failures")?,
         resumed_from: json.opt_field("resumed_from")?,
         checkpoints_written: json.u64_field("checkpoints_written")?,
         checkpoint_failures: json.u64_field("checkpoint_failures")?,
@@ -440,8 +424,6 @@ mod tests {
             oracle_queries: 14,
             solver,
             resilience: RunResilience {
-                worker_panics: 1,
-                worker_failures: vec!["worker 0 panicked".to_string()],
                 resumed_from: Some(5),
                 checkpoints_written: 7,
                 checkpoint_failures: 0,

@@ -33,13 +33,10 @@ fn all_five_attacks_run_through_the_trait() {
     };
     let suite: Vec<Box<dyn Attack>> = vec![
         Box::new(base),
-        Box::new(AppSatConfig {
-            base,
-            ..Default::default()
-        }),
+        Box::new(AppSatConfig { base }),
         Box::new(DoubleDip { base }),
         Box::new(Removal::new(trace)),
-        Box::new(Sps::default()),
+        Box::new(Sps),
     ];
 
     let mut names = Vec::new();

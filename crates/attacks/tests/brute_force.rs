@@ -157,10 +157,7 @@ fn recovered_keys_are_functionally_correct() {
             let attacks: [Box<dyn Attack>; 3] = [
                 Box::new(base),
                 Box::new(DoubleDip { base }),
-                Box::new(AppSatConfig {
-                    base,
-                    ..AppSatConfig::default()
-                }),
+                Box::new(AppSatConfig { base }),
             ];
             for attack in attacks {
                 let oracle = SimOracle::new(&host).expect("acyclic host");

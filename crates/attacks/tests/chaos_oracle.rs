@@ -22,14 +22,14 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fulllock_attacks::{
-    AppSatConfig, Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, SatAttackConfig,
-    SimOracle,
+    AppSatConfig, Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, OracleResilience,
+    ResilientOracle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, SarLock, WireSelection,
 };
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
-use fulllock_netlist::{Netlist, Simulator};
+use fulllock_netlist::{benchmarks, Netlist, Simulator};
 use fulllock_sat::faults::{self, site, Failpoint, FaultAction, FaultPlan};
 
 /// Serializes tests that install a global fault plan.
@@ -309,6 +309,8 @@ fn assert_quarantine_survives_resume(attack: fn(SatAttackConfig) -> Box<dyn Atta
 /// a clean run's key. For the SAT attack the drop hits a DIP query; for
 /// Double-DIP it lands in the single-vote key check after the DIP loop;
 /// for AppSAT it lands in the settlement probe before the first DIP.
+/// That probe may measure no error, so AppSAT may settle there on a
+/// correct key instead of converging.
 #[test]
 fn dropped_responses_are_retried_transparently() {
     let _guard = chaos_lock();
@@ -350,10 +352,17 @@ fn assert_drop_is_retried(
     let oracle = SimOracle::new(original).expect("oracle");
     let report = attack.run(locked, &oracle).expect("attack");
     faults::clear();
-    let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
-        panic!("drops must be absorbed, got {:?}", report.outcome);
+    let key = match &report.outcome {
+        AttackOutcome::KeyRecovered {
+            key,
+            verified: true,
+        } => key,
+        AttackOutcome::ApproximateKey {
+            key,
+            measured_error,
+        } if report.attack == "appsat" && *measured_error == 0.0 => key,
+        other => panic!("drops must be absorbed, got {other:?}"),
     };
-    assert!(verified);
     assert_key_correct(original, locked, key);
     assert!(
         report.resilience.oracle_retries > 0,
@@ -386,4 +395,81 @@ fn ambient_oracle_plan_never_escapes_the_attack() {
         AttackOutcome::Timeout | AttackOutcome::IterationLimit => {}
         other => panic!("unexpected outcome under ambient oracle faults: {other:?}"),
     }
+}
+
+/// A transient flip corrupts only the response it lands on, and a 3-vote
+/// majority outvotes it.
+#[test]
+fn injected_flip_is_transient_and_voted_away() {
+    let _guard = chaos_lock();
+    let nl = benchmarks::load("c17").expect("c17");
+    let oracle = SimOracle::new(&nl).expect("oracle");
+    faults::install(FaultPlan::new());
+    let clean = oracle.try_query(&[true; 5]).expect("clean query");
+
+    // Flip exactly the next response: unguarded sees the poison…
+    faults::install(FaultPlan::new().with(Failpoint::new(
+        site::ORACLE_QUERY,
+        None,
+        FaultAction::Flip,
+    )));
+    let flipped = oracle.try_query(&[true; 5]).expect("flipped query");
+    assert_ne!(flipped, clean, "the flip must corrupt one bit");
+
+    // …while a 3-vote majority with one flip among the votes still
+    // answers correctly.
+    faults::install(
+        FaultPlan::new().with(Failpoint::new(site::ORACLE_QUERY, None, FaultAction::Flip).times(1)),
+    );
+    let resilient = ResilientOracle::new(
+        &oracle,
+        OracleResilience {
+            votes: 3,
+            ..OracleResilience::default()
+        },
+    );
+    let (answer, agreeing) = resilient.query_voted(&[true; 5]).expect("voted query");
+    faults::clear();
+    assert_eq!(answer, clean);
+    assert_eq!(agreeing, 2, "one of three votes was flipped");
+}
+
+/// Two dropped responses cost two retries and no wrong answer.
+#[test]
+fn injected_drop_is_retried() {
+    let _guard = chaos_lock();
+    let nl = benchmarks::load("c17").expect("c17");
+    let oracle = SimOracle::new(&nl).expect("oracle");
+    faults::install(
+        FaultPlan::new().with(Failpoint::new(site::ORACLE_QUERY, None, FaultAction::Drop).times(2)),
+    );
+    let resilient = ResilientOracle::new(&oracle, OracleResilience::default());
+    let answer = resilient.try_query(&[false; 5]);
+    faults::clear();
+    assert_eq!(answer.expect("retried query").len(), 2);
+    assert_eq!(resilient.retries_absorbed(), 2);
+}
+
+/// A stuck-at output answers wrong on every re-query.
+#[test]
+fn injected_stuck_survives_re_queries() {
+    let _guard = chaos_lock();
+    let nl = benchmarks::load("c17").expect("c17");
+    let oracle = SimOracle::new(&nl).expect("oracle");
+    // Find a stimulus whose true output bit 0 is false, so stuck-at-1
+    // is actually wrong.
+    faults::install(FaultPlan::new());
+    let x = (0..32u32)
+        .map(|row| (0..5).map(|i| row >> i & 1 == 1).collect::<Vec<bool>>())
+        .find(|x| !oracle.try_query(x).expect("clean query")[0])
+        .expect("c17 has a 0-output pattern");
+    faults::install(FaultPlan::new().with(Failpoint::new(
+        site::ORACLE_QUERY,
+        None,
+        FaultAction::Stuck,
+    )));
+    let first = oracle.try_query(&x).expect("stuck query");
+    let second = oracle.try_query(&x).expect("stuck re-query");
+    faults::clear();
+    assert!(first[0] && second[0], "stuck-at-1 persists across queries");
 }

@@ -87,8 +87,6 @@ fn derived_solver(mix: &mut Mix) -> SolverStats {
     }
     solver.propagate_ns = mix.next() % u64::from(u32::MAX);
     solver.analyze_ns = mix.next() % u64::from(u32::MAX);
-    solver.worker_panics = mix.next() % 4;
-    solver.exchange_rejects = mix.next() % 100;
     solver.certified_models = mix.next() % 100;
     solver.solves = mix.next() % 1_000;
     solver.learnts_carried = mix.next() % 10_000;
@@ -102,15 +100,7 @@ fn derived_solver(mix: &mut Mix) -> SolverStats {
 }
 
 fn derived_resilience(mix: &mut Mix) -> RunResilience {
-    let failures = (0..(mix.next() % 3))
-        .map(|_| {
-            let len = 1 + (mix.next() % 20) as usize;
-            mix.printable(len)
-        })
-        .collect();
     RunResilience {
-        worker_panics: mix.next() % 4,
-        worker_failures: failures,
         resumed_from: (mix.next().is_multiple_of(2)).then(|| mix.next() % 1_000),
         checkpoints_written: mix.next() % 1_000,
         checkpoint_failures: mix.next() % 4,
@@ -188,8 +178,6 @@ proptest! {
         prop_assert_eq!(back.elapsed, report.elapsed);
         prop_assert_eq!(back.oracle_queries, report.oracle_queries);
         prop_assert_eq!(&back.solver, &report.solver);
-        prop_assert_eq!(back.resilience.worker_panics, report.resilience.worker_panics);
-        prop_assert_eq!(&back.resilience.worker_failures, &report.resilience.worker_failures);
         prop_assert_eq!(back.resilience.resumed_from, report.resilience.resumed_from);
         prop_assert_eq!(
             back.resilience.checkpoints_written,

@@ -15,21 +15,23 @@
 //! by construction, the pipelines are deliberately near-identical — that
 //! testbed isolates the routing network, not the encoding.)
 //!
-//! Besides the criterion timing, the bench writes `BENCH_dip_loop.json`
-//! at the repository root with both absolute numbers, and fails below
-//! a 2x per-iteration speedup over the legacy pipeline. It also records
-//! how much of the current pipeline's time its inprocessing rounds take
+//! The bench runs each pipeline once per seed of [`SEEDS`], each seed
+//! its own host and lock, and writes `BENCH_dip_loop.json` at the
+//! repository root with every seed's figures. A seed's speedup is legacy
+//! seconds per DIP over current seconds per DIP; the guard fails when
+//! their geometric mean falls below 2x. It also records how much of the
+//! current pipeline's time its inprocessing rounds take
 //! (`current_inprocess_s`).
 //!
 //! Run with: `cargo bench -p fulllock-bench --bench dip_loop`
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fulllock_attacks::{EncodeStyle, SatAttack, SatAttackConfig, SimOracle};
 use fulllock_bench::cln_locked_host;
 use fulllock_bench::record::{BenchRecord, Cmp};
-use fulllock_locking::ClnTopology;
+use fulllock_harness::json::Json;
+use fulllock_locking::{ClnTopology, LockedCircuit};
 use fulllock_sat::cdcl::SolverConfig;
 use fulllock_sat::BackendSpec;
 
@@ -49,8 +51,12 @@ const HOST_GATES: usize = 6000;
 const DIP_BUDGET: u64 = 24;
 
 /// Required end-to-end advantage of the current pipeline over the legacy
-/// one on this workload.
+/// one on this workload: the geometric mean of the per-seed speedups.
 const MIN_SPEEDUP: f64 = 2.0;
+
+/// Host and lock seeds: the original workload seed plus a contiguous
+/// range, fixed before any run was judged against the bar.
+const SEEDS: [u64; 6] = [0xD1B, 50, 51, 52, 53, 54];
 
 /// The seed-commit attack loop: full-copy I/O assertions, generic
 /// per-gate clauses, no inprocessing.
@@ -72,68 +78,81 @@ fn current_config() -> SatAttackConfig {
     }
 }
 
-/// One measured attack run; returns (iterations, seconds, clauses,
-/// seconds spent in inprocessing rounds).
-fn run_attack(
-    locked: &fulllock_locking::LockedCircuit,
-    oracle: &SimOracle,
-    config: SatAttackConfig,
-) -> (u64, f64, usize, f64) {
+/// One measured attack run.
+struct Run {
+    iterations: u64,
+    seconds: f64,
+    final_clauses: usize,
+    inprocess_s: f64,
+}
+
+impl Run {
+    fn secs_per_iteration(&self) -> f64 {
+        self.seconds / self.iterations.max(1) as f64
+    }
+}
+
+fn run_attack(locked: &LockedCircuit, oracle: &SimOracle, config: SatAttackConfig) -> Run {
     let mut engine = SatAttack::new(locked, oracle, config).expect("interfaces match");
     let start = Instant::now();
     let report = engine.run().expect("complete models");
-    let secs = start.elapsed().as_secs_f64();
-    let inprocess_s = report.solver.inprocess_ns as f64 / 1e9;
-    (report.iterations, secs, report.formula.1, inprocess_s)
+    Run {
+        iterations: report.iterations,
+        seconds: start.elapsed().as_secs_f64(),
+        final_clauses: report.formula.1,
+        inprocess_s: report.solver.inprocess_ns as f64 / 1e9,
+    }
 }
 
-fn bench_dip_loop(c: &mut Criterion) {
-    let (host, locked) =
-        cln_locked_host(HOST_GATES, CLN_SIZE, ClnTopology::AlmostNonBlocking, 0xD1B);
-    let oracle = SimOracle::new(&host).expect("random host is acyclic");
-
-    let mut group = c.benchmark_group("dip_loop_cln32");
-    group.sample_size(10);
-    for (name, config) in [("legacy", legacy_config()), ("current", current_config())] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| run_attack(&locked, &oracle, std::hint::black_box(*config)));
-        });
+fn main() {
+    let mut rows = Vec::new();
+    let mut log_speedup_sum = 0.0;
+    for seed in SEEDS {
+        let (host, locked) =
+            cln_locked_host(HOST_GATES, CLN_SIZE, ClnTopology::AlmostNonBlocking, seed);
+        let oracle = SimOracle::new(&host).expect("random host is acyclic");
+        let legacy = run_attack(&locked, &oracle, legacy_config());
+        let current = run_attack(&locked, &oracle, current_config());
+        let speedup = legacy.secs_per_iteration() / current.secs_per_iteration();
+        eprintln!(
+            "seed {seed}: legacy {:.2}s, current {:.2}s, speedup {speedup:.3}",
+            legacy.seconds, current.seconds
+        );
+        log_speedup_sum += speedup.ln();
+        rows.push(Json::Object(
+            [
+                ("seed", Json::from(seed)),
+                ("legacy_iterations", legacy.iterations.into()),
+                ("legacy_seconds", legacy.seconds.into()),
+                ("legacy_final_clauses", legacy.final_clauses.into()),
+                (
+                    "legacy_secs_per_iteration",
+                    legacy.secs_per_iteration().into(),
+                ),
+                ("current_iterations", current.iterations.into()),
+                ("current_seconds", current.seconds.into()),
+                ("current_inprocess_s", current.inprocess_s.into()),
+                ("current_final_clauses", current.final_clauses.into()),
+                (
+                    "current_secs_per_iteration",
+                    current.secs_per_iteration().into(),
+                ),
+                ("speedup", speedup.into()),
+            ]
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect(),
+        ));
     }
-    group.finish();
-
-    // Snapshot pass: un-benchmarked runs for a stable end-to-end figure,
-    // written to BENCH_dip_loop.json. Per-iteration normalization keeps
-    // the figure meaningful if one pipeline converges inside the budget.
-    let mut legacy_best = f64::INFINITY;
-    let mut current_best = f64::INFINITY;
-    let mut legacy_last = (0u64, 0.0f64, 0usize, 0.0f64);
-    let mut current_last = (0u64, 0.0f64, 0usize, 0.0f64);
-    for _ in 0..3 {
-        let run = run_attack(&locked, &oracle, legacy_config());
-        legacy_best = legacy_best.min(run.1 / run.0.max(1) as f64);
-        legacy_last = run;
-        let run = run_attack(&locked, &oracle, current_config());
-        current_best = current_best.min(run.1 / run.0.max(1) as f64);
-        current_last = run;
-    }
+    let geomean = (log_speedup_sum / SEEDS.len() as f64).exp();
     let snapshot_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dip_loop.json");
     BenchRecord::new(format!(
         "{HOST_GATES}-gate random host locked with a cln{CLN_SIZE} almost non-blocking CLN, \
-         {DIP_BUDGET} DIP budget"
+         {DIP_BUDGET} DIP budget, one run per pipeline on each of {} seeds",
+        SEEDS.len()
     ))
-    .metric("legacy_iterations", legacy_last.0)
-    .metric("legacy_seconds", legacy_last.1)
-    .metric("legacy_final_clauses", legacy_last.2)
-    .metric("legacy_secs_per_iteration", legacy_best)
-    .metric("current_iterations", current_last.0)
-    .metric("current_seconds", current_last.1)
-    .metric("current_inprocess_s", current_last.3)
-    .metric("current_final_clauses", current_last.2)
-    .metric("current_secs_per_iteration", current_best)
-    .metric("speedup", legacy_best / current_best)
-    .bar("speedup", Cmp::Ge, MIN_SPEEDUP)
+    .metric("seeds", Json::Array(rows))
+    .metric("speedup_geomean", geomean)
+    .bar("speedup_geomean", Cmp::Ge, MIN_SPEEDUP)
     .finish(snapshot_path);
 }
-
-criterion_group!(benches, bench_dip_loop);
-criterion_main!(benches);

@@ -44,7 +44,6 @@ fn main() {
                 timeout: Some(scale.timeout),
                 ..Default::default()
             },
-            ..Default::default()
         }
         .run(&locked, &oracle)
         .expect("matching interfaces");

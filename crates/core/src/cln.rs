@@ -55,12 +55,6 @@ impl ClnTopology {
             ClnTopology::Benes => "benes",
         }
     }
-
-    /// Whether the topology can realize every permutation (for the sizes
-    /// used here): only the Beneš network is fully non-blocking.
-    pub fn is_non_blocking(self) -> bool {
-        matches!(self, ClnTopology::Benes)
-    }
 }
 
 /// One switch-box's *permutation* setting (the correct key always uses a
@@ -498,11 +492,6 @@ impl ClnInstance {
     /// Number of key bits.
     pub fn key_len(&self) -> usize {
         self.key_inputs.len()
-    }
-
-    /// Whether the instance carries key-configurable inverters.
-    pub fn has_inverters(&self) -> bool {
-        self.with_inverters
     }
 
     /// Serializes a (states, inverter-bits) configuration into key bits in

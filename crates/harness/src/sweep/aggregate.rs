@@ -1,14 +1,14 @@
 //! Streaming aggregation of sweep samples: P² percentiles, metric
 //! summaries, and the compact columnar result store.
 //!
-//! A full hardness atlas folds millions of samples; holding them all to
-//! sort for percentiles defeats the point of streaming segments. The
-//! [`P2Quantile`] estimator (Jain & Chlamtac's P² algorithm, 1985)
-//! tracks one quantile in five markers — O(1) memory, one pass — which
-//! is accurate to well under a percent on the unimodal distributions
-//! (conflicts, clause/var ratio, wall time) the atlas cares about. The
-//! coordinator folds each metric through a [`MetricStats`] (count / min
-//! / max / mean + p50/p90/p99) and writes two artifacts:
+//! The [`P2Quantile`] estimator (Jain & Chlamtac's P² algorithm, 1985)
+//! tracks one quantile in five markers in one pass, accurate to well
+//! under a percent on the unimodal distributions (conflicts,
+//! clause/var ratio, wall time) the atlas cares about. [`aggregate`]
+//! walks a [`SegmentFold`], which holds every sample, so the atlas's
+//! memory still grows with sweep size. The coordinator folds each
+//! metric through a [`MetricStats`] (count / min / max / mean +
+//! p50/p90/p99) and writes two artifacts:
 //!
 //! * `atlas.json` — the sealed [`SweepAggregates`] report;
 //! * `columns.json` — a sealed columnar store (parallel arrays keyed by

@@ -35,6 +35,10 @@ use crate::sweep::segment::{fold_segments, SegmentFold};
 use crate::sweep::worker::{count_settled, is_settled, remove_marker, try_settle, WorkerArgs};
 use crate::{HarnessError, Result};
 
+/// Bounded re-run rounds for orphan markers discovered at fold time
+/// (marker present, record torn).
+const MAX_RERUN_ROUNDS: usize = 3;
+
 /// How a coordinator runs a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -58,9 +62,6 @@ pub struct SweepConfig {
     pub resume: bool,
     /// Respawn budget for dead workers across the whole run.
     pub max_respawns: usize,
-    /// Bounded re-run rounds for orphan markers discovered at fold
-    /// time (marker present, record torn).
-    pub max_rerun_rounds: usize,
     /// Overall wall-clock budget; exceeding it kills the fleet and
     /// fails the sweep. `None` means unbounded.
     pub max_wall: Option<Duration>,
@@ -69,8 +70,6 @@ pub struct SweepConfig {
     pub shutdown_grace: Duration,
     /// Speculation age floor handed to workers.
     pub speculation_min_age: Duration,
-    /// Speculation p95 factor handed to workers.
-    pub speculation_factor: f64,
     /// Ambient `FULLLOCK_*` fingerprint override (`None` reads the
     /// current process environment).
     pub ambient_hash: Option<u64>,
@@ -94,11 +93,9 @@ impl SweepConfig {
             poll: Duration::from_millis(50),
             resume: false,
             max_respawns: 16,
-            max_rerun_rounds: 3,
             max_wall: Some(Duration::from_secs(1800)),
             shutdown_grace: Duration::from_millis(1500),
             speculation_min_age: Duration::from_millis(500),
-            speculation_factor: 4.0,
             ambient_hash: None,
         }
     }
@@ -198,7 +195,6 @@ impl Fleet {
             lease_ttl_millis: config.lease_ttl.as_millis() as u64,
             poll_millis: config.poll.as_millis().max(1) as u64,
             spec_min_age_millis: config.speculation_min_age.as_millis() as u64,
-            spec_factor: config.speculation_factor,
         };
         let logs = config.out_dir.join("logs");
         std::fs::create_dir_all(&logs).map_err(|e| io_err(&logs, "create logs dir", e))?;
@@ -391,7 +387,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
         if orphans.is_empty() {
             break finish(plan, dir, fold, units)?;
         }
-        if rerun_rounds >= config.max_rerun_rounds {
+        if rerun_rounds >= MAX_RERUN_ROUNDS {
             return Err(HarnessError::Io {
                 path: dir.clone(),
                 message: format!(

@@ -16,8 +16,8 @@
 //!   segment files; a torn tail truncates to the last valid record and
 //!   the fold is first-wins per unit, which is where exactly-once
 //!   actually lives.
-//! * [`mod@aggregate`] — streaming P² percentile estimators (p50/p90/p99
-//!   without retaining samples) and the compact columnar result store.
+//! * [`mod@aggregate`] — P² percentile estimators (p50/p90/p99 in five
+//!   markers each) and the compact columnar result store.
 //! * [`worker`] — the claim → execute → durable-append → first-wins
 //!   settle loop, plus speculative re-execution of stragglers past a
 //!   percentile deadline.

@@ -233,9 +233,6 @@ pub struct WorkerConfig {
     pub poll: Duration,
     /// Floor on the straggler age before speculation may re-execute.
     pub speculation_min_age: Duration,
-    /// Straggler deadline factor: speculate when a live lease's age
-    /// exceeds `factor × p95` of this worker's own unit durations.
-    pub speculation_factor: f64,
 }
 
 /// What a worker did, as printed on exit.
@@ -392,6 +389,10 @@ pub fn run_worker(
     Ok(summary)
 }
 
+/// Straggler deadline factor: speculate when a live lease's age exceeds
+/// this multiple of the p95 of the worker's own unit durations.
+const SPECULATION_FACTOR: f64 = 4.0;
+
 /// The lease age past which a live-leased unit counts as a straggler.
 fn speculation_deadline_ms(config: &WorkerConfig, durations_ms: &[u64]) -> u64 {
     let min_age = config
@@ -405,7 +406,7 @@ fn speculation_deadline_ms(config: &WorkerConfig, durations_ms: &[u64]) -> u64 {
     sorted.sort_unstable();
     let idx = ((sorted.len() * 95).div_ceil(100)).saturating_sub(1);
     let p95 = sorted[idx.min(sorted.len() - 1)];
-    min_age.max((config.speculation_factor * p95 as f64) as u64)
+    min_age.max((SPECULATION_FACTOR * p95 as f64) as u64)
 }
 
 /// Executes one unit end to end: heartbeat, executor, durable segment
@@ -550,13 +551,11 @@ pub struct WorkerArgs {
     pub poll_millis: u64,
     /// Speculation age floor in milliseconds.
     pub spec_min_age_millis: u64,
-    /// Speculation p95 factor.
-    pub spec_factor: f64,
 }
 
 impl WorkerArgs {
     /// Parses `--dir D --worker N [--lease-ttl-millis M] [--poll-millis M]
-    /// [--spec-min-age-millis M] [--spec-factor F]`.
+    /// [--spec-min-age-millis M]`.
     pub fn parse(args: &[String]) -> std::result::Result<WorkerArgs, String> {
         let mut parsed = WorkerArgs {
             dir: PathBuf::new(),
@@ -564,7 +563,6 @@ impl WorkerArgs {
             lease_ttl_millis: 2000,
             poll_millis: 50,
             spec_min_age_millis: 500,
-            spec_factor: 4.0,
         };
         let mut have_dir = false;
         let mut it = args.iter();
@@ -597,11 +595,6 @@ impl WorkerArgs {
                         .parse()
                         .map_err(|e| format!("--spec-min-age-millis: {e}"))?;
                 }
-                "--spec-factor" => {
-                    parsed.spec_factor = value()?
-                        .parse()
-                        .map_err(|e| format!("--spec-factor: {e}"))?;
-                }
                 other => return Err(format!("unknown worker flag {other:?}")),
             }
         }
@@ -624,8 +617,6 @@ impl WorkerArgs {
             self.poll_millis.to_string(),
             "--spec-min-age-millis".to_string(),
             self.spec_min_age_millis.to_string(),
-            "--spec-factor".to_string(),
-            self.spec_factor.to_string(),
         ]
     }
 
@@ -638,7 +629,6 @@ impl WorkerArgs {
             lease_ttl: Duration::from_millis(self.lease_ttl_millis),
             poll: Duration::from_millis(self.poll_millis),
             speculation_min_age: Duration::from_millis(self.spec_min_age_millis),
-            speculation_factor: self.spec_factor,
         }
     }
 }
@@ -674,7 +664,6 @@ mod tests {
             lease_ttl: Duration::from_millis(500),
             poll: Duration::from_millis(5),
             speculation_min_age: Duration::from_millis(100),
-            speculation_factor: 4.0,
         }
     }
 
@@ -722,7 +711,6 @@ mod tests {
             lease_ttl_millis: 1500,
             poll_millis: 25,
             spec_min_age_millis: 300,
-            spec_factor: 2.5,
         };
         let back = WorkerArgs::parse(&args.to_args()).expect("round trip");
         assert_eq!(back, args);

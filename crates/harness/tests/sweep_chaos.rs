@@ -32,7 +32,6 @@ fn worker_args(dir: &Path, index: usize) -> WorkerArgs {
         lease_ttl_millis: 400,
         poll_millis: 20,
         spec_min_age_millis: 60_000, // keep speculation out of steal tests
-        spec_factor: 1000.0,
     }
 }
 

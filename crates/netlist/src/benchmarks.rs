@@ -221,15 +221,6 @@ fn profile_of(name: &str) -> GateProfile {
     }
 }
 
-/// Loads every benchmark in the suite, in order.
-///
-/// # Errors
-///
-/// Propagates any generation error (none occur for the built-in suite).
-pub fn load_all() -> Result<Vec<Netlist>> {
-    SUITE.iter().map(|b| load(b.name)).collect()
-}
-
 /// A stable per-name seed (FNV-1a over the name, offset so `c17`'s seed is
 /// never used even if someone synthesizes a circuit of the same name).
 fn name_seed(name: &str) -> u64 {

@@ -147,15 +147,6 @@ impl GateKind {
         })
     }
 
-    /// Whether the gate's output is the complement of its uninverted base
-    /// function (`NAND`, `NOR`, `XNOR`, `NOT`).
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            GateKind::Nand | GateKind::Nor | GateKind::Xnor | GateKind::Not
-        )
-    }
-
     /// Evaluates the gate on boolean fan-in values.
     ///
     /// # Panics

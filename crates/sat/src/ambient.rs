@@ -4,10 +4,12 @@
 //! answer certification, CDCL inprocessing, fault injection, the
 //! wall-clock budget, and the oracle-resilience knobs (vote count, retry
 //! budget, rate limit). [`AmbientConfig::parse`] validates all of them
-//! at once and captures the ones its callers read (the `fulllock attack`
-//! CLI and the experiment binaries' `Scale`); the layers that honour
-//! `FULLLOCK_INPROCESS` and `FULLLOCK_FAILPOINTS` read those through
-//! [`env_value`] and the fault registry.
+//! at once and captures the one no layer reads on its own, the
+//! wall-clock budget (read by the `fulllock attack` CLI and the
+//! experiment binaries' `Scale`). Every other knob is read by the layer
+//! it steers: certification by `CertifyLevel::from_env`, inprocessing
+//! and the oracle knobs through [`env_value`], failpoints by the fault
+//! registry.
 //!
 //! [`AmbientConfig::parse`] is strict where it matters: garbage values
 //! are typed [`AmbientError`]s (a typo must not silently run a campaign
@@ -78,25 +80,14 @@ impl fmt::Display for AmbientError {
 
 impl std::error::Error for AmbientError {}
 
-/// A captured, validated snapshot of the ambient `FULLLOCK_*` knobs.
-/// [`THREADS_ENV`], [`INPROCESS_ENV`] and [`FAILPOINTS_ENV`] are
-/// validated but not captured.
+/// A validated snapshot of the ambient `FULLLOCK_*` knobs. Every knob
+/// is validated; only [`TIMEOUT_ENV`] is captured, because the layers
+/// that honour the others read them themselves.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AmbientConfig {
-    /// [`CERTIFY_ENV`]: how much verification solver answers receive.
-    pub certify: CertifyLevel,
     /// [`TIMEOUT_ENV`]: wall-clock budget; `None` when unset (callers
     /// apply their own default).
     pub timeout: Option<Duration>,
-    /// [`ORACLE_VOTES_ENV`]: majority-vote repetitions per oracle query
-    /// (must be ≥ 1 and odd); `None` when unset.
-    pub oracle_votes: Option<u32>,
-    /// [`ORACLE_RETRIES_ENV`]: transient-error retry budget per oracle
-    /// query; `None` when unset.
-    pub oracle_retries: Option<u32>,
-    /// [`ORACLE_QPS_ENV`]: oracle rate limit in queries per second (must
-    /// be positive and finite); `None` when unset (unlimited).
-    pub oracle_qps: Option<f64>,
 }
 
 impl AmbientConfig {
@@ -122,17 +113,21 @@ impl AmbientConfig {
             match name.as_str() {
                 TIMEOUT_ENV => config.timeout = Some(parse_timeout(&value).map_err(err)?),
                 THREADS_ENV => parse_threads(&value).map_err(err)?,
-                CERTIFY_ENV => config.certify = value.parse::<CertifyLevel>().map_err(err)?,
+                CERTIFY_ENV => {
+                    value.parse::<CertifyLevel>().map_err(err)?;
+                }
                 INPROCESS_ENV => {
                     parse_inprocess(&value).map_err(err)?;
                 }
                 ORACLE_VOTES_ENV => {
-                    config.oracle_votes = Some(parse_oracle_votes(&value).map_err(err)?);
+                    parse_oracle_votes(&value).map_err(err)?;
                 }
                 ORACLE_RETRIES_ENV => {
-                    config.oracle_retries = Some(parse_oracle_retries(&value).map_err(err)?);
+                    parse_oracle_retries(&value).map_err(err)?;
                 }
-                ORACLE_QPS_ENV => config.oracle_qps = Some(parse_oracle_qps(&value).map_err(err)?),
+                ORACLE_QPS_ENV => {
+                    parse_oracle_qps(&value).map_err(err)?;
+                }
                 FAILPOINTS_ENV => {
                     value
                         .trim()
@@ -298,10 +293,6 @@ mod tests {
         ])
         .expect("parses");
         assert_eq!(config.timeout, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(config.certify, CertifyLevel::Proof);
-        assert_eq!(config.oracle_votes, Some(3));
-        assert_eq!(config.oracle_retries, Some(5));
-        assert_eq!(config.oracle_qps, Some(250.0));
         assert!(warnings.is_empty());
     }
 

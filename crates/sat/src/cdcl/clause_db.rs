@@ -55,9 +55,6 @@ pub(crate) struct ClauseDb {
     pub(crate) learnts: Vec<CRef>,
     /// Words occupied by deleted clauses (drives compaction).
     wasted: usize,
-    /// Words occupied by live learnt clauses (headers included) — the
-    /// quantity a learnt-arena memory cap is enforced against.
-    learnt_words: usize,
     num_problem: usize,
     /// Arena offset where the last inprocessing round ended; always a
     /// clause boundary or the arena end.
@@ -80,16 +77,10 @@ impl ClauseDb {
         self.arena.extend(lits.iter().map(|l| l.code() as u32));
         if learnt {
             self.learnts.push(cref);
-            self.learnt_words += HEADER_WORDS + lits.len();
         } else {
             self.num_problem += 1;
         }
         cref
-    }
-
-    /// Arena words occupied by live learnt clauses (headers included).
-    pub(crate) fn learnt_words(&self) -> usize {
-        self.learnt_words
     }
 
     /// Number of live problem (non-learnt) clauses.
@@ -162,9 +153,7 @@ impl ClauseDb {
         debug_assert!(!self.is_deleted(c));
         self.arena[c as usize] |= FLAG_DELETED;
         self.wasted += HEADER_WORDS + self.size(c);
-        if self.is_learnt(c) {
-            self.learnt_words -= HEADER_WORDS + self.size(c);
-        } else {
+        if !self.is_learnt(c) {
             // Inprocessing (subsumption, variable elimination) deletes
             // problem clauses too; keep the live count honest.
             self.num_problem -= 1;

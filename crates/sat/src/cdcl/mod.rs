@@ -31,7 +31,7 @@ mod clause_db;
 mod heap;
 mod simplify;
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::certify::DratTrace;
 use crate::{Cnf, Lit, Var};
@@ -52,11 +52,7 @@ pub enum SolveResult {
 }
 
 /// Resource limits for one [`Solver::solve_limited`] call, built with
-/// [`SolveLimits::builder`].
-///
-/// Besides the conflict cap and wall-clock deadline, a limit set can carry
-/// a learnt-arena memory cap (the solver force-reduces its learnt database
-/// and gives up if it still exceeds the cap).
+/// [`SolveLimits::builder`]: a conflict cap and a wall-clock deadline.
 ///
 /// ```
 /// use std::time::{Duration, Instant};
@@ -65,7 +61,6 @@ pub enum SolveResult {
 /// let limits = SolveLimits::builder()
 ///     .deadline(Instant::now() + Duration::from_secs(10))
 ///     .max_conflicts(500_000)
-///     .max_learnt_bytes(64 << 20)
 ///     .build();
 /// assert_eq!(limits.max_conflicts(), Some(500_000));
 /// ```
@@ -73,7 +68,6 @@ pub enum SolveResult {
 pub struct SolveLimits {
     max_conflicts: Option<u64>,
     deadline: Option<Instant>,
-    max_learnt_bytes: Option<usize>,
 }
 
 impl SolveLimits {
@@ -95,11 +89,6 @@ impl SolveLimits {
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
-
-    /// The learnt-arena memory cap in bytes, if any.
-    pub fn max_learnt_bytes(&self) -> Option<usize> {
-        self.max_learnt_bytes
-    }
 }
 
 /// Builder for [`SolveLimits`].
@@ -115,21 +104,9 @@ impl SolveLimitsBuilder {
         self
     }
 
-    /// Stop this long from now (convenience for [`Self::deadline`]).
-    pub fn timeout(self, timeout: Duration) -> Self {
-        self.deadline(Instant::now() + timeout)
-    }
-
     /// Stop after this many conflicts.
     pub fn max_conflicts(mut self, max: u64) -> Self {
         self.inner.max_conflicts = Some(max);
-        self
-    }
-
-    /// Stop once the learnt-clause arena exceeds this many bytes even
-    /// right after a forced database reduction.
-    pub fn max_learnt_bytes(mut self, bytes: usize) -> Self {
-        self.inner.max_learnt_bytes = Some(bytes);
         self
     }
 
@@ -206,12 +183,6 @@ pub struct SolverStats {
     pub propagate_ns: u64,
     /// Wall-clock nanoseconds spent inside conflict analysis.
     pub analyze_ns: u64,
-    /// Always 0: the solver runs no worker threads. Kept so the
-    /// checkpoint and wire formats stay unchanged.
-    pub worker_panics: u64,
-    /// Always 0: the solver imports no clauses from other solvers. Kept so
-    /// the checkpoint and wire formats stay unchanged.
-    pub exchange_rejects: u64,
     /// `Sat` answers whose model was re-checked against the original
     /// clauses and passed (see
     /// [`certify`](crate::certify::CertifyingBackend)).
@@ -292,8 +263,6 @@ impl SolverStats {
         }
         self.propagate_ns += other.propagate_ns;
         self.analyze_ns += other.analyze_ns;
-        self.worker_panics += other.worker_panics;
-        self.exchange_rejects += other.exchange_rejects;
         self.certified_models += other.certified_models;
         self.solves += other.solves;
         self.learnts_carried += other.learnts_carried;
@@ -584,9 +553,9 @@ impl Solver {
     }
 
     /// Solves under assumption literals and resource limits. Returns
-    /// [`SolveResult::Unknown`] as soon as any limit — conflict cap,
-    /// deadline, or learnt-memory cap — is hit;
-    /// partial statistics remain readable via [`Solver::stats`].
+    /// [`SolveResult::Unknown`] as soon as either limit — conflict cap or
+    /// deadline — is hit; partial statistics remain readable via
+    /// [`Solver::stats`].
     pub fn solve_limited(&mut self, assumptions: &[Lit], limits: SolveLimits) -> SolveResult {
         self.cancel_until(0);
         self.assumption_core.clear();
@@ -1017,22 +986,8 @@ impl Solver {
                     self.reduce_db();
                     self.max_learnts *= 1.1;
                 }
-                if conflicts_this_round.is_multiple_of(1024) {
-                    if self.deadline_hit(limits) {
-                        return SearchOutcome::LimitHit;
-                    }
-                    // Learnt-arena memory cap: force a reduction; if the
-                    // arena is still over the cap the instance does not fit
-                    // the budget.
-                    if let Some(bytes) = limits.max_learnt_bytes {
-                        let cap_words = bytes / std::mem::size_of::<u32>();
-                        if self.db.learnt_words() > cap_words {
-                            self.reduce_db();
-                            if self.db.learnt_words() > cap_words {
-                                return SearchOutcome::LimitHit;
-                            }
-                        }
-                    }
+                if conflicts_this_round.is_multiple_of(1024) && self.deadline_hit(limits) {
+                    return SearchOutcome::LimitHit;
                 }
                 if let Some(max) = limits.max_conflicts {
                     if self.stats.conflicts - conflict_start >= max {

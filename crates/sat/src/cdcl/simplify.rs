@@ -103,16 +103,6 @@ impl Solver {
         self.simp.frozen[var.index()] = true;
     }
 
-    /// Whether `var` is currently eliminated by inprocessing (mentions of
-    /// it in new clauses or assumptions restore it transparently).
-    pub fn is_eliminated(&self, var: Var) -> bool {
-        self.simp
-            .eliminated
-            .get(var.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
     /// Runs an inprocessing round if the triggers say it is worth it.
     /// Must be called at decision level 0. The limits bound the round
     /// itself: every pass polls the deadline and aborts early

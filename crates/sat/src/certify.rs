@@ -36,8 +36,6 @@
 //! ```
 
 use std::fmt;
-use std::io::Write as _;
-use std::path::Path;
 use std::str::FromStr;
 
 use crate::backend::SolveBackend;
@@ -240,14 +238,6 @@ impl DratTrace {
             out.push_str("0\n");
         }
         out
-    }
-
-    /// Writes [`DratTrace::to_text`] to `path` (standard DRAT, so external
-    /// checkers like `drat-trim` can re-validate against the DIMACS file).
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_text().as_bytes())?;
-        file.sync_all()
     }
 }
 

@@ -63,14 +63,6 @@ impl Cnf {
         self.clauses.push(clause);
     }
 
-    /// Appends every clause of `other`, remapping nothing (both formulas
-    /// must share a variable space; used to conjoin constraints built by the
-    /// same encoder).
-    pub fn extend_clauses(&mut self, other: &Cnf) {
-        self.grow_to(other.num_vars);
-        self.clauses.extend(other.clauses.iter().cloned());
-    }
-
     /// Prepends `guard` to every clause from index `start` onward — the
     /// selector-literal transform. With `guard = ¬s`, the gated clauses are
     /// active only while `s` is asserted as an assumption, so a caller can

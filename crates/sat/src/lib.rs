@@ -23,9 +23,10 @@
 //!   re-checking of every SAT answer, DRAT proof logging + forward
 //!   checking of UNSAT answers, and typed [`CertifyError`]s so no wrong
 //!   answer escapes silently;
-//! * [`ambient`] — one typed capture ([`AmbientConfig`]) of the
-//!   `FULLLOCK_*` environment knobs, so long-running servers snapshot the
-//!   environment once instead of re-reading it per job;
+//! * [`ambient`] — the grammars of the `FULLLOCK_*` environment knobs
+//!   and one strict check of them all ([`AmbientConfig::parse`]), which
+//!   captures the wall-clock budget; each other knob is read by the
+//!   layer it steers;
 //! * [`quota`] — per-tenant admission and cumulative-spend accounting
 //!   ([`TenantQuota`]) for the serving layer.
 //!

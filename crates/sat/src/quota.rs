@@ -1,7 +1,7 @@
 //! Multi-tenant resource quotas on lock-free atomics.
 //!
 //! A [`SolveLimits`](crate::cdcl::SolveLimits) bounds one *solve*: a
-//! deadline, a conflict cap and a learnt-memory cap. A serving deployment
+//! deadline and a conflict cap. A serving deployment
 //! needs the layer above that — one ledger per *tenant*, accumulated
 //! across every job the tenant ever submitted, consulted at admission
 //! time so a tenant who has spent their allowance is refused new work

@@ -214,23 +214,6 @@ pub fn encode_or_lits(cnf: &mut Cnf, out: Lit, ins: &[Lit]) {
     }
 }
 
-/// `out ↔ (s ? b : a)` over literals: Table 1's MUX clauses with fan-in
-/// convention `[S, A, B]`, `S = 1` selecting `B`.
-pub fn encode_mux_lits(cnf: &mut Cnf, out: Lit, s: Lit, a: Lit, b: Lit) {
-    cnf.add_clause([s, !a, out]);
-    cnf.add_clause([s, a, !out]);
-    cnf.add_clause([!s, !b, out]);
-    cnf.add_clause([!s, b, !out]);
-}
-
-/// Redundant (but propagation-strengthening) MUX clauses: whichever input
-/// is selected, if both data literals agree the output equals them —
-/// `a ∧ b → out` and `¬a ∧ ¬b → ¬out`. Sound for any select value.
-pub fn encode_mux_redundant(cnf: &mut Cnf, out: Lit, a: Lit, b: Lit) {
-    cnf.add_clause([!a, !b, out]);
-    cnf.add_clause([a, b, !out]);
-}
-
 /// One flattened MUX-tree path: when every literal of `path` holds, the
 /// tree output equals `leaf` — `(¬path ∨ ¬leaf ∨ out) ∧ (¬path ∨ leaf ∨
 /// ¬out)`. Emitting one such pair per leaf encodes a whole select tree
@@ -256,17 +239,6 @@ pub fn encode_swap_link(cnf: &mut Cnf, s1: Lit, o1: Lit, s2: Lit, o2: Lit) {
     cnf.add_clause([!s1, s2, o1, !o2]);
     cnf.add_clause([s1, !s2, !o1, o2]);
     cnf.add_clause([s1, !s2, o1, !o2]);
-}
-
-/// Emits clauses forcing `lit` to hold (a unit clause).
-pub fn assert_lit(cnf: &mut Cnf, lit: Lit) {
-    cnf.add_clause([lit]);
-}
-
-/// Emits clauses asserting `a ↔ b`.
-pub fn assert_equal(cnf: &mut Cnf, a: Lit, b: Lit) {
-    cnf.add_clause([!a, b]);
-    cnf.add_clause([a, !b]);
 }
 
 #[cfg(test)]

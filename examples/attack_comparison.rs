@@ -56,11 +56,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let attacks: Vec<Box<dyn Attack>> = vec![
         Box::new(base),
         Box::new(DoubleDip { base }),
-        Box::new(AppSatConfig {
-            base,
-            ..Default::default()
-        }),
-        Box::new(Sps::default()),
+        Box::new(AppSatConfig { base }),
+        Box::new(Sps),
     ];
 
     print!("{:<20}", "scheme");

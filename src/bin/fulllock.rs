@@ -464,24 +464,16 @@ fn cmd_attack(raw: &[String]) -> CliResult {
     if resume && checkpoint.is_none() {
         return Err("attack: --resume requires --checkpoint <path>".into());
     }
+    // Certification and oracle-resilience knobs: flag beats
+    // FULLLOCK_CERTIFY / FULLLOCK_ORACLE_* beats default.
     let certify = match args.flag("certify") {
         Some(level) => level
             .parse::<CertifyLevel>()
             .map_err(|e| format!("attack: {e}"))?,
-        None => ambient.certify,
+        None => CertifyLevel::from_env(),
     };
     let json_out = args.flag("json").map(str::to_string);
-    // Oracle-resilience knobs: flag beats FULLLOCK_ORACLE_* beats default.
-    let mut resilience = OracleResilience::default();
-    if let Some(votes) = ambient.oracle_votes {
-        resilience.votes = votes;
-    }
-    if let Some(retries) = ambient.oracle_retries {
-        resilience.retries = retries;
-    }
-    if let Some(qps) = ambient.oracle_qps {
-        resilience.qps = Some(qps);
-    }
+    let mut resilience = OracleResilience::from_env();
     // A flag reads with its variable's grammar.
     if let Some(votes) = args.flag("oracle-votes") {
         resilience.votes =

@@ -92,7 +92,6 @@ fn bench_config(dir: &Path, workers: usize) -> SweepConfig {
     config.poll = Duration::from_millis(20);
     config.shutdown_grace = Duration::from_millis(300);
     config.speculation_min_age = Duration::from_millis(300);
-    config.speculation_factor = 4.0;
     config.max_wall = Some(Duration::from_secs(600));
     config
 }

@@ -5,6 +5,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use full_lock::attacks::AttackReport;
+
 const C17: &str = "\
 INPUT(G1)
 INPUT(G2)
@@ -186,6 +188,56 @@ fn inprocess_env_has_one_grammar() {
         );
     }
     assert!(inprocessed(None), "inprocessing is on by default");
+}
+
+/// `FULLLOCK_CERTIFY` and `FULLLOCK_ORACLE_VOTES` reach `fulllock
+/// attack`, and its `--certify` and `--oracle-votes` flags override them.
+#[test]
+fn ambient_knobs_reach_attack() {
+    let dir = workdir("ambient");
+    let original = dir.join("c17.bench");
+    let locked = dir.join("locked.bench");
+    fs::write(&original, C17).unwrap();
+    let (original, locked) = (original.to_str().unwrap(), locked.to_str().unwrap());
+    let out = run(&[
+        "lock", original, "-o", locked, "--scheme", "rll", "--bits", "4", "--seed", "7",
+    ]);
+    assert!(out.status.success());
+    // The wire report of an attack under one ambient variable.
+    let attack = |var: &str, value: &str, flags: &[&str]| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_fulllock"));
+        command
+            .args(["attack", locked, "--oracle", original, "--json", "-"])
+            .args(flags);
+        for knob in [
+            "FULLLOCK_CERTIFY",
+            "FULLLOCK_ORACLE_VOTES",
+            "FULLLOCK_ORACLE_RETRIES",
+            "FULLLOCK_ORACLE_QPS",
+        ] {
+            command.env_remove(knob);
+        }
+        let out = command.env(var, value).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{var}={value} {flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        AttackReport::from_json(stdout(&out).trim()).expect("one wire report on stdout")
+    };
+    let certified = attack("FULLLOCK_CERTIFY", "model", &[]);
+    assert!(certified.solver.certified_models > 0, "{certified:?}");
+    let overridden = attack("FULLLOCK_CERTIFY", "model", &["--certify", "off"]);
+    assert_eq!(overridden.solver.certified_models, 0, "{overridden:?}");
+
+    let voted = attack("FULLLOCK_ORACLE_VOTES", "3", &[]);
+    let single = attack("FULLLOCK_ORACLE_VOTES", "3", &["--oracle-votes", "1"]);
+    assert!(
+        voted.oracle_queries > single.oracle_queries,
+        "3 votes: {} queries, 1 vote: {}",
+        voted.oracle_queries,
+        single.oracle_queries
+    );
 }
 
 /// Every attack solves on the one sequential solver: `--threads` runs at

@@ -159,8 +159,6 @@ fn wire_reports() -> String {
         oracle_queries: 14,
         solver: solver(),
         resilience: RunResilience {
-            worker_panics: 1,
-            worker_failures: vec!["worker 0 panicked".to_string()],
             resumed_from: Some(5),
             checkpoints_written: 7,
             checkpoint_failures: 0,
@@ -258,11 +256,13 @@ fn documents() -> Vec<(&'static str, String)> {
 }
 
 /// The bytes of [`documents`] as the codecs wrote them before they were
-/// rebuilt on the typed field readers.
+/// rebuilt on the typed field readers, less the three worker fields that
+/// checkpoints and wire reports do not write ([`LEGACY_CHECKPOINT`] and
+/// [`LEGACY_WIRE_REPORTS`] hold the bytes with them).
 const GOLDEN: &[(&str, &str)] = &[
     (
         "checkpoint",
-        "{\"checksum\":6301994959609360387,\"payload\":{\"version\":1,\"attack\":\"double-dip\",\"data_bits\":4,\"key_bits\":3,\"phase\":2,\"iterations\":7,\"cleanup_iterations\":1,\"candidate_key\":\"101\",\"ratio_sum\":13.625,\"ratio_samples\":7,\"elapsed_secs\":1.25,\"oracle_queries\":9,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"io_pairs\":[{\"x\":\"1001\",\"y\":\"01\",\"v\":1,\"q\":false},{\"x\":\"0011\",\"y\":\"11\",\"v\":3,\"q\":true}]}}\n",
+        "{\"checksum\":13368644892926847972,\"payload\":{\"version\":1,\"attack\":\"double-dip\",\"data_bits\":4,\"key_bits\":3,\"phase\":2,\"iterations\":7,\"cleanup_iterations\":1,\"candidate_key\":\"101\",\"ratio_sum\":13.625,\"ratio_samples\":7,\"elapsed_secs\":1.25,\"oracle_queries\":9,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"io_pairs\":[{\"x\":\"1001\",\"y\":\"01\",\"v\":1,\"q\":false},{\"x\":\"0011\",\"y\":\"11\",\"v\":3,\"q\":true}]}}\n",
     ),
     (
         "manifest",
@@ -294,7 +294,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "wire report",
-        "{\"schema_version\":1,\"attack\":\"sat\",\"outcome\":{\"kind\":\"key_recovered\",\"key\":\"1011\",\"verified\":true},\"iterations\":12,\"elapsed_secs\":3.375,\"oracle_queries\":14,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"worker_panics\":1,\"worker_failures\":[\"worker 0 panicked\"],\"resumed_from\":5,\"checkpoints_written\":7,\"checkpoint_failures\":0,\"oracle_retries\":3,\"oracle_requeries\":2,\"quarantined_pairs\":1},\"key_certificate\":{\"samples\":512,\"mismatches\":0,\"formal\":{\"unavailable\":\"cyclic netlist\"}},\"details\":{\"type\":\"sat\"}}\n{\"schema_version\":1,\"attack\":\"sps\",\"outcome\":{\"kind\":\"defeated\",\"reason\":\"no skewed wire\"},\"iterations\":0,\"elapsed_secs\":0.0,\"oracle_queries\":0,\"solver\":{\"decisions\":0,\"propagations\":0,\"conflicts\":0,\"restarts\":0,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,0,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":0,\"inprocess_ns\":0,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"worker_panics\":0,\"worker_failures\":[],\"resumed_from\":null,\"checkpoints_written\":0,\"checkpoint_failures\":0,\"oracle_retries\":0,\"oracle_requeries\":0,\"quarantined_pairs\":0},\"key_certificate\":null,\"details\":{\"type\":\"sps\",\"skew\":0.25,\"found_suspect\":false,\"error_rate\":null}}",
+        "{\"schema_version\":1,\"attack\":\"sat\",\"outcome\":{\"kind\":\"key_recovered\",\"key\":\"1011\",\"verified\":true},\"iterations\":12,\"elapsed_secs\":3.375,\"oracle_queries\":14,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"resumed_from\":5,\"checkpoints_written\":7,\"checkpoint_failures\":0,\"oracle_retries\":3,\"oracle_requeries\":2,\"quarantined_pairs\":1},\"key_certificate\":{\"samples\":512,\"mismatches\":0,\"formal\":{\"unavailable\":\"cyclic netlist\"}},\"details\":{\"type\":\"sat\"}}\n{\"schema_version\":1,\"attack\":\"sps\",\"outcome\":{\"kind\":\"defeated\",\"reason\":\"no skewed wire\"},\"iterations\":0,\"elapsed_secs\":0.0,\"oracle_queries\":0,\"solver\":{\"decisions\":0,\"propagations\":0,\"conflicts\":0,\"restarts\":0,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,0,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":0,\"inprocess_ns\":0,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"resumed_from\":null,\"checkpoints_written\":0,\"checkpoint_failures\":0,\"oracle_retries\":0,\"oracle_requeries\":0,\"quarantined_pairs\":0},\"key_certificate\":null,\"details\":{\"type\":\"sps\",\"skew\":0.25,\"found_suspect\":false,\"error_rate\":null}}",
     ),
     (
         "bench record",
@@ -310,4 +310,44 @@ fn every_document_keeps_its_bytes() {
         assert_eq!(name, golden_name);
         assert_eq!(bytes, golden, "{name} bytes changed");
     }
+}
+
+/// The checkpoint and wire documents as older builds wrote them, with
+/// the worker fields `worker_panics`, `exchange_rejects` and
+/// `worker_failures` (always 0 and `[]` on the one sequential solver).
+const LEGACY_CHECKPOINT: &str =
+    "{\"checksum\":6301994959609360387,\"payload\":{\"version\":1,\"attack\":\"double-dip\",\"data_bits\":4,\"key_bits\":3,\"phase\":2,\"iterations\":7,\"cleanup_iterations\":1,\"candidate_key\":\"101\",\"ratio_sum\":13.625,\"ratio_samples\":7,\"elapsed_secs\":1.25,\"oracle_queries\":9,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"io_pairs\":[{\"x\":\"1001\",\"y\":\"01\",\"v\":1,\"q\":false},{\"x\":\"0011\",\"y\":\"11\",\"v\":3,\"q\":true}]}}\n";
+const LEGACY_WIRE_REPORTS: &str =
+    "{\"schema_version\":1,\"attack\":\"sat\",\"outcome\":{\"kind\":\"key_recovered\",\"key\":\"1011\",\"verified\":true},\"iterations\":12,\"elapsed_secs\":3.375,\"oracle_queries\":14,\"solver\":{\"decisions\":10,\"propagations\":200,\"conflicts\":7,\"restarts\":1,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,4,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":2,\"inprocess_ns\":5000,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"worker_panics\":1,\"worker_failures\":[\"worker 0 panicked\"],\"resumed_from\":5,\"checkpoints_written\":7,\"checkpoint_failures\":0,\"oracle_retries\":3,\"oracle_requeries\":2,\"quarantined_pairs\":1},\"key_certificate\":{\"samples\":512,\"mismatches\":0,\"formal\":{\"unavailable\":\"cyclic netlist\"}},\"details\":{\"type\":\"sat\"}}\n{\"schema_version\":1,\"attack\":\"sps\",\"outcome\":{\"kind\":\"defeated\",\"reason\":\"no skewed wire\"},\"iterations\":0,\"elapsed_secs\":0.0,\"oracle_queries\":0,\"solver\":{\"decisions\":0,\"propagations\":0,\"conflicts\":0,\"restarts\":0,\"deleted_learnts\":0,\"minimized_literals\":0,\"reductions\":0,\"lbd_histogram\":[0,0,0,0,0,0,0,0],\"propagate_ns\":0,\"analyze_ns\":0,\"worker_panics\":0,\"exchange_rejects\":0,\"certified_models\":0,\"solves\":0,\"learnts_carried\":0,\"inprocessings\":0,\"inprocess_ns\":0,\"vars_eliminated\":0,\"clauses_subsumed\":0,\"clauses_strengthened\":0,\"vivification_shrinks\":0},\"resilience\":{\"worker_panics\":0,\"worker_failures\":[],\"resumed_from\":null,\"checkpoints_written\":0,\"checkpoint_failures\":0,\"oracle_retries\":0,\"oracle_requeries\":0,\"quarantined_pairs\":0},\"key_certificate\":null,\"details\":{\"type\":\"sps\",\"skew\":0.25,\"found_suspect\":false,\"error_rate\":null}}";
+
+fn golden(name: &str) -> &'static str {
+    GOLDEN
+        .iter()
+        .find(|(golden_name, _)| *golden_name == name)
+        .unwrap_or_else(|| panic!("no golden text for {name}"))
+        .1
+}
+
+/// A document written before the worker fields were dropped still
+/// loads, and writing it again gives today's bytes.
+#[test]
+fn legacy_documents_rewrite_to_current_bytes() {
+    let dir = scratch("legacy");
+    let old = dir.join("old.ckpt");
+    std::fs::write(&old, LEGACY_CHECKPOINT).expect("write legacy checkpoint");
+    let checkpoint = AttackCheckpoint::load(&old).expect("legacy checkpoint loads");
+    let new = dir.join("new.ckpt");
+    checkpoint.save(&new).expect("save checkpoint");
+    assert_eq!(read(&new), golden("checkpoint"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let rewritten: Vec<String> = LEGACY_WIRE_REPORTS
+        .split('\n')
+        .map(|line| {
+            AttackReport::from_json(line)
+                .expect("legacy report parses")
+                .to_json()
+        })
+        .collect();
+    assert_eq!(rewritten.join("\n"), golden("wire report"));
 }

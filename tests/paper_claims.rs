@@ -119,7 +119,6 @@ fn claim_appsat_separation() {
             timeout: Some(Duration::from_millis(500)),
             ..Default::default()
         },
-        ..Default::default()
     }
     .run(&fl, &oracle)
     .unwrap();
