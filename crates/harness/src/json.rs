@@ -5,8 +5,8 @@
 //! every format it persists or sends is JSON: attack checkpoints and
 //! wire reports (`fulllock-attacks`), campaign plans and manifests
 //! ([`crate::plan`], [`crate::manifest`]), the `serve` protocol lines and
-//! queue shards ([`crate::service`]), sweep plans, leases and segment
-//! samples ([`crate::sweep`]), and the `BENCH_*.json` guard records
+//! queue shards ([`crate::service`]), sweep plans, leases and result
+//! files ([`crate::sweep`]), and the `BENCH_*.json` guard records
 //! (`fulllock-bench`). This module hand-rolls the subset of JSON those
 //! schemas use: objects, arrays, strings, booleans, null, and numbers
 //! split into unsigned integers (exact, for counters) and floats (for
@@ -665,12 +665,36 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// torn-write/bit-rot class the sealed envelope defends against. Not
 /// cryptographic: it detects corruption, not tampering.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv::new();
+    hash.bytes(bytes);
+    hash.finish()
+}
+
+/// Streaming FNV-1a 64-bit ([`fnv1a`] over the concatenated input), with
+/// length-prefixed strings so field boundaries can't alias ("ab","c"
+/// hashes differently from "a","bc").
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn str(&mut self, s: &str) {
+        self.bytes(&(s.len() as u64).to_le_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 const SEAL_PREFIX: &str = "{\"checksum\":";

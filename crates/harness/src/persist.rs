@@ -73,8 +73,8 @@ pub(crate) fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
 
 /// Consults an IO fault site: `enospc`/`eio` become errors, `delay`
 /// sleeps, `panic` panics, `torn` is returned for the caller to apply,
-/// anything else is ignored (no IO meaning). The sweep lease/segment
-/// writers share this mapping for their own sites.
+/// anything else is ignored (no IO meaning). The sweep lease and
+/// result-file writers share this mapping for their own sites.
 pub(crate) fn consult_io_site(site: &'static str, index: usize) -> io::Result<bool> {
     match faults::evaluate(site, index) {
         Some(FaultAction::Enospc) => Err(io::Error::other(format!(

@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
+use crate::json::{Fnv, Json};
 use crate::{HarnessError, Result};
 
 /// Version tag written into every plan file; loading any other version
@@ -250,32 +250,6 @@ where
 /// [`ambient_fingerprint`] over this process's actual environment.
 pub fn current_ambient_fingerprint() -> u64 {
     ambient_fingerprint(std::env::vars())
-}
-
-/// FNV-1a 64-bit, with length-prefixed strings so field boundaries can't
-/// alias ("ab","c" hashes differently from "a","bc").
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.bytes(&(s.len() as u64).to_le_bytes());
-        self.bytes(s.as_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// A named, ordered set of [`JobSpec`]s.

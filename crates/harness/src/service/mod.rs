@@ -8,10 +8,12 @@
 //! * [`protocol`] — the newline-delimited JSON wire format: five verbs
 //!   (`submit`, `status`, `cancel`, `list`, `stream`) and a typed error
 //!   envelope with stable codes.
+//! * [`quota`] — per-tenant caps ([`QuotaSpec`]) checked against the
+//!   usage the queue sums from the tenant's jobs
+//!   ([`ShardedQueue::usage`]); the queue is the only record of spend.
 //! * [`server`] — the daemon itself: listener (Unix or TCP), bounded
 //!   worker pool supervising child processes with deadline/retry
-//!   escalation, per-tenant [`fulllock_sat::TenantQuota`] ledgers, and
-//!   graceful drain.
+//!   escalation, quota checks at submit and claim, and graceful drain.
 //! * [`client`] — a blocking client used by the CLI, the load-test
 //!   bench, and the smoke tests.
 //!
@@ -25,9 +27,11 @@
 pub mod client;
 pub mod protocol;
 pub mod queue;
+pub mod quota;
 pub mod server;
 
 pub use client::{Client, ServiceReply};
 pub use protocol::{ProtocolError, Request, PROTOCOL_VERSION};
 pub use queue::{JobState, QueueCounts, ServiceJob, ShardedQueue, QUEUE_VERSION};
+pub use quota::{QuotaError, QuotaSpec, QuotaUsage};
 pub use server::{serve, Endpoint, ServeSummary, ServiceConfig};

@@ -16,7 +16,7 @@
 //! past the socket deadline, `persist_failed` when the queue could not
 //! seal the submission, `shard_quarantined` when its shard is known
 //! unwritable), plus the quota codes minted by
-//! [`fulllock_sat::QuotaError::code`] (`concurrency_full`,
+//! [`QuotaError::code`](crate::service::QuotaError::code) (`concurrency_full`,
 //! `conflicts_exhausted`, `wall_time_exhausted`). Clients branch on the
 //! code, never on the human-readable message.
 //!

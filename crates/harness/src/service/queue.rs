@@ -31,13 +31,15 @@
 //! notices — which is exactly why every save keeps the previous
 //! generation.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use fulllock_sat::faults::{self, FaultAction};
 
 use crate::json::Json;
 use crate::plan::JobSpec;
+use crate::service::quota::QuotaUsage;
 use crate::{persist, HarnessError, Result};
 
 /// Version tag of the shard file schema.
@@ -94,7 +96,7 @@ impl JobState {
 pub struct ServiceJob {
     /// Job identity (equals `spec.id`; the queue-wide uniqueness key).
     pub id: String,
-    /// Owning tenant (quota ledger key).
+    /// Owning tenant (the quota key).
     pub tenant: String,
     /// The command to execute. `{job_dir}` in the program, any argument,
     /// or any environment value is substituted with the job's scratch
@@ -414,6 +416,26 @@ impl ShardedQueue {
         counts
     }
 
+    /// A tenant's quota usage in one pass over its jobs: pending and
+    /// running jobs are in flight, and every job's `charged_*` spend
+    /// counts.
+    pub fn usage(&self, tenant: &str) -> QuotaUsage {
+        sum_usage(self.jobs.iter().filter(|j| j.tenant == tenant))
+    }
+
+    /// [`usage`](Self::usage) of every tenant with a job in the queue,
+    /// by tenant.
+    pub fn usage_by_tenant(&self) -> BTreeMap<&str, QuotaUsage> {
+        let mut by_tenant: BTreeMap<&str, Vec<&ServiceJob>> = BTreeMap::new();
+        for job in &self.jobs {
+            by_tenant.entry(job.tenant.as_str()).or_default().push(job);
+        }
+        by_tenant
+            .into_iter()
+            .map(|(tenant, jobs)| (tenant, sum_usage(jobs)))
+            .collect()
+    }
+
     fn save_shard(&mut self, shard: u32) -> Result<()> {
         let path = shard_path(&self.dir, shard);
         // The queue.seal disk-fault site, indexed by shard: enospc/eio
@@ -467,6 +489,22 @@ impl ShardedQueue {
                 })
             }
         }
+    }
+}
+
+fn sum_usage<'a>(jobs: impl IntoIterator<Item = &'a ServiceJob>) -> QuotaUsage {
+    let mut in_flight = 0;
+    let mut conflicts = 0u64;
+    let mut wall_secs = 0.0;
+    for job in jobs {
+        in_flight += u64::from(!job.state.is_terminal());
+        conflicts = conflicts.saturating_add(job.charged_conflicts);
+        wall_secs += job.charged_wall_secs.max(0.0);
+    }
+    QuotaUsage {
+        in_flight,
+        conflicts,
+        wall: Duration::try_from_secs_f64(wall_secs).unwrap_or(Duration::MAX),
     }
 }
 
@@ -615,6 +653,32 @@ mod tests {
             assert_eq!(back.jobs().len(), 16);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn usage_counts_live_jobs_and_sums_charges() {
+        let dir = tmp_dir("usage");
+        let mut q = ShardedQueue::open(&dir, 2).expect("open");
+        for id in ["pending", "running", "done", "other"] {
+            let tenant = if id == "other" { "b" } else { "a" };
+            q.submit(tenant, spec(id)).expect("submit");
+        }
+        q.job_mut("running").expect("exists").state = JobState::Running;
+        let done = q.job_mut("done").expect("exists");
+        done.state = JobState::Done;
+        done.charged_conflicts = 7;
+        done.charged_wall_secs = 1.5;
+        q.job_mut("running").expect("exists").charged_wall_secs = 0.25;
+        let usage = q.usage("a");
+        assert_eq!(usage.in_flight, 2);
+        assert_eq!(usage.conflicts, 7);
+        assert_eq!(usage.wall, Duration::from_millis(1750));
+        assert_eq!(q.usage("nobody"), QuotaUsage::default());
+        let by_tenant = q.usage_by_tenant();
+        assert_eq!(by_tenant.keys().copied().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(by_tenant["a"], usage);
+        assert_eq!(by_tenant["b"].in_flight, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

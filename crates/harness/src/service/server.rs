@@ -1,4 +1,4 @@
-//! The `fulllock serve` daemon: listener, worker pool, quota ledger,
+//! The `fulllock serve` daemon: listener, worker pool, tenant quotas,
 //! graceful drain.
 //!
 //! One thread accepts connections (Unix or TCP socket, newline-delimited
@@ -12,13 +12,16 @@
 //! ## Tenancy
 //!
 //! Every job belongs to a tenant, and every tenant has a
-//! [`TenantQuota`]: an in-flight job cap enforced at *submit* time (an
+//! [`QuotaSpec`]: an in-flight job cap enforced at *submit* time (an
 //! over-quota submission is refused with a typed `concurrency_full`
 //! error rather than queued) and cumulative conflict/wall budgets
 //! enforced at submit and launch time. Completed jobs charge the solver
 //! conflicts parsed from their `report.json` (if the child wrote one)
-//! plus their wall time; charges are persisted per job and preloaded on
-//! restart, so a tenant cannot reset its ledger by killing the server.
+//! plus their wall time to the job's persisted `charged_*` fields. A
+//! tenant's usage is summed from its jobs in the queue
+//! ([`ShardedQueue::usage`]) under the queue lock that submit and claim
+//! already hold, so there is no second ledger to keep in step, and a
+//! restarted server reads the same spend from disk.
 //!
 //! ## Drain and crash recovery
 //!
@@ -82,12 +85,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use fulllock_sat::faults::{self, FaultAction};
-use fulllock_sat::{QuotaSpec, TenantQuota};
 
 use crate::child::{self, Ended};
+use crate::json::Json;
 use crate::retry::RetryPolicy;
 use crate::service::protocol::{self, parse_request, ProtocolError, Request, PROTOCOL_VERSION};
 use crate::service::queue::{JobState, ServiceJob, ShardedQueue};
+use crate::service::quota::QuotaSpec;
 use crate::{HarnessError, Result};
 
 /// Where the daemon listens.
@@ -245,7 +249,6 @@ struct PersistStatus {
 struct Shared {
     config: ServiceConfig,
     queue: Mutex<ShardedQueue>,
-    quotas: Mutex<HashMap<String, Arc<TenantQuota>>>,
     /// Running jobs asked to cancel; workers poll this.
     cancels: Mutex<HashSet<String>>,
     /// Jobs serving a retry backoff: not eligible before the instant.
@@ -271,21 +274,13 @@ struct Shared {
 }
 
 impl Shared {
-    fn quota(&self, tenant: &str) -> Arc<TenantQuota> {
-        let mut quotas = lock(&self.quotas);
-        if let Some(q) = quotas.get(tenant) {
-            return Arc::clone(q);
-        }
-        let spec = self
-            .config
+    /// The caps of `tenant`: its override, else the default quota.
+    fn quota(&self, tenant: &str) -> QuotaSpec {
+        self.config
             .quotas
             .iter()
             .find(|(t, _)| t == tenant)
-            .map(|(_, s)| *s)
-            .unwrap_or(self.config.default_quota);
-        let q = Arc::new(TenantQuota::new(spec));
-        quotas.insert(tenant.to_string(), Arc::clone(&q));
-        q
+            .map_or(self.config.default_quota, |(_, spec)| *spec)
     }
 
     /// Stamps the worker slot's heartbeat (milliseconds since start).
@@ -327,8 +322,8 @@ impl Drop for ConnGuard<'_> {
 }
 
 /// A poisoned lock means a worker panicked mid-section; the data is a
-/// plain queue/ledger snapshot, still safe to read, and the server must
-/// keep serving the other tenants.
+/// plain queue snapshot, still safe to read, and the server must keep
+/// serving the other tenants.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -446,7 +441,6 @@ pub fn serve(config: ServiceConfig, shutdown: Arc<AtomicBool>) -> Result<ServeSu
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         queue: Mutex::new(queue),
-        quotas: Mutex::new(HashMap::new()),
         cancels: Mutex::new(HashSet::new()),
         backoff: Mutex::new(HashMap::new()),
         draining: AtomicBool::new(false),
@@ -471,27 +465,6 @@ pub fn serve(config: ServiceConfig, shutdown: Arc<AtomicBool>) -> Result<ServeSu
         }),
         config,
     });
-
-    // Rebuild the quota ledger from the recovered queue: terminal jobs
-    // preload their persisted charges, live jobs re-occupy their
-    // in-flight slots.
-    {
-        let queue = lock(&shared.queue);
-        for job in queue.jobs() {
-            let quota = shared.quota(&job.tenant);
-            if job.state.is_terminal() {
-                quota.preload(
-                    job.charged_conflicts,
-                    Duration::from_secs_f64(job.charged_wall_secs.max(0.0)),
-                );
-            } else {
-                // Occupy the slot directly: these jobs were admitted by a
-                // previous server and must not be dropped even if the
-                // quota config shrank since.
-                let _ = quota.admit();
-            }
-        }
-    }
 
     let listener = Listener::bind(&shared.config.endpoint)?;
 
@@ -815,7 +788,6 @@ fn handle_request(
                         .to_response(),
                 );
             }
-            let quota = shared.quota(tenant);
             let mut queue = lock(&shared.queue);
             // Admission control: a full pending queue sheds load with a
             // typed error instead of queuing unboundedly.
@@ -846,7 +818,8 @@ fn handle_request(
                     .to_response(),
                 );
             }
-            if let Err(e) = quota.admit() {
+            if let Err(e) = shared.quota(tenant).check(true, || queue.usage(tenant)) {
+                drop(queue);
                 return send(ProtocolError::new(e.code(), e.to_string()).to_response());
             }
             let submitted = queue.submit(tenant, job.clone());
@@ -859,7 +832,6 @@ fn handle_request(
                 }
                 Err(e) => {
                     drop(queue);
-                    quota.release();
                     let code = match &e {
                         HarnessError::PlanFormat { .. } => "duplicate_job",
                         HarnessError::Io { .. } => {
@@ -898,11 +870,9 @@ fn handle_request(
                 JobState::Pending => {
                     entry.state = JobState::Canceled;
                     entry.last_error = Some("canceled while pending".to_string());
-                    let tenant = entry.tenant.clone();
                     let line = protocol::job_response(entry);
                     let save = queue.save_shard_of(job);
                     drop(queue);
-                    shared.quota(&tenant).release();
                     lock(&shared.counters).canceled += 1;
                     shared.note_persist(&save);
                     if let Err(e) = save {
@@ -963,12 +933,26 @@ fn unknown_job(id: &str) -> ProtocolError {
 
 /// Builds the `health` response: queue depth, worker liveness, quota
 /// pressure, connection load, and last-persist status, in one line.
+/// Quota pressure has one row per tenant with a job in the queue.
 fn health_response(shared: &Shared) -> String {
-    use crate::json::Json;
-
-    let (counts, quarantined) = {
+    let (counts, quarantined, tenants) = {
         let queue = lock(&shared.queue);
-        (queue.counts(), queue.quarantined_shards())
+        let tenants: Vec<Json> = queue
+            .usage_by_tenant()
+            .into_iter()
+            .map(|(tenant, usage)| {
+                Json::Object(vec![
+                    ("tenant".to_string(), Json::Str(tenant.to_string())),
+                    ("in_flight".to_string(), Json::Int(usage.in_flight)),
+                    ("conflicts".to_string(), Json::Int(usage.conflicts)),
+                    (
+                        "wall_secs".to_string(),
+                        Json::Float(usage.wall.as_secs_f64()),
+                    ),
+                ])
+            })
+            .collect();
+        (queue.counts(), queue.quarantined_shards(), tenants)
     };
     let now_ms = shared.started.elapsed().as_millis() as u64;
     let stalest_beat_ms = shared
@@ -977,29 +961,6 @@ fn health_response(shared: &Shared) -> String {
         .map(|b| now_ms.saturating_sub(b.load(Ordering::Relaxed)))
         .max()
         .unwrap_or(0);
-    let tenants: Vec<Json> = {
-        let quotas = lock(&shared.quotas);
-        let mut rows: Vec<(String, Json)> = quotas
-            .iter()
-            .map(|(tenant, quota)| {
-                let usage = quota.usage();
-                (
-                    tenant.clone(),
-                    Json::Object(vec![
-                        ("tenant".to_string(), Json::Str(tenant.clone())),
-                        ("in_flight".to_string(), Json::Int(usage.in_flight)),
-                        ("conflicts".to_string(), Json::Int(usage.conflicts)),
-                        (
-                            "wall_secs".to_string(),
-                            Json::Float(usage.wall.as_secs_f64()),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.into_iter().map(|(_, json)| json).collect()
-    };
     let (persist, counters_json) = {
         let status = lock(&shared.persist);
         let persist = Json::Object(vec![
@@ -1118,7 +1079,7 @@ fn worker_loop(shared: &Shared, index: usize, generation: u64) {
     };
     while !shared.draining.load(Ordering::SeqCst) && current_generation(shared) == generation {
         shared.beat(index);
-        let Some((id, tenant)) = claim_next(shared) else {
+        let Some(id) = claim_next(shared) else {
             std::thread::sleep(shared.config.poll_interval);
             continue;
         };
@@ -1135,7 +1096,7 @@ fn worker_loop(shared: &Shared, index: usize, generation: u64) {
                     .unwrap_or_else(|| "worker panicked".to_string());
                 Ended::Failed(format!("worker panic: {msg}"))
             });
-        settle_attempt(shared, &id, &tenant, end, attempt_start.elapsed());
+        settle_attempt(shared, &id, end, attempt_start.elapsed());
     }
 }
 
@@ -1143,7 +1104,7 @@ fn worker_loop(shared: &Shared, index: usize, generation: u64) {
 /// increments its attempt counter, persists the shard. Jobs whose tenant
 /// has exhausted a cumulative budget are failed on the spot (typed quota
 /// error) rather than left to clog the queue.
-fn claim_next(shared: &Shared) -> Option<(String, String)> {
+fn claim_next(shared: &Shared) -> Option<String> {
     let now = Instant::now();
     let mut queue = lock(&shared.queue);
     let backoff = lock(&shared.backoff);
@@ -1153,22 +1114,18 @@ fn claim_next(shared: &Shared) -> Option<(String, String)> {
     let tenant = candidate.tenant.clone();
     drop(backoff);
 
-    let quota = shared.quota(&tenant);
-    if let Err(e) = quota.check_cumulative() {
-        if !e.is_transient() {
-            let job = queue.job_mut(&id).expect("claimed job exists");
-            job.state = JobState::Failed;
-            job.last_error = Some(format!("{} ({})", e, e.code()));
-            let save = queue.save_shard_of(&id);
-            drop(queue);
-            quota.release();
-            lock(&shared.counters).failed += 1;
-            shared.note_persist(&save);
-            if let Err(e) = save {
-                eprintln!("warning: persisting quota failure of {id:?}: {e}");
-            }
-            return None;
+    if let Err(e) = shared.quota(&tenant).check(false, || queue.usage(&tenant)) {
+        let job = queue.job_mut(&id).expect("claimed job exists");
+        job.state = JobState::Failed;
+        job.last_error = Some(format!("{} ({})", e, e.code()));
+        let save = queue.save_shard_of(&id);
+        drop(queue);
+        lock(&shared.counters).failed += 1;
+        shared.note_persist(&save);
+        if let Err(e) = save {
+            eprintln!("warning: persisting quota failure of {id:?}: {e}");
         }
+        return None;
     }
 
     let job = queue.job_mut(&id).expect("claimed job exists");
@@ -1185,7 +1142,7 @@ fn claim_next(shared: &Shared) -> Option<(String, String)> {
         return None;
     }
     lock(&shared.backoff).remove(&id);
-    Some((id, tenant))
+    Some(id)
 }
 
 /// Runs one attempt of a claimed job to completion (or interruption).
@@ -1247,13 +1204,12 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> Ended<Halt> {
     }
 }
 
-/// Applies an attempt's outcome to the queue, the quota ledger, and the
-/// counters, and persists the job's shard. Wall time is charged to the
-/// tenant for every attempt the *job* caused (success, failure, timeout,
-/// cancel); a drain interruption is the server's fault and costs the
-/// tenant nothing.
-fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: Ended<Halt>, elapsed: Duration) {
-    let quota = shared.quota(tenant);
+/// Applies an attempt's outcome to the queue and the counters, and
+/// persists the job's shard. Wall time is charged to the job (and so to
+/// its tenant) for every attempt the *job* caused (success, failure,
+/// timeout, cancel); a drain interruption is the server's fault and
+/// costs the tenant nothing.
+fn settle_attempt(shared: &Shared, id: &str, end: Ended<Halt>, elapsed: Duration) {
     let mut queue = lock(&shared.queue);
     let Some(job) = queue.job_mut(id) else { return };
     let mut charge_wall = true;
@@ -1266,7 +1222,6 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: Ended<Halt>, ela
             job.completions += 1;
             job.last_error = None;
             job.charged_conflicts += conflicts;
-            quota.charge(conflicts, Duration::ZERO);
             lock(&shared.counters).completed += 1;
         }
         Ended::Stopped(Halt::Canceled) => {
@@ -1305,11 +1260,6 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: Ended<Halt>, ela
     }
     if charge_wall {
         job.charged_wall_secs += elapsed.as_secs_f64();
-        quota.charge(0, elapsed);
-    }
-    let state = job.state;
-    if state.is_terminal() {
-        quota.release();
     }
     let save = queue.save_shard_of(id);
     shared.note_persist(&save);
@@ -1325,7 +1275,7 @@ fn report_conflicts(job_dir: &std::path::Path) -> u64 {
     let Ok(text) = std::fs::read_to_string(job_dir.join("report.json")) else {
         return 0;
     };
-    crate::json::Json::parse(&text)
+    Json::parse(&text)
         .and_then(|report| report.nested_field("solver", |s| s.u64_field("conflicts")))
         .unwrap_or(0)
 }

@@ -1,5 +1,5 @@
 //! The sweep coordinator: spawns worker processes, respawns casualties,
-//! reconciles resumes, and folds segments into the final atlas.
+//! reconciles resumes, and folds result files into the final atlas.
 //!
 //! The coordinator is deliberately dumb about work distribution — the
 //! lease files in the sweep directory are the only scheduler, so a
@@ -9,20 +9,18 @@
 //! * **Plan identity.** A resume recomputes the plan's config hash
 //!   (which folds in the `FULLLOCK_*` ambient fingerprint) and refuses
 //!   to continue a sweep whose parameters or environment drifted.
-//! * **Reconciliation.** On `--resume`, stale leases are cleared,
-//!   settle markers without a valid folded record (a marker landed but
-//!   the segment append tore) are deleted so those units re-run, and
-//!   valid records without a marker are settled on the worker's behalf.
+//! * **Reconciliation.** On `--resume`, stale leases are cleared and
+//!   result files that are not a valid record (the write tore) are
+//!   deleted so those units re-run.
 //! * **Worker lifecycle.** Dead workers are respawned under *fresh*
-//!   worker names (their segments and leases are never reused); once
-//!   every unit is settled, lingering workers get a grace period and
-//!   are then killed — a straggling execution whose unit was already
-//!   won by speculation must not hold the sweep open.
-//! * **The fold.** Segments are folded first-wins, verified to cover
+//!   worker names (their leases and result dotfiles are never reused);
+//!   once every unit is settled, lingering workers get a grace period
+//!   and are then killed — a straggling execution whose unit was
+//!   already won by speculation must not hold the sweep open.
+//! * **The fold.** One result file per unit is read, verified to cover
 //!   every unit exactly once, aggregated into percentile summaries
 //!   (`atlas.json`) and a compact columnar store (`columns.json`).
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -31,18 +29,18 @@ use std::time::{Duration, Instant};
 use crate::sweep::aggregate::{aggregate, write_columns, SweepAggregates};
 use crate::sweep::grid::SweepPlan;
 use crate::sweep::lease::LeaseDir;
-use crate::sweep::segment::{fold_segments, SegmentFold};
-use crate::sweep::worker::{count_settled, is_settled, remove_marker, try_settle, WorkerArgs};
+use crate::sweep::results::{count_settled, fold_results, remove_result, ResultFold};
+use crate::sweep::worker::WorkerArgs;
 use crate::{HarnessError, Result};
 
-/// Bounded re-run rounds for orphan markers discovered at fold time
-/// (marker present, record torn).
+/// Bounded re-run rounds for orphans discovered at fold time (result
+/// file present, record torn).
 const MAX_RERUN_ROUNDS: usize = 3;
 
 /// How a coordinator runs a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Sweep directory (plan, leases, segments, markers, atlas).
+    /// Sweep directory (plan, leases, result files, atlas).
     pub out_dir: PathBuf,
     /// Worker processes to keep alive.
     pub workers: usize,
@@ -106,12 +104,9 @@ impl SweepConfig {
 pub struct ResumeReport {
     /// Units already settled with a valid record (skipped entirely).
     pub settled: usize,
-    /// Orphan markers removed (marker present, record missing or torn —
-    /// those units re-run).
+    /// Invalid result files deleted (torn or corrupt — those units
+    /// re-run).
     pub orphans_cleared: usize,
-    /// Valid records that were missing their marker (settled on the
-    /// recovering worker's behalf).
-    pub records_settled: usize,
     /// Stale lease files cleared.
     pub leases_cleared: usize,
 }
@@ -127,7 +122,7 @@ pub struct SweepOutcome {
     pub columns_path: PathBuf,
     /// Dead workers respawned.
     pub respawns: usize,
-    /// Orphan-marker re-run rounds that were needed.
+    /// Orphan re-run rounds that were needed.
     pub rerun_rounds: usize,
     /// Reconciliation performed before the run (all zero on a fresh
     /// sweep).
@@ -144,39 +139,28 @@ fn io_err(path: &Path, what: &str, e: io::Error) -> HarnessError {
 }
 
 /// Reconciles an interrupted sweep directory back to a consistent
-/// state: every unit either has (valid record + marker) or (neither).
-/// Stale leases are cleared — no worker is running when this is called.
+/// state: every unit either has a valid result file or none. Stale
+/// leases are cleared — no worker is running when this is called.
 pub fn reconcile_resume(dir: &Path, plan: &SweepPlan) -> Result<ResumeReport> {
-    let mut report = ResumeReport::default();
     let leases = LeaseDir::new(dir, "coordinator", 0);
-    report.leases_cleared = leases
+    let leases_cleared = leases
         .clear_all()
         .map_err(|e| io_err(dir, "clear stale leases", e))?;
-    let fold = fold_segments(dir).map_err(|e| io_err(dir, "fold segments", e))?;
-    for unit in plan.grid.units() {
-        let has_record = fold.samples.contains_key(&unit.id);
-        let has_marker = is_settled(dir, &unit.id);
-        match (has_record, has_marker) {
-            (true, true) => report.settled += 1,
-            (true, false) => {
-                // The worker appended durably but died before the
-                // marker; its result is valid — settle it.
-                try_settle(dir, &unit.id, "coordinator")
-                    .map_err(|e| io_err(dir, "settle recovered record", e))?;
-                report.settled += 1;
-                report.records_settled += 1;
-            }
-            (false, true) => {
-                // Marker without a record: the append tore (or was
-                // injected to tear) after reporting success. The marker
-                // lies; remove it so the unit re-runs.
-                remove_marker(dir, &unit.id).map_err(|e| io_err(dir, "clear orphan marker", e))?;
-                report.orphans_cleared += 1;
-            }
-            (false, false) => {}
-        }
+    let fold = fold_results(dir, &plan.grid.units()).map_err(|e| io_err(dir, "fold results", e))?;
+    clear_orphans(dir, &fold)?;
+    Ok(ResumeReport {
+        settled: fold.samples.len(),
+        orphans_cleared: fold.orphans.len(),
+        leases_cleared,
+    })
+}
+
+/// Deletes the fold's orphan result files so their units re-run.
+fn clear_orphans(dir: &Path, fold: &ResultFold) -> Result<()> {
+    for unit in &fold.orphans {
+        remove_result(dir, unit).map_err(|e| io_err(dir, "clear orphan result", e))?;
     }
-    Ok(report)
+    Ok(())
 }
 
 struct Fleet {
@@ -252,7 +236,7 @@ impl Fleet {
 
 /// Runs a sweep end to end: persist/verify the plan, reconcile (on
 /// resume), run the worker fleet to full settlement, bounded re-run
-/// rounds for orphan markers, final fold + aggregation.
+/// rounds for orphan result files, final fold + aggregation.
 ///
 /// # Errors
 ///
@@ -380,11 +364,11 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
         }
         fleet.kill_all();
 
-        // Fold and check marker/record agreement: a torn append can
-        // leave a marker whose record never landed. Bounded re-runs.
-        let fold = fold_segments(dir).map_err(|e| io_err(dir, "fold segments", e))?;
-        let orphans = orphan_markers(dir, plan, &fold);
-        if orphans.is_empty() {
+        // Fold and check every result file: a torn write can leave a
+        // result file whose record never landed. Bounded re-runs.
+        let fold =
+            fold_results(dir, &plan.grid.units()).map_err(|e| io_err(dir, "fold results", e))?;
+        if fold.orphans.is_empty() {
             break finish(plan, dir, fold, units)?;
         }
         if rerun_rounds >= MAX_RERUN_ROUNDS {
@@ -392,14 +376,12 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
                 path: dir.clone(),
                 message: format!(
                     "{} units still lack a durable record after {rerun_rounds} re-run rounds",
-                    orphans.len()
+                    fold.orphans.len()
                 ),
             });
         }
         rerun_rounds += 1;
-        for unit in &orphans {
-            remove_marker(dir, unit).map_err(|e| io_err(dir, "clear orphan marker", e))?;
-        }
+        clear_orphans(dir, &fold)?;
     };
 
     Ok(SweepOutcome {
@@ -413,30 +395,19 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepOutcome>
     })
 }
 
-/// Settle markers whose unit has no valid folded record.
-fn orphan_markers(dir: &Path, plan: &SweepPlan, fold: &SegmentFold) -> Vec<String> {
-    plan.grid
-        .units()
-        .into_iter()
-        .filter(|unit| is_settled(dir, &unit.id) && !fold.samples.contains_key(&unit.id))
-        .map(|unit| unit.id)
-        .collect()
-}
-
 /// Final verification + persistence: exactly-once coverage, aggregate
 /// summaries, columnar store.
 fn finish(
     plan: &SweepPlan,
     dir: &Path,
-    fold: SegmentFold,
+    fold: ResultFold,
     units: usize,
 ) -> Result<(SweepAggregates, PathBuf, PathBuf)> {
-    let ids: BTreeMap<&String, ()> = fold.samples.keys().map(|k| (k, ())).collect();
     for unit in plan.grid.units() {
-        if !ids.contains_key(&unit.id) {
+        if !fold.samples.contains_key(&unit.id) {
             return Err(HarnessError::Io {
                 path: dir.to_path_buf(),
-                message: format!("unit {} settled without a folded record", unit.id),
+                message: format!("unit {} settled without a valid record", unit.id),
             });
         }
     }
@@ -464,7 +435,7 @@ fn finish(
 mod tests {
     use super::*;
     use crate::sweep::grid::SweepGrid;
-    use crate::sweep::segment::{SampleRecord, SegmentWriter};
+    use crate::sweep::results::{is_settled, settle, SampleRecord};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fulllock-coord-{tag}-{}", std::process::id()));
@@ -494,23 +465,22 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_repairs_markers_both_ways() {
+    fn reconcile_keeps_valid_results_and_deletes_torn_ones() {
         let dir = scratch("reconcile");
         let plan = plan_of(3);
-        // unit-00000: record + marker (fine). unit-00001: record, no
-        // marker (worker died pre-settle). unit-00002: marker, no
-        // record (torn append) — the orphan.
-        let mut seg = SegmentWriter::open(&dir, "w0", 0).expect("segment");
-        seg.append(&record("unit-00000")).expect("append");
-        seg.append(&record("unit-00001")).expect("append");
-        try_settle(&dir, "unit-00000", "w0").expect("settle");
-        try_settle(&dir, "unit-00002", "w0").expect("settle");
+        // unit-00000: a valid result. unit-00001: a torn one (the
+        // orphan). unit-00002: never settled.
+        settle(&dir, &record("unit-00000"), 0).expect("settle");
+        settle(&dir, &record("unit-00001"), 0).expect("settle");
+        let torn = dir.join("results").join("unit-00001.json");
+        let bytes = std::fs::read(&torn).expect("read");
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear");
         let report = reconcile_resume(&dir, &plan).expect("reconcile");
-        assert_eq!(report.settled, 2);
-        assert_eq!(report.records_settled, 1);
+        assert_eq!(report.settled, 1);
         assert_eq!(report.orphans_cleared, 1);
-        assert!(is_settled(&dir, "unit-00001"), "recovered record settled");
-        assert!(!is_settled(&dir, "unit-00002"), "orphan marker cleared");
+        assert!(is_settled(&dir, "unit-00000"), "valid result kept");
+        assert!(!is_settled(&dir, "unit-00001"), "torn result deleted");
+        assert!(!is_settled(&dir, "unit-00002"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -551,19 +521,6 @@ mod tests {
         config.ambient_hash = Some(7);
         let err = run_sweep(&changed, &config).expect_err("must refuse");
         assert!(err.to_string().contains("parameters changed"), "got: {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn orphan_markers_lists_only_marker_without_record() {
-        let dir = scratch("orphans");
-        let plan = plan_of(2);
-        let mut seg = SegmentWriter::open(&dir, "w0", 0).expect("segment");
-        seg.append(&record("unit-00000")).expect("append");
-        try_settle(&dir, "unit-00000", "w0").expect("settle");
-        try_settle(&dir, "unit-00001", "w0").expect("settle");
-        let fold = fold_segments(&dir).expect("fold");
-        assert_eq!(orphan_markers(&dir, &plan, &fold), vec!["unit-00001"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

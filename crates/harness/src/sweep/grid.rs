@@ -3,7 +3,7 @@
 //! A [`SweepGrid`] is a named Cartesian product of axes
 //! (`vars = 50,100 × ratio = 4.0,4.3 × seed = 0..8`); its expansion is a
 //! flat, deterministic list of [`WorkUnit`]s whose stable ids
-//! (`unit-00042`) name lease files, settle markers, and segment records.
+//! (`unit-00042`) name lease files and result files.
 //! A [`SweepPlan`] wraps the grid with everything else that affects
 //! execution (executor name, per-unit budget, seed) and hashes it all —
 //! *including* the ambient `FULLLOCK_*` fingerprint — so `--resume`
@@ -12,8 +12,7 @@
 
 use std::path::Path;
 
-use crate::json::Json;
-use crate::plan::Fnv;
+use crate::json::{Fnv, Json};
 use crate::{HarnessError, Result};
 
 /// Version tag written into every sweep plan file; loading any other
@@ -32,7 +31,7 @@ pub struct WorkUnit {
     /// for [`sweep.unit`](fulllock_sat::faults::site::SWEEP_UNIT)).
     pub index: usize,
     /// Stable identity (`unit-00042`): names the unit's lease file and
-    /// settle marker, and keys segment records.
+    /// result file.
     pub id: String,
     /// Axis name → value pairs, in axis order.
     pub params: Vec<(String, String)>,

@@ -19,8 +19,8 @@
 //! Two stealers (or a stealer racing a renewal) can transiently both
 //! believe they own a unit — that is by design. Leases are the
 //! *duplicate-suppression* layer; correctness (exactly-once settlement)
-//! comes from the settle markers and the coordinator's fold
-//! (see [`crate::sweep::worker`] and [`crate::sweep::coordinator`]).
+//! comes from the first-wins result files and the coordinator's fold
+//! (see [`crate::sweep::results`] and [`crate::sweep::coordinator`]).
 //! A SIGKILLed worker renews nothing, its leases expire, and live
 //! workers steal the units — no coordinator intervention required.
 //!
@@ -154,7 +154,7 @@ static NONCE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// machine: FNV over pid, wall clock, worker name, and a process-local
 /// counter.
 fn fresh_nonce(worker: &str) -> u64 {
-    let mut h = crate::plan::Fnv::new();
+    let mut h = crate::json::Fnv::new();
     h.bytes(&u64::from(std::process::id()).to_le_bytes());
     h.bytes(&now_millis().to_le_bytes());
     h.bytes(&NONCE_COUNTER.fetch_add(1, Ordering::Relaxed).to_le_bytes());

@@ -1,4 +1,4 @@
-//! The sweep worker: claim → execute → append → settle, then steal and
+//! The sweep worker: claim → execute → settle, then steal and
 //! speculate.
 //!
 //! A worker is one OS process (isolation: a SIGKILL, OOM, or panic takes
@@ -14,12 +14,14 @@
 //!    whose lease age exceeds `max(min_age, factor × p95)` of this
 //!    worker's own observed unit durations — first result wins.
 //!
-//! Every result is appended durably to this worker's segment *before*
-//! the settle marker is taken, and the marker itself is a
-//! [`std::fs::hard_link`] (first-wins, like a fresh claim). That order
-//! is what makes the sweep exactly-once: a marker can exist without a
-//! valid record only if the record write *lied* (torn), and the
-//! coordinator's fold detects exactly that case and re-runs the unit.
+//! A unit settles when its result file appears: the worker syncs the
+//! sealed record to a private dotfile and [`std::fs::hard_link`]s it to
+//! `results/<unit>.json`, first-wins like a fresh claim
+//! ([`crate::sweep::results::settle`]). That is what makes the sweep
+//! exactly-once: one file per unit, whose record is durable before it
+//! is visible. A result file can be invalid only if its write *lied*
+//! (torn), and the coordinator's fold detects exactly that case and
+//! re-runs the unit.
 //!
 //! The worker exits 0 once every unit of the plan is settled.
 
@@ -31,10 +33,9 @@ use std::time::{Duration, Instant};
 
 use fulllock_sat::faults::{self, FaultAction};
 
-use crate::json::seal;
 use crate::sweep::grid::{SweepPlan, WorkUnit};
 use crate::sweep::lease::{now_millis, read_lease, Lease, LeaseDir, LeaseState};
-use crate::sweep::segment::{SampleRecord, SegmentWriter};
+use crate::sweep::results::{is_settled, settle, SampleRecord};
 use crate::{HarnessError, Result};
 
 /// The measurements an executor reports for one unit (the worker adds
@@ -167,65 +168,16 @@ impl UnitExecutor for SatUnitExecutor {
     }
 }
 
-/// Where a sweep directory keeps its settle markers.
-pub fn settled_dir(sweep_dir: &Path) -> PathBuf {
-    sweep_dir.join("settled")
-}
-
-/// Whether a unit has a settle marker.
-pub fn is_settled(sweep_dir: &Path, unit: &str) -> bool {
-    settled_dir(sweep_dir).join(format!("{unit}.done")).exists()
-}
-
-/// Takes a unit's settle marker, first-wins: the marker is created with
-/// `hard_link`, which fails atomically when another worker settled
-/// first. Returns whether *this* call won.
-pub fn try_settle(sweep_dir: &Path, unit: &str, worker: &str) -> io::Result<bool> {
-    let dir = settled_dir(sweep_dir);
-    std::fs::create_dir_all(&dir)?;
-    let payload = format!("{{\"unit\":{unit:?},\"worker\":{worker:?}}}");
-    let tmp = dir.join(format!(".{unit}.{worker}.tmp"));
-    std::fs::write(&tmp, format!("{}\n", seal(&payload)))?;
-    let outcome = std::fs::hard_link(&tmp, dir.join(format!("{unit}.done")));
-    let _ = std::fs::remove_file(&tmp);
-    match outcome {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// Removes a unit's settle marker (coordinator reconciliation: a marker
-/// whose segment record was torn must not count).
-pub fn remove_marker(sweep_dir: &Path, unit: &str) -> io::Result<()> {
-    match std::fs::remove_file(settled_dir(sweep_dir).join(format!("{unit}.done"))) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Counts settle markers (cheap progress probe for the coordinator).
-pub fn count_settled(sweep_dir: &Path) -> usize {
-    match std::fs::read_dir(settled_dir(sweep_dir)) {
-        Ok(entries) => entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|ext| ext == "done"))
-            .count(),
-        Err(_) => 0,
-    }
-}
-
 /// Worker knobs. [`WorkerArgs`] carries the same values over a command
 /// line between coordinator and worker process.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// The sweep directory (plan, leases, segments, settled markers).
+    /// The sweep directory (plan, leases, result files).
     pub dir: PathBuf,
     /// Display name, unique across all workers ever spawned into this
     /// sweep (`w0`, `w1`, ... — respawns keep counting).
     pub worker: String,
-    /// Failpoint context index for `sweep.lease` / `sweep.segment`.
+    /// Failpoint context index for `sweep.lease` / `sweep.result`.
     pub worker_index: usize,
     /// Lease time-to-live; heartbeats renew at a third of this.
     pub lease_ttl: Duration,
@@ -254,9 +206,9 @@ pub struct WorkerSummary {
 ///
 /// # Errors
 ///
-/// Only infrastructure failures are errors (unreadable plan, segment IO
-/// including injected `enospc`/`eio`); unit execution failures settle
-/// with an `error` verdict and the loop continues.
+/// Only infrastructure failures are errors (unreadable plan, result-file
+/// IO including injected `enospc`/`eio`); unit execution failures
+/// settle with an `error` verdict and the loop continues.
 pub fn run_worker(
     plan: &SweepPlan,
     config: &WorkerConfig,
@@ -271,8 +223,6 @@ pub fn run_worker(
     leases
         .ensure()
         .map_err(|e| io_err(&config.dir, "create leases dir", e))?;
-    let mut segment = SegmentWriter::open(&config.dir, &config.worker, config.worker_index)
-        .map_err(|e| io_err(&config.dir, "open segment", e))?;
     let mut summary = WorkerSummary::default();
     let mut durations_ms: Vec<u64> = Vec::new();
 
@@ -301,7 +251,6 @@ pub fn run_worker(
                     config,
                     executor,
                     &leases,
-                    &mut segment,
                     &mut summary,
                     &mut durations_ms,
                     unit,
@@ -339,7 +288,6 @@ pub fn run_worker(
                     config,
                     executor,
                     &leases,
-                    &mut segment,
                     &mut summary,
                     &mut durations_ms,
                     unit,
@@ -368,7 +316,6 @@ pub fn run_worker(
                         config,
                         executor,
                         &leases,
-                        &mut segment,
                         &mut summary,
                         &mut durations_ms,
                         unit,
@@ -409,14 +356,13 @@ fn speculation_deadline_ms(config: &WorkerConfig, durations_ms: &[u64]) -> u64 {
     min_age.max((SPECULATION_FACTOR * p95 as f64) as u64)
 }
 
-/// Executes one unit end to end: heartbeat, executor, durable segment
-/// append, first-wins settlement, lease release.
+/// Executes one unit end to end: heartbeat, executor, first-wins
+/// settlement through a durable result file, lease release.
 #[allow(clippy::too_many_arguments)]
 fn execute_unit(
     config: &WorkerConfig,
     executor: &dyn UnitExecutor,
     leases: &LeaseDir,
-    segment: &mut SegmentWriter,
     summary: &mut WorkerSummary,
     durations_ms: &mut Vec<u64>,
     unit: &WorkUnit,
@@ -459,7 +405,7 @@ fn execute_unit(
                     return;
                 }
                 // A lost renewal means we were stolen; keep going — the
-                // settle marker decides whose result counts.
+                // first result file decides whose result counts.
                 let _ = leases.renew(&mut lease, ttl);
             }
         })
@@ -510,13 +456,7 @@ fn execute_unit(
         clause_var_ratio: sample.clause_var_ratio,
         wall_secs: wall.as_secs_f64(),
     };
-    // Durable record first, then the marker: a marker must never exist
-    // without its record having been (reportedly) written.
-    segment.append(&record).map_err(|e| HarnessError::Io {
-        path: segment.path().to_path_buf(),
-        message: format!("append sample: {e}"),
-    })?;
-    let won = try_settle(&config.dir, &unit.id, &config.worker).map_err(|e| HarnessError::Io {
+    let won = settle(&config.dir, &record, config.worker_index).map_err(|e| HarnessError::Io {
         path: config.dir.clone(),
         message: format!("settle {}: {e}", unit.id),
     })?;
@@ -637,7 +577,7 @@ impl WorkerArgs {
 mod tests {
     use super::*;
     use crate::sweep::grid::SweepGrid;
-    use crate::sweep::segment::fold_segments;
+    use crate::sweep::results::{count_settled, fold_results};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -676,9 +616,9 @@ mod tests {
         assert_eq!(summary.executed, 4);
         assert_eq!(summary.settle_wins, 4);
         assert_eq!(summary.settle_losses, 0);
-        let fold = fold_segments(&dir).expect("fold");
+        let fold = fold_results(&dir, &plan.grid.units()).expect("fold");
         assert_eq!(fold.samples.len(), 4);
-        assert_eq!(fold.duplicates, 0);
+        assert!(fold.orphans.is_empty());
         assert_eq!(count_settled(&dir), 4);
         for sample in fold.samples.values() {
             assert!(matches!(
@@ -687,19 +627,6 @@ mod tests {
             ));
             assert!(sample.vars == 20);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn settle_markers_are_first_wins() {
-        let dir = scratch("settle");
-        assert!(try_settle(&dir, "unit-00000", "a").expect("io"));
-        assert!(!try_settle(&dir, "unit-00000", "b").expect("io"), "loser");
-        assert!(is_settled(&dir, "unit-00000"));
-        assert_eq!(count_settled(&dir), 1);
-        remove_marker(&dir, "unit-00000").expect("remove");
-        assert!(!is_settled(&dir, "unit-00000"));
-        remove_marker(&dir, "unit-00000").expect("idempotent");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -739,7 +666,7 @@ mod tests {
             4,
             "every unit settled once"
         );
-        let fold = fold_segments(&dir).expect("fold");
+        let fold = fold_results(&dir, &plan.grid.units()).expect("fold");
         assert_eq!(fold.samples.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }

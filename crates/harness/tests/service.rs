@@ -15,10 +15,9 @@ use fulllock_harness::json::Json;
 use fulllock_harness::manifest::CampaignManifest;
 use fulllock_harness::plan::{CampaignPlan, JobSpec};
 use fulllock_harness::service::{
-    serve, Client, Endpoint, ServeSummary, ServiceConfig, ServiceReply,
+    serve, Client, Endpoint, JobState, QuotaSpec, ServeSummary, ServiceConfig, ServiceReply,
 };
 use fulllock_harness::supervisor::{run_campaign, SupervisorConfig};
-use fulllock_sat::QuotaSpec;
 
 struct TestServer {
     dir: PathBuf,
@@ -611,6 +610,66 @@ fn health_reports_queue_workers_and_tenants() {
         }),
         "{health:?}"
     );
+    server.stop();
+}
+
+/// A submission refused before it is queued leaves no trace: neither an
+/// over-quota tenant nor a shed one gets a `health` tenant row, so
+/// refusals under fresh tenant names cannot grow the daemon.
+#[test]
+fn refused_submissions_add_no_tenant_row() {
+    let mut server = TestServer::start("refused", |config| {
+        config.workers = 1;
+        config.max_pending = 1;
+        config.quotas = vec![(
+            "bankrupt".to_string(),
+            QuotaSpec {
+                max_conflicts: Some(0),
+                ..QuotaSpec::default()
+            },
+        )];
+    });
+    let client = server.client();
+    let broke = client
+        .submit("bankrupt", sh_job("no-funds", "true"))
+        .expect("send");
+    assert_eq!(broke.error_code(), Some("conflicts_exhausted"), "{broke:?}");
+
+    // Fill the one pending slot behind a running job, then get shed.
+    client
+        .submit("acme", sh_job("holder", "sleep 30"))
+        .expect("submit");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.status("holder").expect("status").job_state() != Some(JobState::Running) {
+        assert!(std::time::Instant::now() < deadline, "holder never ran");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    client
+        .submit("acme", sh_job("queued", "true"))
+        .expect("submit");
+    for i in 0..3 {
+        let shed = client
+            .submit(&format!("flood-{i}"), sh_job(&format!("flood-{i}"), "true"))
+            .expect("send");
+        assert_eq!(shed.error_code(), Some("overloaded"), "{shed:?}");
+    }
+
+    let health = client.health().expect("health");
+    let ServiceReply::Ok(json) = &health else {
+        panic!("health failed: {health:?}")
+    };
+    let rows = json
+        .get("health")
+        .and_then(|h| h.get("tenants"))
+        .and_then(Json::as_array)
+        .expect("tenants array");
+    let tenants: Vec<&str> = rows
+        .iter()
+        .filter_map(|r| r.get("tenant").and_then(Json::as_str))
+        .collect();
+    assert_eq!(tenants, ["acme"], "{health:?}");
+    assert_eq!(rows[0].get("in_flight").and_then(Json::as_u64), Some(2));
+    client.cancel("holder").expect("cancel");
     server.stop();
 }
 

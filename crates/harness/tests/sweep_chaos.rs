@@ -1,9 +1,9 @@
 //! Chaos acceptance tests for the distributed sweep executor: real
 //! worker *processes* (the `sweep_worker` test binary) coordinating
-//! purely through lease files and segments, under SIGKILL, torn
+//! purely through lease files and result files, under SIGKILL, torn
 //! writes, and injected disk faults. The invariant under every
-//! schedule: **every unit settles exactly once** — one folded sample
-//! per grid point, duplicates suppressed, no unit lost.
+//! schedule: **every unit settles exactly once** — one valid result
+//! file per grid point, no unit lost.
 
 #![cfg(unix)]
 
@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use fulllock_harness::sweep::coordinator::{run_sweep, SweepConfig};
 use fulllock_harness::sweep::grid::{SweepGrid, SweepPlan};
 use fulllock_harness::sweep::lease::{read_lease, LeaseState};
-use fulllock_harness::sweep::segment::fold_segments;
-use fulllock_harness::sweep::worker::{count_settled, WorkerArgs};
+use fulllock_harness::sweep::results::{count_settled, fold_results, results_dir};
+use fulllock_harness::sweep::worker::WorkerArgs;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -96,7 +96,7 @@ fn sigkilled_workers_unit_is_stolen_and_settles_exactly_once() {
     assert!(status.success(), "survivor exit: {status}");
 
     assert_eq!(count_settled(&dir), units, "every unit settled");
-    let fold = fold_segments(&dir).expect("fold");
+    let fold = fold_results(&dir, &plan.grid.units()).expect("fold");
     assert_eq!(fold.samples.len(), units, "exactly one sample per unit");
     let unit0 = &fold.samples["unit-00000"];
     assert_eq!(unit0.worker, "w1", "the survivor's result won");
@@ -122,12 +122,13 @@ fn coordinator_config(dir: &Path, workers: usize) -> SweepConfig {
     config
 }
 
-/// Crash-then-resume: after a completed sweep loses a record to a torn
-/// segment tail (marker still present — the worst case, because the
-/// marker *lies*), `resume` must detect the orphan, re-run exactly that
-/// unit, and restore exactly-once coverage.
+/// Crash-then-resume: after a completed sweep loses one record to a
+/// torn result file (the file exists, so the unit counts as settled,
+/// but its record is half written), `resume` must delete exactly that
+/// file, re-run exactly that unit, and leave every other result file
+/// untouched.
 #[test]
-fn resume_reconciles_a_torn_tail_with_a_lying_settle_marker() {
+fn resume_reruns_exactly_the_torn_result() {
     let dir = scratch("torn-resume");
     let plan = SweepPlan::new(
         SweepGrid::new("torn")
@@ -138,55 +139,47 @@ fn resume_reconciles_a_torn_tail_with_a_lying_settle_marker() {
     let outcome = run_sweep(&plan, &coordinator_config(&dir, 2)).expect("fresh sweep");
     assert_eq!(outcome.aggregates.samples as usize, units);
 
-    // Tear the last record of one segment in half, keeping its settle
-    // marker: a write the filesystem acknowledged but never made
-    // durable. The unit now has a marker and no record.
-    let before = fold_segments(&dir).expect("fold before tear");
-    let seg_dir = dir.join("segments");
-    let victim_seg = std::fs::read_dir(&seg_dir)
-        .expect("list segments")
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "seg"))
-        .find(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 0))
-        .expect("a non-empty segment");
-    let bytes = std::fs::read(&victim_seg).expect("read segment");
-    let body = &bytes[..bytes.len() - 1]; // drop trailing newline
-    let last_line_start = body.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-    let torn_at = last_line_start + (bytes.len() - last_line_start) / 2;
-    std::fs::write(&victim_seg, &bytes[..torn_at]).expect("tear tail");
-
-    let after = fold_segments(&dir).expect("fold after tear");
-    assert_eq!(
-        after.samples.len(),
-        units - 1,
-        "one record lost to the tear"
-    );
-    let lost: Vec<&String> = before
-        .samples
-        .keys()
-        .filter(|unit| !after.samples.contains_key(*unit))
-        .collect();
-    assert_eq!(lost.len(), 1);
-    let lost = lost[0].clone();
+    // Tear one result file in half: a write the filesystem acknowledged
+    // but never made durable.
+    let read_all = || -> Vec<(String, Vec<u8>)> {
+        plan.grid
+            .units()
+            .into_iter()
+            .map(|u| {
+                let path = results_dir(&dir).join(format!("{}.json", u.id));
+                (u.id, std::fs::read(path).expect("read result"))
+            })
+            .collect()
+    };
+    let before = read_all();
+    let (lost, bytes) = &before[2];
+    let victim = results_dir(&dir).join(format!("{lost}.json"));
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("tear result");
+    let torn = fold_results(&dir, &plan.grid.units()).expect("fold after tear");
+    assert_eq!(torn.orphans, std::slice::from_ref(lost));
+    assert_eq!(count_settled(&dir), units, "the torn file still counts");
 
     let mut config = coordinator_config(&dir, 2);
     config.resume = true;
     let resumed = run_sweep(&plan, &config).expect("resume sweep");
     assert_eq!(
         resumed.resume.orphans_cleared, 1,
-        "the lying marker was caught"
+        "the torn result was caught"
     );
     assert_eq!(resumed.resume.settled, units - 1, "intact units were kept");
+    assert_eq!(resumed.rerun_rounds, 0);
     assert_eq!(
         resumed.aggregates.samples as usize, units,
         "coverage restored"
     );
-    let final_fold = fold_segments(&dir).expect("final fold");
-    assert!(
-        final_fold.samples.contains_key(&lost),
-        "the lost unit re-ran"
-    );
+    let fold = fold_results(&dir, &plan.grid.units()).expect("final fold");
+    assert!(fold.orphans.is_empty());
+    assert!(fold.samples.contains_key(lost), "the lost unit re-ran");
+    for ((unit, old), (_, new)) in before.iter().zip(read_all()) {
+        if unit != lost {
+            assert_eq!(old, &new, "{unit} was not re-run");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -215,10 +208,10 @@ fn resume_refuses_a_drifted_ambient_environment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Injected disk faults (torn segment appends + slowed lease writes)
-/// via FULLLOCK_FAILPOINTS in the workers' environment: the coordinator
-/// must detect the units whose markers lie (record torn), re-run them
-/// in bounded rounds, and still deliver exactly-once coverage.
+/// Injected disk faults (torn result files + slowed lease writes) via
+/// FULLLOCK_FAILPOINTS in the workers' environment: the coordinator
+/// must detect the units whose result files are torn, re-run them in
+/// bounded rounds, and still deliver exactly-once coverage.
 #[cfg(feature = "failpoints")]
 #[test]
 fn injected_torn_appends_are_rerun_to_exactly_once() {
@@ -232,11 +225,12 @@ fn injected_torn_appends_are_rerun_to_exactly_once() {
     let units = plan.grid.unit_count();
 
     let mut config = coordinator_config(&dir, 2);
-    // Each worker process: 2 clean appends, then one torn append that
-    // reports success; lease writes get a 10ms delay to widen races.
+    // Each worker process: 2 clean result writes, then one torn write
+    // that reports success; lease writes get a 10ms delay to widen
+    // races.
     config.worker_env = vec![(
         "FULLLOCK_FAILPOINTS".to_string(),
-        "sweep.segment=torn@2x1;sweep.lease=delay:10".to_string(),
+        "sweep.result=torn@2x1;sweep.lease=delay:10".to_string(),
     )];
     let outcome = run_sweep(&plan, &config).expect("sweep survives torn appends");
     assert_eq!(outcome.aggregates.samples as usize, units, "exactly-once");
@@ -244,11 +238,8 @@ fn injected_torn_appends_are_rerun_to_exactly_once() {
         outcome.rerun_rounds >= 1,
         "the torn units must have needed a re-run round"
     );
-    let fold = fold_segments(&dir).expect("fold");
+    let fold = fold_results(&dir, &plan.grid.units()).expect("fold");
     assert_eq!(fold.samples.len(), units);
-    assert!(
-        fold.invalid_lines >= 1,
-        "the torn lines are visible in the fold"
-    );
+    assert!(fold.orphans.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
 //! Property tests of the sweep's on-disk coordination state: lease
-//! files and result-segment records must round-trip exactly, and any
+//! files and result records must round-trip exactly, and any
 //! single-byte mutation must read as corrupt/invalid — never a panic,
 //! never silently-wrong data. (Mirrors `corruption.rs` for the
 //! campaign manifest.)
@@ -7,8 +7,9 @@
 use std::path::PathBuf;
 
 use fulllock_harness::json::seal;
+use fulllock_harness::sweep::grid::SweepGrid;
 use fulllock_harness::sweep::lease::{read_lease, Lease, LeaseState};
-use fulllock_harness::sweep::segment::{read_segment, SampleRecord, SegmentWriter};
+use fulllock_harness::sweep::results::{fold_results, results_dir, settle, SampleRecord};
 use proptest::prelude::*;
 
 fn scratch_file(tag: &str) -> PathBuf {
@@ -124,42 +125,40 @@ proptest! {
         prop_assert_eq!(back, record);
     }
 
-    /// A segment with one byte flipped anywhere never yields a wrong
-    /// record: every surviving record equals one of the originals, at
-    /// most two are lost (the mutated line, plus a joined neighbor if
-    /// the newline itself was hit), and the reader never panics.
+    /// One byte flipped anywhere in one unit's result file orphans that
+    /// unit and only it: every other unit keeps its exact record, and
+    /// the reader never panics or yields a wrong record.
     #[test]
-    fn mutated_segment_drops_only_the_hit_line(
+    fn mutated_result_orphans_only_its_unit(
         records in proptest::collection::vec(arb_record(), 1..6),
+        victim in any::<usize>(),
         pos in any::<usize>(),
         replacement in any::<u8>(),
         tag in 0u32..1_000_000,
     ) {
-        let dir = scratch_dir(&format!("seg-{tag}"));
-        let mut writer = SegmentWriter::open(&dir, "w0", 0).expect("open segment");
+        let dir = scratch_dir(&format!("results-{tag}"));
+        let seeds: Vec<String> = (0..records.len()).map(|i| i.to_string()).collect();
+        let units = SweepGrid::new("props").axis("seed", seeds).units();
+        let records: Vec<SampleRecord> = records
+            .into_iter()
+            .zip(&units)
+            .map(|(record, unit)| SampleRecord { unit: unit.id.clone(), ..record })
+            .collect();
         for record in &records {
-            writer.append(record).expect("append");
+            prop_assert!(settle(&dir, record, 0).expect("settle"));
         }
-        let path = writer.path().to_path_buf();
-        drop(writer);
-        let intact = read_segment(&path).expect("read intact");
-        prop_assert_eq!(&intact.records, &records);
-        prop_assert_eq!(intact.invalid_lines, 0);
+        let intact = fold_results(&dir, &units).expect("fold intact");
+        prop_assert_eq!(intact.samples.values().cloned().collect::<Vec<_>>(), records.clone());
 
-        flip_byte(&path, pos, replacement);
-        let mutated = read_segment(&path).expect("read mutated");
-        for got in &mutated.records {
-            prop_assert!(
-                records.contains(got),
-                "mutation fabricated a record: {:?}",
-                got
-            );
+        let victim = &units[victim % units.len()].id;
+        flip_byte(&results_dir(&dir).join(format!("{victim}.json")), pos, replacement);
+        let mutated = fold_results(&dir, &units).expect("fold mutated");
+        prop_assert_eq!(&mutated.orphans, &vec![victim.clone()]);
+        for record in &records {
+            if &record.unit != victim {
+                prop_assert_eq!(mutated.samples.get(&record.unit), Some(record));
+            }
         }
-        prop_assert!(
-            mutated.records.len() + 2 >= records.len(),
-            "lost {} records to one byte flip",
-            records.len() - mutated.records.len()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -110,13 +110,13 @@ pub mod site {
     /// and stealable, `delay:<ms>` slows the lease protocol down so
     /// renewal races and steal windows actually open under test.
     pub const SWEEP_LEASE: &str = "sweep.lease";
-    /// Evaluated by a sweep worker on every result-segment append, with
-    /// the worker index. `enospc`/`eio` fail the append before the record
-    /// lands, `torn` writes half a record while reporting success (the
-    /// coordinator's fold must truncate the tail and the unit must be
-    /// re-executed — a settle marker without a valid record never counts),
-    /// `delay:<ms>` slows the append.
-    pub const SWEEP_SEGMENT: &str = "sweep.segment";
+    /// Evaluated by a sweep worker on every result-file write (the
+    /// settle of a unit), with the worker index. `enospc`/`eio` fail the
+    /// write before the record lands, `torn` links half a record while
+    /// reporting success (the coordinator's fold must find the result
+    /// file invalid, delete it and re-run the unit), `delay:<ms>` slows
+    /// the write.
+    pub const SWEEP_RESULT: &str = "sweep.result";
     /// Evaluated by a sweep worker just before it executes a claimed work
     /// unit, with the *unit* index (not the worker index), so chaos plans
     /// can target one grid point. `delay:<ms>` turns the unit into a
@@ -533,14 +533,14 @@ mod tests {
 
     #[test]
     fn parses_sweep_sites() {
-        let plan: FaultPlan = "sweep.lease=delay:50;sweep.segment=torn@1x2;sweep.unit#7=delay:3000"
+        let plan: FaultPlan = "sweep.lease=delay:50;sweep.result=torn@1x2;sweep.unit#7=delay:3000"
             .parse()
             .expect("valid spec");
         let pts = plan.points();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].name, site::SWEEP_LEASE);
         assert_eq!(pts[0].action, FaultAction::DelayMs(50));
-        assert_eq!(pts[1].name, site::SWEEP_SEGMENT);
+        assert_eq!(pts[1].name, site::SWEEP_RESULT);
         assert_eq!(pts[1].action, FaultAction::Torn);
         assert_eq!(pts[1].skip, 1);
         assert_eq!(pts[1].limit, Some(2));

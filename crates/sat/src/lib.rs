@@ -27,8 +27,8 @@
 //!   and one strict check of them all ([`AmbientConfig::parse`]), which
 //!   captures the wall-clock budget; each other knob is read by the
 //!   layer it steers;
-//! * [`quota`] — per-tenant admission and cumulative-spend accounting
-//!   ([`TenantQuota`]) for the serving layer.
+//! * [`faults`] — the named fault-injection sites (failpoints) the
+//!   chaos suites arm, including the harness's disk and worker sites.
 //!
 //! # Example
 //!
@@ -60,7 +60,6 @@ pub mod equiv;
 mod error;
 pub mod faults;
 mod lit;
-pub mod quota;
 pub mod random_sat;
 pub mod tseytin;
 
@@ -70,7 +69,6 @@ pub use certify::{CertifyError, CertifyLevel};
 pub use cnf::Cnf;
 pub use error::SatError;
 pub use lit::{Lit, Var};
-pub use quota::{QuotaError, QuotaSpec, QuotaUsage, TenantQuota};
 
 /// Crate-wide result alias.
 pub type Result<T, E = SatError> = std::result::Result<T, E>;

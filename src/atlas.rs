@@ -18,7 +18,7 @@
 //! `unresolved`), the solver conflicts spent, and the final attack
 //! formula's size and mean clause/variable ratio — the measurements the
 //! paper's Fig. 5–7 plot against CLN size. The sweep machinery
-//! (leases, segments, percentile folds) lives in
+//! (leases, result files, percentile folds) lives in
 //! [`harness::sweep`](fulllock_harness::sweep); this module only turns
 //! one work unit into one sample.
 

@@ -31,7 +31,7 @@ use full_lock::attacks::{
     Attack, AttackDetails, AttackOutcome, OracleResilience, SatAttackConfig, SimOracle,
 };
 use full_lock::harness::plan::CampaignPlan;
-use full_lock::harness::service::{serve, Endpoint, ServiceConfig};
+use full_lock::harness::service::{serve, Endpoint, QuotaSpec, ServiceConfig};
 use full_lock::harness::supervisor::{run_campaign, SupervisorConfig};
 use full_lock::harness::sweep::worker::{run_worker, SatUnitExecutor, UnitExecutor, WorkerArgs};
 use full_lock::harness::sweep::{run_sweep, SweepConfig, SweepGrid, SweepPlan};
@@ -43,8 +43,8 @@ use full_lock::locking::{
 use full_lock::netlist::{bench_io, topo, verilog, Netlist};
 use full_lock::sat::ambient::{parse_oracle_qps, parse_oracle_retries, parse_oracle_votes};
 use full_lock::sat::tseytin;
+use full_lock::sat::AmbientConfig;
 use full_lock::sat::CertifyLevel;
-use full_lock::sat::{AmbientConfig, QuotaSpec};
 use full_lock::tech::Technology;
 
 type CliResult = Result<(), Box<dyn Error>>;
@@ -141,12 +141,12 @@ SWEEP OPTIONS:
                       hardness probe) or atlas (lock a host circuit
                       with a CLN and SAT-attack it)     (default sat)
   --workers <n>       isolated worker processes          (default 4)
-  --out-dir <dir>     sweep state: plan, leases, result segments,
-                      atlas.json + columns.json          (default sweep)
-  --resume            continue an interrupted sweep: leases are
-                      reconciled, settled units are skipped, and the
-                      plan + FULLLOCK_* environment must not have
-                      drifted since the sweep started
+  --out-dir <dir>     sweep state: plan, leases, one result file per
+                      unit, atlas.json + columns.json    (default sweep)
+  --resume            continue an interrupted sweep: stale leases and
+                      torn results are cleared, settled units are
+                      skipped, and the plan + FULLLOCK_* environment
+                      must not have drifted since the sweep started
   --unit-timeout-secs <s>  per-unit attack/solve budget  (default 60)
   --lease-ttl-millis <m>   work-unit lease TTL; a worker that misses
                            renewal (crashed, partitioned) has its units
@@ -154,9 +154,9 @@ SWEEP OPTIONS:
   --max-respawns <n>  dead-worker respawn budget         (default 16)
   --max-wall-secs <s> overall wall budget; 0 = unbounded (default 1800)
   --print-plan        print the expanded unit list and exit
-  Workers stream results into append-only checksummed segments; the
-  coordinator folds them first-wins into exactly one sample per unit,
-  with p50/p90/p99 aggregates in <out-dir>/atlas.json.
+  Each unit settles as one checksummed result file, first writer wins;
+  the coordinator folds them into exactly one sample per unit, with
+  exact p50/p90/p99 aggregates in <out-dir>/atlas.json.
 
 LOCK OPTIONS:
   --scheme <fulllock|rll|sarlock|antisat|lutlock|crosslock>   (default fulllock)
@@ -203,34 +203,35 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String], booleans: &[&str]) -> Args {
+    /// Parses the arguments of `command`, which takes the value flags
+    /// and the boolean flags named, space-separated, in `values` and
+    /// `booleans`; `-o` is `--out`. Any other flag, or a value flag with
+    /// no value, is an error naming it.
+    fn parse(command: &str, raw: &[String], values: &str, booleans: &str) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let token = &raw[i];
-            if let Some(name) = token.strip_prefix("--") {
-                if booleans.contains(&name) {
-                    flags.push((name.to_string(), None));
-                } else {
-                    let value = raw.get(i + 1).cloned();
-                    if value.is_some() {
-                        i += 1;
-                    }
-                    flags.push((name.to_string(), value));
+        let mut tokens = raw.iter();
+        while let Some(token) = tokens.next() {
+            let name = match token.strip_prefix("--") {
+                Some(name) => name,
+                None if token == "-o" => "out",
+                None => {
+                    positional.push(token.clone());
+                    continue;
                 }
-            } else if token == "-o" {
-                let value = raw.get(i + 1).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
-                flags.push(("out".to_string(), value));
+            };
+            if booleans.split_whitespace().any(|flag| flag == name) {
+                flags.push((name.to_string(), None));
+            } else if values.split_whitespace().any(|flag| flag == name) {
+                let value = tokens
+                    .next()
+                    .ok_or_else(|| format!("{command}: {token} needs a value"))?;
+                flags.push((name.to_string(), Some(value.clone())));
             } else {
-                positional.push(token.clone());
+                return Err(format!("{command}: unknown flag {token}"));
             }
-            i += 1;
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
@@ -307,7 +308,7 @@ fn as_locked(netlist: Netlist) -> Result<LockedCircuit, Box<dyn Error>> {
 }
 
 fn cmd_stats(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &[]);
+    let args = Args::parse("stats", raw, "", "")?;
     let path = args
         .positional
         .first()
@@ -341,7 +342,12 @@ fn cmd_stats(raw: &[String]) -> CliResult {
 }
 
 fn cmd_lock(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &["cyclic"]);
+    let args = Args::parse(
+        "lock",
+        raw,
+        "out scheme plr bits twist seed key-out",
+        "cyclic",
+    )?;
     let path = args
         .positional
         .first()
@@ -400,7 +406,7 @@ fn cmd_lock(raw: &[String]) -> CliResult {
 }
 
 fn cmd_verify(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &[]);
+    let args = Args::parse("verify", raw, "oracle key", "")?;
     let path = args
         .positional
         .first()
@@ -435,7 +441,13 @@ fn cmd_verify(raw: &[String]) -> CliResult {
 }
 
 fn cmd_attack(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &["resume"]);
+    let args = Args::parse(
+        "attack",
+        raw,
+        "oracle timeout threads certify checkpoint json oracle-votes \
+         oracle-retries oracle-qps",
+        "resume",
+    )?;
     let path = args
         .positional
         .first()
@@ -593,7 +605,7 @@ fn cmd_attack(raw: &[String]) -> CliResult {
 }
 
 fn cmd_optimize(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &[]);
+    let args = Args::parse("optimize", raw, "out", "")?;
     let path = args
         .positional
         .first()
@@ -613,7 +625,12 @@ fn cmd_optimize(raw: &[String]) -> CliResult {
 }
 
 fn cmd_campaign(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &["resume", "strict", "print-plan"]);
+    let args = Args::parse(
+        "campaign",
+        raw,
+        "plan jobs timeout-secs grace-secs max-attempts out-dir",
+        "resume strict print-plan",
+    )?;
     let plan_ref = args.flag("plan").ok_or("campaign: missing --plan")?;
     let plan = if plan_ref == "builtin:paper" {
         // The experiment binaries live next to this executable
@@ -702,7 +719,13 @@ fn cmd_campaign(raw: &[String]) -> CliResult {
 }
 
 fn cmd_sweep(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &["resume", "print-plan"]);
+    let args = Args::parse(
+        "sweep",
+        raw,
+        "grid name executor out-dir workers seed unit-timeout-secs \
+         lease-ttl-millis max-respawns max-wall-secs",
+        "resume print-plan",
+    )?;
     let grid_spec = args.flag("grid").ok_or("sweep: missing --grid")?;
     let name = args.flag("name").unwrap_or("sweep");
     let grid = SweepGrid::parse_spec(name, grid_spec).map_err(|e| format!("sweep: {e}"))?;
@@ -758,18 +781,15 @@ fn cmd_sweep(raw: &[String]) -> CliResult {
     let outcome = run_sweep(&plan, &config)?;
     if outcome.resume != Default::default() {
         println!(
-            "resume: {} settled unit(s) kept ({} recovered records), {} orphan marker(s) \
-             cleared, {} stale lease(s) dropped",
-            outcome.resume.settled,
-            outcome.resume.records_settled,
-            outcome.resume.orphans_cleared,
-            outcome.resume.leases_cleared,
+            "resume: {} settled unit(s) kept, {} torn result(s) cleared, \
+             {} stale lease(s) dropped",
+            outcome.resume.settled, outcome.resume.orphans_cleared, outcome.resume.leases_cleared,
         );
     }
     let agg = &outcome.aggregates;
     println!(
         "sweep done: {}/{} unit(s) in {:.2}s ({} respawn(s), {} re-run round(s), \
-         {} stolen, {} speculative, {} duplicate record(s) suppressed)",
+         {} stolen, {} speculative)",
         agg.samples,
         agg.units,
         outcome.elapsed.as_secs_f64(),
@@ -777,14 +797,7 @@ fn cmd_sweep(raw: &[String]) -> CliResult {
         outcome.rerun_rounds,
         agg.stolen,
         agg.speculative,
-        agg.duplicates,
     );
-    if agg.torn_tails > 0 || agg.invalid_lines > 0 {
-        println!(
-            "segment repair: {} torn tail(s) truncated, {} invalid line(s) skipped",
-            agg.torn_tails, agg.invalid_lines
-        );
-    }
     for (verdict, count) in &agg.verdicts {
         println!("  verdict {verdict:<10} {count}");
     }
@@ -876,7 +889,14 @@ fn parse_quota_spec(text: &str) -> Result<QuotaSpec, Box<dyn Error>> {
 }
 
 fn cmd_serve(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &[]);
+    let args = Args::parse(
+        "serve",
+        raw,
+        "listen state-dir workers shards timeout-secs grace-secs \
+         max-attempts quota default-quota max-connections max-pending \
+         io-timeout-secs max-request-line watchdog-secs",
+        "",
+    )?;
     let endpoint = Endpoint::parse(args.flag("listen").unwrap_or("unix:fulllock.sock"))
         .map_err(|e| format!("serve: bad --listen: {e}"))?;
     let mut config = ServiceConfig::new(endpoint, args.flag("state-dir").unwrap_or("serve-state"));
@@ -954,7 +974,7 @@ fn cmd_serve(raw: &[String]) -> CliResult {
 }
 
 fn cmd_export(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &[]);
+    let args = Args::parse("export", raw, "format out", "")?;
     let path = args
         .positional
         .first()

@@ -1,7 +1,7 @@
 //! Scaling benchmark for the distributed sweep executor: the same
 //! latency-bound grid run under 1 worker and under N workers, through
-//! the **real** coordinator/worker process machinery (leases, settle
-//! markers, segments — nothing mocked).
+//! the **real** coordinator/worker process machinery (leases, result
+//! files — nothing mocked).
 //!
 //! The reference grid is deliberately adversarial to naive fan-out:
 //!
@@ -36,9 +36,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use full_lock::bench::record::{parse_flag, BenchRecord, Cmp};
-use full_lock::harness::sweep::segment::fold_segments;
 use full_lock::harness::sweep::worker::{run_worker, SatUnitExecutor, WorkerArgs};
-use full_lock::harness::sweep::{run_sweep, SweepConfig, SweepGrid, SweepOutcome, SweepPlan};
+use full_lock::harness::sweep::{
+    fold_results, run_sweep, SweepConfig, SweepGrid, SweepOutcome, SweepPlan,
+};
 
 /// Worker mode: `sweep_bench internal-worker --dir ... --worker N ...`.
 /// The coordinator spawns these; they coordinate purely through the
@@ -138,7 +139,7 @@ fn main() {
 
     let dir_n = scratch.join(format!("w{workers}"));
     let (tn, outcome) = run_once(&dir_n, &plan, workers);
-    let fold = fold_segments(&dir_n).expect("fold N-worker segments");
+    let fold = fold_results(&dir_n, &plan.grid.units()).expect("fold N-worker results");
     let straggler = &fold.samples["unit-00000"];
     let neutralized = straggler.stolen || straggler.speculative;
     println!(
@@ -168,8 +169,8 @@ fn main() {
     .metric("wall_n_workers_secs", tn)
     .metric("speedup", t1 / tn)
     .metric("straggler_neutralized", neutralized)
-    .metric("speculative_wins", fold.speculative)
-    .metric("stolen_wins", fold.stolen)
+    .metric("speculative_wins", outcome.aggregates.speculative)
+    .metric("stolen_wins", outcome.aggregates.stolen)
     .metric("respawns", outcome.respawns)
     .bar("speedup", Cmp::Ge, floor)
     .bar("straggler_neutralized", Cmp::Eq, true)

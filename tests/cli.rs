@@ -282,6 +282,38 @@ fn thread_knobs_accept_only_the_sequential_solver() {
     }
 }
 
+/// A misspelled flag, or a value flag with no value, is an `error:` that
+/// names it, not an attack run without the option the caller meant.
+#[test]
+fn unknown_and_valueless_flags_are_refused() {
+    let dir = workdir("flags");
+    let original = dir.join("c17.bench");
+    let locked = dir.join("locked.bench");
+    fs::write(&original, C17).unwrap();
+    let (original, locked) = (original.to_str().unwrap(), locked.to_str().unwrap());
+    let out = run(&[
+        "lock", original, "-o", locked, "--scheme", "rll", "--bits", "4", "--seed", "7",
+    ]);
+    assert!(out.status.success());
+    let attack = ["attack", locked, "--oracle", original];
+    for (extra, named) in [
+        (&["--certfy", "proof"][..], "unknown flag --certfy"),
+        (&["--certify"][..], "--certify needs a value"),
+    ] {
+        let mut args = attack.to_vec();
+        args.extend(extra);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stdout(&out));
+        assert!(
+            stderr.contains(&format!("error: attack: {named}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = run(&["stats", original, "-o", locked]);
+    assert_eq!(out.status.code(), Some(1), "stats takes no -o");
+}
+
 /// A seconds flag refuses a value no `Duration` holds (negative, NaN,
 /// infinite) with an `error:` line naming the flag, instead of
 /// panicking.

@@ -14,7 +14,8 @@ use full_lock::bench::record::{Bar, BenchRecord, Cmp};
 use full_lock::harness::json::Json;
 use full_lock::harness::service::protocol::{encode_request, Request};
 use full_lock::harness::service::{JobState, ShardedQueue};
-use full_lock::harness::sweep::{Lease, SampleRecord, SegmentWriter, SweepGrid, SweepPlan};
+use full_lock::harness::sweep::results::settle;
+use full_lock::harness::sweep::{Lease, SampleRecord, SweepGrid, SweepPlan};
 use full_lock::harness::{CampaignManifest, CampaignPlan, JobRecord, JobSpec, JobStatus};
 use full_lock::locking::Key;
 use full_lock::sat::cdcl::SolverStats;
@@ -129,7 +130,7 @@ fn sweep_plan(dir: &Path) -> String {
     read(&dir.join("sweep.json"))
 }
 
-fn segment(dir: &Path) -> String {
+fn result_file(dir: &Path) -> String {
     let record = SampleRecord {
         unit: "unit-00001".to_string(),
         worker: "w0".to_string(),
@@ -142,9 +143,8 @@ fn segment(dir: &Path) -> String {
         clause_var_ratio: 4.3,
         wall_secs: 0.125,
     };
-    let mut writer = SegmentWriter::open(dir, "w0", 0).expect("open segment");
-    writer.append(&record).expect("append sample");
-    read(writer.path())
+    settle(dir, &record, 0).expect("settle sample");
+    read(&dir.join("results").join("unit-00001.json"))
 }
 
 fn wire_reports() -> String {
@@ -247,7 +247,7 @@ fn documents() -> Vec<(&'static str, String)> {
         ("queue shard", queue_shard(&dir.join("queue"))),
         ("sweep plan", sweep_plan(&dir.join("sweep"))),
         ("lease", lease.to_json()),
-        ("segment sample", segment(&dir.join("sweep"))),
+        ("result file", result_file(&dir.join("sweep"))),
         ("wire report", wire_reports()),
         ("bench record", bench_record(&dir)),
     ];
@@ -289,7 +289,7 @@ const GOLDEN: &[(&str, &str)] = &[
         "{\"unit\":\"unit-00001\",\"worker\":\"w0\",\"nonce\":81985529216486895,\"generation\":1,\"acquired_millis\":1700000000000,\"expires_millis\":1700000030000}",
     ),
     (
-        "segment sample",
+        "result file",
         "{\"checksum\":16387296518660548864,\"payload\":{\"unit\":\"unit-00001\",\"worker\":\"w0\",\"stolen\":true,\"speculative\":false,\"verdict\":\"unsat\",\"conflicts\":123,\"vars\":50,\"clauses\":215,\"clause_var_ratio\":4.3,\"wall_secs\":0.125}}\n",
     ),
     (
